@@ -186,7 +186,8 @@ def cmd_bench(args) -> int:
                     _, cost = elpgm_optimize(a, args.m, r_size, cfg)
                 else:
                     raise ValueError(f"unknown algorithm {algo!r}")
-            except CoverInfeasibleError:
+            except (CoverInfeasibleError, UncontrollableError) as exc:
+                print(f"netcontrol: {label} fraction {fraction:g} {algo}: {exc}", file=sys.stderr)
                 cost = float("nan")
             elapsed = time.perf_counter() - start
             rows.append(

@@ -155,19 +155,17 @@ def _allocate_drivers(blocks: list[list[int]], d: int, t_f: float) -> tuple[floa
     counts = [len(b) for b in blocks]
     if d < len(blocks) or d > sum(counts):
         raise CoverInfeasibleError(f"cannot spread {d} drivers over blocks {counts}")
-    best: dict[tuple[int, int], tuple[float, list[int]]] = {(0, 0): (0.0, [])}
+    best: dict[int, tuple[float, list[int]]] = {0: (0.0, [])}  # drivers used -> cheapest
     for i, q in enumerate(counts):
-        nxt: dict[tuple[int, int], tuple[float, list[int]]] = {}
-        for (j, used), (cost, alloc) in best.items():
-            if j != i:
-                continue
+        nxt: dict[int, tuple[float, list[int]]] = {}
+        for used, (cost, alloc) in best.items():
             for di in range(1, min(q, d - used - (len(counts) - i - 1)) + 1):
                 cand = (cost + string_cost(q, di, t_f), alloc + [di])
-                key = (i + 1, used + di)
+                key = used + di
                 if key not in nxt or cand[0] < nxt[key][0]:
                     nxt[key] = cand
         best = nxt
-    return best[(len(counts), d)]
+    return best[d]
 
 
 def assign_drivers(stems: list[Stem], plan: list[int], r_size: int | None = None) -> list[Stem]:
@@ -308,12 +306,9 @@ def _release_step(
     base_free = [v for v in range(g.n) if v not in controlled]
     base_tails = {seg[-1]: j for j, (seg, tail, _) in enumerate(records) if tail}
     base_heads = {seg[0]: j for j, (seg, _, head) in enumerate(records) if head}
-    memo: dict[int, float] = {}
 
     def increment(length: int) -> float:
-        if length not in memo:
-            memo[length] = chain_control_cost(length + 1, t_f) - chain_control_cost(length, t_f)
-        return memo[length]
+        return chain_control_cost(length + 1, t_f) - chain_control_cost(length, t_f)
 
     floor = increment(min(len(seg) for seg, tail, head in records if tail or head))
     options = []

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, perm
 from typing import Callable
 
 import numpy as np
@@ -285,7 +286,7 @@ def drive_to_origin(
     residual = float(np.linalg.norm(c @ x_f)) / y0 if y0 > 0 else 0.0
     m = 2 * max(int(steps), 2)  # even Simpson panel count
     h = placement.t_f / m
-    vals = np.array([float(np.dot(u(i * h), u(i * h))) for i in range(m + 1)])
+    vals = np.array([float(np.dot(v, v)) for v in (u(i * h) for i in range(m + 1))])
     weights = np.ones(m + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
@@ -297,37 +298,32 @@ def drive_to_origin(
 def chain_control_cost(length: int, t_f: float = 2.0) -> float:
     """Single-driver cost of a unit-weight directed chain of `length` nodes.
 
-    Exact rational arithmetic: the chain's A is nilpotent, so e^(At) is a
-    polynomial and W, e^(A t_f) have closed-form rational entries.  This
-    stays accurate far past the point where the floating-point Gramian
+    Exact, in integer and rational arithmetic.  The chain's A is nilpotent,
+    so its Gramian is W = t_f D H D with D = diag(t_f^i / i!) and H the
+    L x L Hilbert matrix, and column k of e^(A t_f) is t_f^-k D p_k with
+    p_k[i] = i! / (i - k)! (0 for i < k).  Hence
+
+        E = tr(W^-1 e^(A t_f) e^(A^T t_f)) = sum_k p_k^T H^-1 p_k / t_f^(2k+1),
+
+    where H^-1 has the integer entries (M.-D. Choi, "Tricks or Treats with
+    the Hilbert Matrix", Amer. Math. Monthly 90(5), 1983)
+
+        (H^-1)_ij = (-1)^(i+j) (i+j+1) C(L+i, L-j-1) C(L+j, L-i-1) C(i+j, i)^2.
+
+    This stays accurate far past the point where the floating-point Gramian
     becomes numerically singular (costs grow like 1e16 by length 10).
     """
     if length < 1:
         raise ValueError("length must be >= 1")
+    n = length
+    h_inv = [
+        [(-1) ** (i + j) * (i + j + 1) * comb(n + i, n - j - 1) * comb(n + j, n - i - 1) * comb(i + j, i) ** 2
+         for j in range(n)]
+        for i in range(n)
+    ]
     tf = Fraction(t_f)
-    fact = [Fraction(1)] * (length + 1)
-    for i in range(1, length + 1):
-        fact[i] = fact[i - 1] * i
-    w = [
-        [tf ** (i + j + 1) / ((i + j + 1) * fact[i] * fact[j]) for j in range(length)]
-        for i in range(length)
-    ]
-    x = [
-        [tf ** (i - j) / fact[i - j] if i >= j else Fraction(0) for j in range(length)]
-        for i in range(length)
-    ]
-    y = [[sum(x[i][k] * x[j][k] for k in range(length)) for j in range(length)] for i in range(length)]
-    # Solve W Z = Y by exact Gauss-Jordan; the answer is tr(Z).
-    aug = [row[:] + y[i][:] for i, row in enumerate(w)]
-    size = length
-    for col in range(size):
-        pivot = next(r for r in range(col, size) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * p for v, p in zip(aug[r], aug[col])]
-    trace = sum(aug[i][size + i] for i in range(size))
-    return float(trace)
+    total = Fraction(0)
+    for k in range(n):
+        p = [perm(i, k) for i in range(n)]
+        total += sum(pi * sum(h * pj for h, pj in zip(row, p)) for pi, row in zip(p, h_inv)) / tf ** (2 * k + 1)
+    return float(total)

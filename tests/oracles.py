@@ -8,6 +8,7 @@ with the implementations it cross-checks.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -139,6 +140,37 @@ def simpson_gramian(a: np.ndarray, b: np.ndarray, t_f: float, panels: int = 4096
         weight = 1 if k in (0, panels) else (4 if k % 2 else 2)
         total += weight * f
     return total * h / 3
+
+
+def gauss_jordan_chain_cost(length: int, t_f: float) -> float:
+    """Single-driver cost of a unit-weight directed chain, by assembling the
+    exact rational Gramian W and e^(A t_f) e^(A^T t_f) and solving
+    W Z = e^(A t_f) e^(A^T t_f) by Gauss-Jordan elimination over Fractions;
+    the cost is tr(Z)."""
+    tf = Fraction(t_f)
+    fact = [Fraction(1)] * (length + 1)
+    for i in range(1, length + 1):
+        fact[i] = fact[i - 1] * i
+    w = [
+        [tf ** (i + j + 1) / ((i + j + 1) * fact[i] * fact[j]) for j in range(length)]
+        for i in range(length)
+    ]
+    x = [
+        [tf ** (i - j) / fact[i - j] if i >= j else Fraction(0) for j in range(length)]
+        for i in range(length)
+    ]
+    y = [[sum(x[i][k] * x[j][k] for k in range(length)) for j in range(length)] for i in range(length)]
+    aug = [row[:] + y[i][:] for i, row in enumerate(w)]
+    for col in range(length):
+        pivot = next(r for r in range(col, length) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for r in range(length):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [v - factor * p for v, p in zip(aug[r], aug[col])]
+    return float(sum(aug[i][length + i] for i in range(length)))
 
 
 def central_difference_grad_b(a, b, c, t_f, step=1e-5) -> np.ndarray:

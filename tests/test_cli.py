@@ -161,6 +161,18 @@ class TestBench:
         strip = lambda text: [row.rsplit(",", 1)[0] for row in text.splitlines()]
         assert strip(a.read_text()) == strip(b.read_text())
 
+    def test_infeasible_cells_are_nan(self, tmp_path, capsys):
+        # rmax(2) = 28 < 30 here: EDCP and ELPGM both refuse; neither may abort the table
+        out = tmp_path / "bench.csv"
+        code = main(["bench", "--network", "er", "--n", "30", "-M", "2", "--algos", "edcp,elpgm",
+                     "--fractions", "1.0", "--out", str(out)])
+        assert code == 0
+        rows = out.read_text().strip().splitlines()
+        assert rows[0] == "network,n,edges,fraction,M,algorithm,E,wall_time_s"
+        assert [row.split(",")[5:7] for row in rows[1:]] == [["edcp", "nan"], ["elpgm", "nan"]]
+        err = capsys.readouterr().err
+        assert " edcp: " in err and " elpgm: " in err
+
     def test_edcp_beats_naive_in_rows(self, tmp_path):
         out = tmp_path / "bench.csv"
         main(["bench", "--network", "er", "--n", "40", "--mu", "4", "-M", "8",

@@ -16,7 +16,7 @@ from netcontrol.lti import (
     output_controllable,
     simulate,
 )
-from oracles import simpson_gramian, taylor_expm
+from oracles import gauss_jordan_chain_cost, simpson_gramian, taylor_expm
 
 CHAIN2 = np.array([[0.0, 0.0], [1.0, 0.0]])
 
@@ -232,3 +232,12 @@ class TestChainCost:
 
     def test_scalar_any_horizon(self):
         assert chain_control_cost(1, 0.5) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("t_f, lengths", [
+        (2.0, [*range(1, 25), 40]),
+        (0.5, range(1, 17)),
+        (3.0, range(1, 17)),
+    ])
+    def test_equals_exact_reference(self, t_f, lengths):
+        for length in lengths:
+            assert chain_control_cost(length, t_f) == gauss_jordan_chain_cost(length, t_f)
