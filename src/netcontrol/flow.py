@@ -12,6 +12,12 @@ The solver first saturates all negative (inner) arcs, which leaves a residual
 network with nonnegative costs, then routes the resulting excesses and the M
 supply units with successive-shortest-path batches (Dijkstra with vertex
 potentials + blocking flow per cost level).  This is exact and integral.
+
+Each round runs Dijkstra until the sink is settled (labels beyond it are not
+final; the update pi += min(dist, dist[t]) caps them and keeps all residual
+reduced costs nonnegative), then Dinic phases on the zero-reduced-cost arcs:
+a BFS up to the sink's level records each node's admissible arcs into the
+next level, and a DFS with current-arc pointers walks only those lists.
 """
 
 from __future__ import annotations
@@ -138,7 +144,14 @@ class _Residual:
         self.adj[head].append(aid + 1)
         return aid
 
-    def _dijkstra(self, src: int) -> list[float]:
+    def _dijkstra(self, src: int, dst: int) -> list[float]:
+        """Reduced-cost distances from src, final only up to dst.
+
+        The search stops once dst is settled: labels of the nodes it has not
+        settled are tentative (never below dist[dst]) or infinite.  That is
+        enough, because `ship` caps every potential update at dist[dst].
+        """
+        pi, adj, cap, to, cost = self.pi, self.adj, self.cap, self.to, self.cost
         dist = [INF] * self.num_nodes
         dist[src] = 0
         heap = [(0, src)]
@@ -146,12 +159,14 @@ class _Residual:
             d, v = heapq.heappop(heap)
             if d > dist[v]:
                 continue
-            pv = self.pi[v]
-            for aid in self.adj[v]:
-                if self.cap[aid] <= 0:
+            if v == dst:
+                break
+            pv = pi[v]
+            for aid in adj[v]:
+                if cap[aid] <= 0:
                     continue
-                w = self.to[aid]
-                nd = d + self.cost[aid] + pv - self.pi[w]
+                w = to[aid]
+                nd = d + cost[aid] + pv - pi[w]
                 if nd < dist[w]:
                     dist[w] = nd
                     heapq.heappush(heap, (nd, w))
@@ -159,18 +174,30 @@ class _Residual:
 
     def _blocking_flows(self, src: int, dst: int, limit: int) -> int:
         """Max flow from src to dst over zero-reduced-cost arcs, up to limit."""
+        pi, adj, cap, to, cost = self.pi, self.adj, self.cap, self.to, self.cost
         pushed_total = 0
         while pushed_total < limit:
             level = [-1] * self.num_nodes
             level[src] = 0
+            ahead: list[list[int]] = [[]] * self.num_nodes
             queue = [src]
             for v in queue:
-                pv = self.pi[v]
-                for aid in self.adj[v]:
-                    w = self.to[aid]
-                    if self.cap[aid] > 0 and level[w] == -1 and self.cost[aid] + pv - self.pi[w] == 0:
-                        level[w] = level[v] + 1
-                        queue.append(w)
+                if level[v] == level[dst]:
+                    break
+                nxt = level[v] + 1
+                pv = pi[v]
+                out = []
+                for aid in adj[v]:
+                    if cap[aid] > 0:
+                        w = to[aid]
+                        if cost[aid] + pv == pi[w]:
+                            if level[w] == -1:
+                                level[w] = nxt
+                                queue.append(w)
+                                out.append(aid)
+                            elif level[w] == nxt:
+                                out.append(aid)
+                ahead[v] = out
             if level[dst] == -1:
                 break
             it = [0] * self.num_nodes
@@ -179,34 +206,28 @@ class _Residual:
             while True:
                 if v == dst:
                     for aid in path:
-                        self.cap[aid] -= 1
-                        self.cap[aid ^ 1] += 1
+                        cap[aid] -= 1
+                        cap[aid ^ 1] += 1
                     pushed_total += 1
                     if pushed_total >= limit:
                         break
                     path = []
                     v = src
                     continue
-                advanced = False
-                while it[v] < len(self.adj[v]):
-                    aid = self.adj[v][it[v]]
-                    w = self.to[aid]
-                    if (
-                        self.cap[aid] > 0
-                        and level[w] == level[v] + 1
-                        and self.cost[aid] + self.pi[v] - self.pi[w] == 0
-                    ):
-                        path.append(aid)
-                        v = w
-                        advanced = True
-                        break
-                    it[v] += 1
-                if advanced:
+                out = ahead[v]
+                i = it[v]
+                while i < len(out) and cap[out[i]] <= 0:
+                    i += 1
+                it[v] = i
+                if i < len(out):
+                    aid = out[i]
+                    path.append(aid)
+                    v = to[aid]
                     continue
                 if v == src:
                     break
                 aid = path.pop()
-                v = self.to[aid ^ 1]
+                v = to[aid ^ 1]
                 it[v] += 1
         return pushed_total
 
@@ -218,7 +239,7 @@ class _Residual:
         """
         unit_costs: list[int] = []
         while len(unit_costs) < limit:
-            dist = self._dijkstra(src)
+            dist = self._dijkstra(src, dst)
             if dist[dst] == INF:
                 break
             marginal = int(dist[dst]) + self.pi[dst] - self.pi[src]
@@ -243,7 +264,6 @@ class SufficiencySolver:
     """
 
     def __init__(self, g: DirectedGraph):
-        self.g = g
         n = g.n
         self.n = n
         num = 2 * n + 4  # D' plus a super source/sink for excess routing
@@ -258,6 +278,7 @@ class SufficiencySolver:
         self.base_cost = 0
         if n:
             self._solve_circulation()
+        self._cost = self.base_cost  # base_cost + sum(unit_costs)
 
     def _solve_circulation(self):
         n = self.n
@@ -282,7 +303,7 @@ class SufficiencySolver:
 
     def cost(self) -> int:
         """Cost of the current flow (coverage is -cost)."""
-        return self.base_cost + sum(self.unit_costs)
+        return self._cost
 
     def coverage(self) -> int:
         return -self.cost()
@@ -294,6 +315,7 @@ class SufficiencySolver:
         if units > self.shipped:
             got = self.res.ship(2 * self.n, 2 * self.n + 1, units - self.shipped)
             self.unit_costs.extend(got)
+            self._cost += sum(got)
             if self.shipped != units:
                 raise AssertionError("s->t routing must not run out below n units")
         return self.coverage()
