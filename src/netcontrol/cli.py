@@ -130,9 +130,8 @@ def cmd_verify(args) -> int:
     g = _load_graph(args.graph)
     try:
         payload = json.loads(Path(args.placement).read_text())
-        inv = {ext: internal for ext, internal in g.id_map.items()}
-        drivers = tuple(inv[int(v)] for v in payload["drivers"])
-        controlled = tuple(inv[int(v)] for v in payload["controlled"])
+        drivers = tuple(g.id_map[int(v)] for v in payload["drivers"])
+        controlled = tuple(g.id_map[int(v)] for v in payload["controlled"])
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise GraphFormatError(f"bad placement file: {exc}") from exc
     placement = ControlPlacement(drivers=drivers, controlled=controlled, t_f=args.tf)

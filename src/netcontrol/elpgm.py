@@ -6,12 +6,16 @@ manifold (one unit wire per column, fixed column count).  The projection
 scores each node by the row mass it carried, keeps the top m0 + m1 as
 candidates, and samples m0 of them without replacement proportionally to
 that score, so the search can hop between supports while still descending.
+The pool depends only on the iterate, so the descent builds it once per
+iterate and each retry redraws from it; supports are keyed by node index,
+and B and C are built only for a support not evaluated before.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +80,18 @@ def project(h: np.ndarray, m0: int, m1: int, rng: np.random.Generator) -> np.nda
     form the candidate pool; m0 of them are drawn without replacement with
     probability proportional to importance, renormalized after each pick.
     An all-zero pool falls back to uniform draws.  Output column j carries
-    the j-th selected node.
+    the j-th selected node.  The pool depends only on H, the iterate, so the
+    descent builds it once per iterate (`_pool`) and each retry redraws from
+    it (`_draw`).
     """
+    selected = _draw(*_pool(h, m0, m1), m0, rng)
+    out = np.zeros((np.shape(h)[0], m0))
+    out[selected, np.arange(m0)] = 1.0
+    return out
+
+
+def _pool(h: np.ndarray, m0: int, m1: int) -> tuple[list[int], list[float]]:
+    """The candidate pool of `project`: nodes, best first, and their importance."""
     h = np.asarray(h, dtype=float)
     n = h.shape[0]
     if not (1 <= m0 <= n):
@@ -85,23 +99,29 @@ def project(h: np.ndarray, m0: int, m1: int, rng: np.random.Generator) -> np.nda
     if m1 < 0 or m0 + m1 > n:
         raise ValueError("need 0 <= m1 and m0 + m1 <= n")
     r = importance(h)
-    order = np.lexsort((np.arange(n), -r))
-    candidates = list(order[:m0 + m1])
+    pool = np.lexsort((np.arange(n), -r))[:m0 + m1]
+    return pool.tolist(), r[pool].tolist()
+
+
+def _draw(pool: list[int], weights: list[float], m0: int, rng: np.random.Generator) -> list[int]:
+    """m0 pool nodes drawn without replacement, in draw order (see `project`).
+
+    The total is numpy's (pairwise) sum, which for eight or more weights can
+    differ in the last bit from a sequential one; the running sums are
+    sequential, as np.cumsum's are.
+    """
+    pool, weights = list(pool), list(weights)
     selected = []
     for _ in range(m0):
-        weights = np.array([r[c] for c in candidates])
-        total = weights.sum()
+        total = np.array(weights).sum()
         if total <= 0:
-            idx = int(rng.integers(len(candidates)))
+            idx = int(rng.integers(len(pool)))
         else:
             u = rng.random() * total
-            idx = int(np.searchsorted(np.cumsum(weights), u, side="right"))
-            idx = min(idx, len(candidates) - 1)
-        selected.append(int(candidates.pop(idx)))
-    out = np.zeros((n, m0))
-    for col, node in enumerate(selected):
-        out[node, col] = 1.0
-    return out
+            idx = min(bisect_right(list(itertools.accumulate(weights)), u), len(pool) - 1)
+        selected.append(pool.pop(idx))
+        weights.pop(idx)
+    return selected
 
 
 def grad_b(a: np.ndarray, b: np.ndarray, c: np.ndarray, t_f: float) -> np.ndarray:
@@ -236,18 +256,21 @@ class _Initializer:
             return None
         return drivers, list(rng.choice(reached, size=self.r_size, replace=False))
 
-    def draw(self, rng: np.random.Generator, kind: int) -> tuple[np.ndarray, np.ndarray]:
-        """kind 0: canonical start; 1: covered-set redraw; 2: fully random."""
+    def draw(self, rng: np.random.Generator, kind: int, supports: _Supports) -> tuple[list[int], list[int]]:
+        """The first candidate (drivers, controlled) whose support evaluates.
+
+        kind 0: canonical start; 1: covered-set redraw; 2: fully random.
+        """
         for attempt in range(_INIT_ATTEMPTS):
             candidate = self._candidate(attempt, kind, rng)
             if candidate is None:
                 continue
-            start = _checked_start(self.a, candidate[0], candidate[1], self.t_f)
-            if start is not None:
-                return start
+            drivers, controlled = [int(v) for v in candidate[0]], [int(v) for v in candidate[1]]
+            if supports(drivers, controlled) is not None:
+                return drivers, controlled
         raise UncontrollableError("no controllable initialization found")
 
-    def edcp_start(self) -> tuple[np.ndarray, np.ndarray] | None:
+    def edcp_start(self, supports: _Supports) -> tuple[list[int], list[int]] | None:
         """EDCP's placement on the same network, when it has one."""
         if self.m > self.r_size:
             return None
@@ -255,21 +278,49 @@ class _Initializer:
             placement = edcp(self.graph, self.m, self.r_size, self.t_f).placement
         except CoverInfeasibleError:
             return None
-        return _checked_start(self.a, placement.drivers, placement.controlled, self.t_f)
+        drivers, controlled = list(placement.drivers), list(placement.controlled)
+        return (drivers, controlled) if supports(drivers, controlled) is not None else None
 
 
-def _checked_start(a: np.ndarray, drivers, controlled, t_f: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """(B, C) of the placement when it is output controllable and well conditioned."""
-    placement = ControlPlacement(drivers=tuple(drivers), controlled=tuple(controlled), t_f=t_f)
-    n = a.shape[0]
-    b, c = placement.b_matrix(n), placement.c_matrix(n)
-    if not output_controllable(a, b, c):
-        return None
-    try:
-        control_cost_matrices(a, b, c, t_f)
-    except UncontrollableError:
-        return None
-    return b, c
+class _Supports:
+    """Cost and raw gradient steps of each support, evaluated once.
+
+    A placement's cost and raw gradient steps depend only on its support
+    (column order permutes away), so entries are keyed by the sorted driver
+    and controlled nodes, and B and C are built only for a support not seen
+    before.  An entry is (E, B - eta_b dE/dB, C^T - eta_c dE/dC^T), with a
+    frozen variable (eta None) left as it is, or None for a support that is
+    not output controllable or fails the conditioning test.
+    """
+
+    def __init__(self, a: np.ndarray, t_f: float, reach, eta_b: float | None, eta_c: float | None):
+        self.a, self.t_f, self.reach = a, t_f, reach
+        self.eta_b, self.eta_c = eta_b, eta_c
+        self.entries: dict[tuple, tuple[float, np.ndarray, np.ndarray] | None] = {}
+
+    def __call__(self, drivers: list[int], controlled: list[int]):
+        key = (tuple(sorted(drivers)), tuple(sorted(controlled)))
+        if key not in self.entries:
+            self.entries[key] = self._evaluate(drivers, controlled)
+        return self.entries[key]
+
+    def _evaluate(self, drivers: list[int], controlled: list[int]):
+        # a controlled node no driver reaches is a zero row of the output
+        # controllability matrix: reject before the rank test
+        if not set(controlled) <= self.reach(drivers):
+            return None
+        a, t_f, n = self.a, self.t_f, self.a.shape[0]
+        placement = ControlPlacement(drivers=tuple(drivers), controlled=tuple(controlled), t_f=t_f)
+        b, c = placement.b_matrix(n), placement.c_matrix(n)
+        if not output_controllable(a, b, c):
+            return None
+        try:
+            e_val = control_cost_matrices(a, b, c, t_f)
+            b_raw = b if self.eta_b is None else b - self.eta_b * grad_b(a, b, c, t_f)
+            ct_raw = c.T if self.eta_c is None else c.T - self.eta_c * grad_c(a, b, c, t_f)
+        except UncontrollableError:
+            return None
+        return e_val, b_raw, ct_raw
 
 
 def elpgm_optimize(
@@ -296,87 +347,58 @@ def elpgm_optimize(
     t_f = cfg.t_f
     seed_seq = np.random.SeedSequence(cfg.seed)
     initializer = _Initializer(a, m, r_size, t_f)
+    supports = _Supports(a, t_f, initializer.reach,
+                         cfg.eta_b if update_b else None, cfg.eta_c if update_c else None)
     init_rng = np.random.default_rng(seed_seq.spawn(1)[0])
     starts = []
     try:
-        starts.append(initializer.draw(init_rng, kind=0))
+        starts.append(initializer.draw(init_rng, 0, supports))
     except UncontrollableError:
         pass  # the restarts draw again; EDCP may still provide a start
-    edcp_start = initializer.edcp_start()
+    edcp_start = initializer.edcp_start(supports)
     if edcp_start is not None:
         starts.append(edcp_start)
 
-    # A placement's cost and raw gradient steps depend only on its support
-    # (column order permutes away), so revisited supports are free.
-    evaluated: dict[tuple, tuple[float, np.ndarray, np.ndarray] | None] = {}
-
-    def support_key(b: np.ndarray, c: np.ndarray) -> tuple:
-        return (
-            tuple(sorted(int(np.argmax(b[:, j])) for j in range(b.shape[1]))),
-            tuple(sorted(int(np.argmax(c[j, :])) for j in range(c.shape[0]))),
-        )
-
-    def evaluate(b: np.ndarray, c: np.ndarray):
-        key = support_key(b, c)
-        if key not in evaluated:
-            # a controlled node no driver reaches is a zero row of the
-            # output controllability matrix: reject before the rank test
-            if not set(key[1]) <= initializer.reach(key[0]) or not output_controllable(a, b, c):
-                evaluated[key] = None
-            else:
-                try:
-                    e_val = control_cost_matrices(a, b, c, t_f)
-                    gb = grad_b(a, b, c, t_f) if update_b else None
-                    gc = grad_c(a, b, c, t_f) if update_c else None
-                    evaluated[key] = (e_val, b - cfg.eta_b * gb if update_b else b,
-                                      c.T - cfg.eta_c * gc if update_c else c.T)
-                except UncontrollableError:
-                    evaluated[key] = None
-        return evaluated[key]
-
-    best_b = best_c = None
+    best = None
     best_e = math.inf
-    for b, c in starts:
-        state = evaluate(b, c)
-        if state is not None and state[0] < best_e:
-            best_b, best_c, best_e = b, c, state[0]
+    for start in starts:
+        e_start = supports(*start)[0]
+        if e_start < best_e:
+            best, best_e = start, e_start
     m1_b = cfg.margin_for(m, n)
     m1_c = cfg.margin_for(r_size, n)
     for restart, child in enumerate(seed_seq.spawn(cfg.restarts)):
         rng = np.random.default_rng(child)
         if restart == 0 and edcp_start is not None:
-            b, c = edcp_start  # one descent starts from EDCP's placement
+            drivers, controlled = edcp_start  # one descent starts from EDCP's placement
         else:
             kind = 0 if restart == 0 else (1 if restart % 3 == 1 else 2)
             try:
-                b, c = initializer.draw(rng, kind=kind)
+                drivers, controlled = initializer.draw(rng, kind, supports)
             except UncontrollableError:
-                if best_b is None:
+                if best is None:
                     continue
-                b, c = best_b, best_c
-        state = evaluate(b, c)
-        if state is None:
-            continue
+                drivers, controlled = best
+        state = supports(drivers, controlled)
         if state[0] < best_e:
-            best_b, best_c, best_e = b, c, state[0]
+            best, best_e = (drivers, controlled), state[0]
         for _ in range(cfg.k_f):
-            e_cur, b_raw, ct_raw = state
-            accepted = None
+            _, b_raw, ct_raw = state
+            pool_b = _pool(b_raw, m, m1_b) if update_b else None
+            pool_c = _pool(ct_raw, r_size, m1_c) if update_c else None
             for _ in range(_PROJECTION_RETRIES):
-                b_new = project(b_raw, m, m1_b, rng) if update_b else b
-                c_new = project(ct_raw, r_size, m1_c, rng).T if update_c else c
-                accepted = evaluate(b_new, c_new)
+                new_drivers = _draw(*pool_b, m, rng) if update_b else drivers
+                new_controlled = _draw(*pool_c, r_size, rng) if update_c else controlled
+                accepted = supports(new_drivers, new_controlled)
                 if accepted is not None:
                     break
-            if accepted is None:
+            else:
                 continue  # keep the previous iterate, redraw next round
-            b, c, state = b_new, c_new, accepted
+            drivers, controlled, state = new_drivers, new_controlled, accepted
             if accepted[0] < best_e:
-                best_b, best_c, best_e = b_new, c_new, accepted[0]
+                best, best_e = (drivers, controlled), accepted[0]
 
-    if best_b is None:
+    if best is None:
         raise UncontrollableError("no controllable initialization found")
-    drivers = tuple(int(np.argmax(best_b[:, j])) for j in range(m))
-    controlled = tuple(int(np.argmax(best_c[j, :])) for j in range(r_size))
-    placement = ControlPlacement(drivers=drivers, controlled=controlled, t_f=t_f)
+    placement = ControlPlacement(drivers=tuple(best[0]), controlled=tuple(best[1]), t_f=t_f)
     return placement, float(best_e)

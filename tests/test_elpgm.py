@@ -1,9 +1,19 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
+import netcontrol.elpgm
 from netcontrol.elpgm import ElpgmConfig, elpgm_optimize, grad_b, grad_c, importance, project
 from netcontrol.graph import generate_er
-from netcontrol.lti import UncontrollableError, chain_control_cost, control_cost_matrices, output_controllable
+from netcontrol.lti import (
+    ControlPlacement,
+    UncontrollableError,
+    chain_control_cost,
+    control_cost_matrices,
+    output_controllable,
+)
 from oracles import brute_best_placement, central_difference_grad_b, central_difference_grad_ct
 
 
@@ -132,11 +142,13 @@ class TestOptimize:
     def test_best_no_worse_than_initialization(self):
         g = generate_er(8, 2.5, seed=4)
         a = g.randomized_adjacency(4)
-        from netcontrol.elpgm import _Initializer
+        from netcontrol.elpgm import _Initializer, _Supports
 
         init = _Initializer(a, 2, 5, 2.0)
-        b0, c0 = init.draw(np.random.default_rng(0), kind=0)
-        e0 = control_cost_matrices(a, b0, c0, 2.0)
+        supports = _Supports(a, 2.0, init.reach, None, None)
+        drivers, controlled = init.draw(np.random.default_rng(0), 0, supports)
+        start = ControlPlacement(drivers=tuple(drivers), controlled=tuple(controlled))
+        e0 = control_cost_matrices(a, start.b_matrix(8), start.c_matrix(8), 2.0)
         _, e = elpgm_optimize(a, 2, 5, ElpgmConfig(k_f=15, restarts=3, seed=0))
         assert e <= e0 + 1e-12
 
@@ -184,3 +196,111 @@ class TestOptimize:
             ElpgmConfig(m1=0)
         with pytest.raises(ValueError):
             ElpgmConfig(restarts=0)
+
+    def test_one_controllability_check_per_support(self, monkeypatch):
+        # the support cache is what lets the descent redraw 20 projections per
+        # iterate cheaply: every support, start or draw, is checked once
+        checks = []
+
+        def counted(a, b, c):
+            checks.append((tuple(sorted(np.argmax(b, axis=0).tolist())),
+                           tuple(sorted(np.argmax(c, axis=1).tolist()))))
+            return output_controllable(a, b, c)
+
+        monkeypatch.setattr(netcontrol.elpgm, "output_controllable", counted)
+        for seed in (1, 4, 6):
+            a = generate_er(12, 3.0, seed).realized_adjacency()
+            cfg = ElpgmConfig(k_f=20, restarts=4, seed=seed)
+            for update_b, update_c in ((True, True), (False, True), (True, False)):
+                checks.clear()
+                elpgm_optimize(a, 2, 6, cfg, update_b=update_b, update_c=update_c)
+                assert checks
+                assert len(checks) == len(set(checks))
+
+
+class _FixedDraw:
+    """A generator stub whose uniform draws all return one value."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def _pinned_runs():
+    """(a, m, r, cfg, update_b, update_c) of the pinned ELPGM calls."""
+    runs = []
+    for seed in range(8):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(8, 21))
+        g = generate_er(n, 3.0, seed)
+        m = int(rng.integers(1, 5))
+        r = int(rng.integers(max(m, n // 3), 2 * n // 3 + 1))
+        runs.append((g.realized_adjacency(), m, r, ElpgmConfig(k_f=20, restarts=3, seed=seed), True, True))
+    for seed in (1, 4):
+        a = generate_er(12, 3.0, seed).realized_adjacency()
+        cfg = ElpgmConfig(k_f=20, restarts=3, seed=seed)
+        runs.append((a, 2, 6, cfg, False, True))
+        runs.append((a, 2, 6, cfg, True, False))
+    # the benchmark's descent instance: its C pool has 15 candidates
+    runs.append((generate_er(20, 3.0, 11).realized_adjacency(), 3, 10, ElpgmConfig(seed=0), True, True))
+    return runs
+
+
+class TestPinned:
+    """Digests recorded before the descent loop drew from a per-iterate pool.
+
+    A change that alters a single draw, a candidate order or a cost bit
+    changes the digest.
+    """
+
+    def test_results_pinned_bit_for_bit(self):
+        digest = hashlib.sha256()
+        for a, m, r, cfg, update_b, update_c in _pinned_runs():
+            p, e = elpgm_optimize(a, m, r, cfg, update_b=update_b, update_c=update_c)
+            digest.update(repr((p.drivers, p.controlled, float(e).hex())).encode())
+        assert digest.hexdigest() == "7c2390f0cb8ac25ea843d4a765a1bc10930f8c014edc3aba17e5c6cb645f5c71"
+
+    def test_project_pinned_bit_for_bit(self):
+        # 127 of the 200 pools have 8 or more candidates; every fifth H has
+        # zero rows and every seventeenth is all zero (uniform fallback)
+        digest = hashlib.sha256()
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 25))
+            k = int(rng.integers(1, 4))
+            m0 = int(rng.integers(1, n + 1))
+            m1 = int(rng.integers(0, n - m0 + 1))
+            h = rng.normal(size=(n, k)) * 10.0 ** rng.uniform(-4, 4, size=(n, 1))
+            if seed % 5 == 0:
+                h[rng.random(n) < 0.5] = 0.0
+            if seed % 17 == 0:
+                h[:] = 0.0
+            out = project(h, m0, m1, rng)
+            # the trailing draw pins how many numbers the projection consumed
+            picks = np.argmax(out, axis=0).tolist()
+            digest.update(repr((out.shape, picks, float(rng.random()).hex())).encode())
+        assert digest.hexdigest() == "fac5db37d3fc8dc68d9cc3525d7bae49ba5e2709480c8c78413046390038cc0a"
+
+    def test_total_is_numpy_sum(self):
+        # Nine weights whose numpy (pairwise) total differs from the
+        # sequential one, and a uniform draw that picks different nodes under
+        # the two totals: the pick must follow numpy's total.
+        rng = np.random.default_rng(0)
+        for _ in range(1000):
+            w = np.sort(rng.random(9) * 10.0 ** rng.uniform(-3, 3, 9))[::-1]
+            pairwise, sequential = float(w.sum()), float(sum(w.tolist()))
+            if pairwise == sequential:
+                continue
+            bounds = np.cumsum(w)
+            for k, u in itertools.product(range(8), np.arange(-4, 5)):
+                x = float(np.nextafter(bounds[k] / sequential, 0.0)) + float(u) * np.finfo(float).eps / 2
+                if not 0.0 <= x < 1.0:
+                    continue
+                by_pairwise = int(np.searchsorted(bounds, x * pairwise, side="right"))
+                if by_pairwise != int(np.searchsorted(bounds, x * sequential, side="right")):
+                    out = project(w[:, None], 1, 8, _FixedDraw(x))
+                    assert int(np.argmax(out[:, 0])) == by_pairwise
+                    return
+        pytest.fail("no weight vector separates the two totals")
