@@ -423,7 +423,6 @@ class EdcpResult:
     e_estimate: float
     e_exact: float | None
     fallback: str | None = None
-    synthetic_host: bool = False
 
     def to_json(self, g: DirectedGraph | None = None) -> str:
         """Placement JSON; node ids are external when the graph is given."""
@@ -448,7 +447,7 @@ def _pipeline(
     plan: list[int],
     longest_first_trim: bool = True,
     release_when_stuck: bool = True,
-) -> tuple[list[Stem], bool]:
+) -> list[Stem]:
     """Assign, reduce, split and trim one cover into m segments.
 
     Each surplus driver goes by the cheaper (in chain estimate) of a merge
@@ -456,7 +455,6 @@ def _pipeline(
     merge, a release is tried only with release_when_stuck.
     """
     stems = merge_cycles(cover)
-    synthetic = any(stem.synthetic for stem in stems)
     assign_drivers(stems, plan, r_size=r_size)
     while (count := sum(stem.driver_count for stem in stems)) > m:
         merge = _merge_step(stems, t_f)
@@ -470,7 +468,7 @@ def _pipeline(
     if sum(stem.driver_count for stem in stems) < m:
         _split_for_extra_drivers(stems, m)
     trim_to_r(stems, r_size, longest_first=longest_first_trim)
-    return stems, synthetic
+    return stems
 
 
 def _exact_path_cover(g: DirectedGraph, m: int) -> PathCover | None:
@@ -555,14 +553,14 @@ def _run_pipeline(
             if cand.size < r_size:
                 continue
             try:
-                stems, synthetic = _pipeline(
+                stems = _pipeline(
                     g, cand, m, r_size, t_f, list(plan), longest_first_trim, release_when_stuck
                 )
             except CoverInfeasibleError as exc:
                 last_error = exc
                 continue
             segments = [tuple(seg) for stem in stems for seg in stem.segments if seg]
-            return _result(g, segments, t_f, fallback, synthetic, refine)
+            return _result(g, segments, t_f, fallback, refine)
     raise CoverInfeasibleError(
         f"no ({m}-driver, {r_size}-node) placement found" + (f": {last_error}" if last_error else "")
     )
@@ -664,7 +662,6 @@ def _result(
     segments: list[tuple[int, ...]],
     t_f: float,
     fallback: str | None,
-    synthetic: bool,
     refine: bool,
 ) -> EdcpResult:
     e_exact = None
@@ -679,7 +676,6 @@ def _result(
         e_estimate=float(sum(chain_control_cost(len(seg), t_f) for seg in segments)),
         e_exact=e_exact,
         fallback=fallback,
-        synthetic_host=synthetic,
     )
 
 
@@ -711,7 +707,6 @@ def naive_placement(g: DirectedGraph, m: int, r_size: int, t_f: float = 2.0) -> 
     even division avoids.  Surplus drivers and nodes are handled by the same
     reduce/trim steps as the main pipeline.
     """
-    _check_request(g, m, r_size)
     return _run_pipeline(g, m, r_size, t_f, [r_size] * m, longest_first_trim=False, refine=False)
 
 

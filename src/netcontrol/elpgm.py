@@ -22,14 +22,7 @@ import numpy as np
 from scipy.linalg import expm, null_space
 
 from .graph import DirectedGraph
-from .lti import (
-    ControlPlacement,
-    UncontrollableError,
-    _output_gram,
-    control_cost_matrices,
-    gramian,
-    output_controllable,
-)
+from .lti import ControlPlacement, UncontrollableError, _Steering
 from .edcp import CoverInfeasibleError, edcp
 from .pathcover import max_controllable_subset
 
@@ -131,13 +124,14 @@ def grad_b(a: np.ndarray, b: np.ndarray, c: np.ndarray, t_f: float) -> np.ndarra
     X_f = e^(A tf) e^(A^T tf), G = C W C^T) is evaluated exactly through the
     block exponential of [[-A^T, Q], [0, A]].
     """
-    a = np.asarray(a, dtype=float)
-    g = _output_gram(a, b, c, t_f)
-    e_tf = expm(a * t_f)
-    xf = e_tf @ e_tf.T
-    p = c.T @ np.linalg.solve(g, c)
+    return _grad_b(_Steering(a, b, c, t_f))
+
+
+def _grad_b(s: _Steering) -> np.ndarray:
+    xf = s.e_tf @ s.e_tf.T
+    p = s.c.T @ np.linalg.solve(s.g, s.c)
     q = p @ xf @ p
-    return -2.0 * _exp_weighted_integral(a, q, t_f) @ b
+    return -2.0 * _exp_weighted_integral(s.a, q, s.t_f) @ s.b
 
 
 def _exp_weighted_integral(a: np.ndarray, q: np.ndarray, t_f: float) -> np.ndarray:
@@ -171,16 +165,17 @@ def grad_c(a: np.ndarray, b: np.ndarray, c: np.ndarray, t_f: float) -> np.ndarra
     square invertible C (where E = tr(W^-1 X_f) does not depend on C) it
     returns exactly 0.
     """
-    a = np.asarray(a, dtype=float)
-    g = _output_gram(a, b, c, t_f)
+    return _grad_c(_Steering(a, b, c, t_f))
+
+
+def _grad_c(s: _Steering) -> np.ndarray:
+    c = s.c
     null = null_space(c)
     if null.shape[1] == 0:
         return np.zeros((c.shape[1], c.shape[0]))
-    w = gramian(a, b, t_f)
-    e_tf = expm(a * t_f)
-    xf = e_tf @ e_tf.T
-    ct_ginv = np.linalg.solve(g, c).T  # C^T G^-1, exploiting G symmetry
-    projected = null.T - (null.T @ w @ ct_ginv) @ c  # N^T (I - W C^T G^-1 C)
+    xf = s.e_tf @ s.e_tf.T
+    ct_ginv = np.linalg.solve(s.g, c).T  # C^T G^-1, exploiting G symmetry
+    projected = null.T - (null.T @ s.w @ ct_ginv) @ c  # N^T (I - W C^T G^-1 C)
     return 2.0 * null @ (projected @ xf @ ct_ginv)
 
 
@@ -309,18 +304,15 @@ class _Supports:
         # controllability matrix: reject before the rank test
         if not set(controlled) <= self.reach(drivers):
             return None
-        a, t_f, n = self.a, self.t_f, self.a.shape[0]
-        placement = ControlPlacement(drivers=tuple(drivers), controlled=tuple(controlled), t_f=t_f)
-        b, c = placement.b_matrix(n), placement.c_matrix(n)
-        if not output_controllable(a, b, c):
-            return None
+        n = self.a.shape[0]
+        placement = ControlPlacement(drivers=tuple(drivers), controlled=tuple(controlled), t_f=self.t_f)
         try:
-            e_val = control_cost_matrices(a, b, c, t_f)
-            b_raw = b if self.eta_b is None else b - self.eta_b * grad_b(a, b, c, t_f)
-            ct_raw = c.T if self.eta_c is None else c.T - self.eta_c * grad_c(a, b, c, t_f)
+            s = _Steering(self.a, placement.b_matrix(n), placement.c_matrix(n), self.t_f)
         except UncontrollableError:
             return None
-        return e_val, b_raw, ct_raw
+        b_raw = s.b if self.eta_b is None else s.b - self.eta_b * _grad_b(s)
+        ct_raw = s.c.T if self.eta_c is None else s.c.T - self.eta_c * _grad_c(s)
+        return s.cost(), b_raw, ct_raw
 
 
 def elpgm_optimize(

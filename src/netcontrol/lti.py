@@ -163,29 +163,40 @@ def output_controllable(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> bool:
     return rank == c.shape[0]
 
 
-def _output_gram(a: np.ndarray, b: np.ndarray, c: np.ndarray, t_f: float) -> np.ndarray:
-    """C W C^T with the controllability and conditioning preconditions."""
-    if not output_controllable(a, b, c):
-        raise UncontrollableError("(A, B, C) is not output controllable")
-    w = gramian(a, b, t_f)
-    g = c @ w @ c.T
-    condition = float(np.linalg.cond(g))
-    if not np.isfinite(condition) or condition >= CONDITION_LIMIT:
-        raise UncontrollableError(
-            f"C W C^T condition {condition:.3e} exceeds {CONDITION_LIMIT:.0e}",
-            condition=condition,
-        )
-    return g
+class _Steering:
+    """The shared terms of one steering problem (A, B, C, t_f).
+
+    Computed once each, in this order: the output-controllability test, the
+    Gramian W, G = C W C^T with its conditioning guard, and e^(A t_f).  The
+    cost, its gradients and the minimum-energy input all derive from them.
+    Raises UncontrollableError where the cost is undefined; its condition
+    is None for a rank failure.
+    """
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray, t_f: float):
+        a, b, c = _as_matrix(a, "A"), _as_matrix(b, "B"), _as_matrix(c, "C")
+        if not output_controllable(a, b, c):
+            raise UncontrollableError("(A, B, C) is not output controllable")
+        w = gramian(a, b, t_f)
+        g = c @ w @ c.T
+        condition = float(np.linalg.cond(g))
+        if not np.isfinite(condition) or condition >= CONDITION_LIMIT:
+            raise UncontrollableError(
+                f"C W C^T condition {condition:.3e} exceeds {CONDITION_LIMIT:.0e}",
+                condition=condition,
+            )
+        self.a, self.b, self.c, self.t_f, self.w, self.g = a, b, c, t_f, w, g
+        self.e_tf = expm(a * t_f)
+
+    def cost(self) -> float:
+        """E = tr((C W C^T)^-1 C e^(A t_f) e^(A^T t_f) C^T)."""
+        y = self.c @ self.e_tf
+        return float(np.trace(np.linalg.solve(self.g, y @ y.T)))
 
 
 def control_cost_matrices(a: np.ndarray, b: np.ndarray, c: np.ndarray, t_f: float) -> float:
     """Expected minimum steering energy for dense (not necessarily 0/1) B, C."""
-    a = _as_matrix(a, "A")
-    b = _as_matrix(b, "B")
-    c = _as_matrix(c, "C")
-    g = _output_gram(a, b, c, t_f)
-    y = c @ expm(a * t_f)
-    return float(np.trace(np.linalg.solve(g, y @ y.T)))
+    return _Steering(a, b, c, t_f).cost()
 
 
 def control_cost(a: np.ndarray, placement: ControlPlacement) -> float:
@@ -205,8 +216,8 @@ def optimal_input_function(
     c = placement.c_matrix(n)
     t_f = placement.t_f
     x0 = np.asarray(x0, dtype=float).reshape(n)
-    g = _output_gram(a, b, c, t_f)
-    v = c.T @ np.linalg.solve(g, c @ (expm(a * t_f) @ x0))
+    s = _Steering(a, b, c, t_f)
+    v = c.T @ np.linalg.solve(s.g, c @ (s.e_tf @ x0))
     at = a.T
 
     def u(t: float) -> np.ndarray:

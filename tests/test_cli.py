@@ -125,6 +125,28 @@ class TestVerify:
         assert main(["verify", str(graph), str(placement)]) == 2
         assert "controllable: false" in capsys.readouterr().out
 
+    def test_json_rank_refusal_has_no_condition(self, tmp_path, capsys):
+        graph = tmp_path / "chain.txt"
+        graph.write_text("0 1\n")
+        placement = tmp_path / "p.json"
+        placement.write_text(json.dumps({"drivers": [1], "controlled": [0]}))
+        assert main(["verify", str(graph), str(placement), "--format", "json"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report == {"controllable": False, "cost": None, "residual": None}
+
+    def test_json_conditioning_refusal_reports_condition(self, tmp_path, capsys):
+        # a 10-node chain driven from its head is output controllable, but
+        # cond(C W C^T) for all ten outputs is far past CONDITION_LIMIT
+        graph = tmp_path / "chain.txt"
+        graph.write_text("".join(f"{i} {i + 1}\n" for i in range(9)))
+        placement = tmp_path / "p.json"
+        placement.write_text(json.dumps({"drivers": [0], "controlled": list(range(10))}))
+        assert main(["verify", str(graph), str(placement), "--format", "json"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["controllable"] is False
+        assert report["cost"] is None and report["residual"] is None
+        assert report["condition"] >= 1e12
+
     def test_json_report(self, fig8_file, tmp_path, capsys):
         placement = tmp_path / "p.json"
         main(["place", fig8_file, "-M", "4", "-R", "12", "--out", str(placement)])

@@ -262,10 +262,6 @@ class TestEdcpEndToEnd:
         assert len(nodes) == len(set(nodes)) == r
         edge_set = g.edge_set()
         assert all(step in edge_set for seg in res.segments for step in zip(seg, seg[1:]))
-        edge_set = g.edge_set()
-        for seg in res.segments:
-            for u, v in zip(seg, seg[1:]):
-                assert (u, v) in edge_set
         a = g.randomized_adjacency(seed)
         assert output_controllable(a, res.placement.b_matrix(g.n), res.placement.c_matrix(g.n))
 

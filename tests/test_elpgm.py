@@ -12,6 +12,7 @@ from netcontrol.lti import (
     UncontrollableError,
     chain_control_cost,
     control_cost_matrices,
+    optimal_input,
     output_controllable,
 )
 from oracles import brute_best_placement, central_difference_grad_b, central_difference_grad_ct
@@ -199,23 +200,51 @@ class TestOptimize:
 
     def test_one_controllability_check_per_support(self, monkeypatch):
         # the support cache is what lets the descent redraw 20 projections per
-        # iterate cheaply: every support, start or draw, is checked once
-        checks = []
+        # iterate cheaply: every support, start or draw, is evaluated once, and
+        # an evaluation makes one rank test and at most one Gramian
+        calls = {"output_controllable": 0, "gramian": 0, "edcp_gramian": 0}
+        for name in ("output_controllable", "gramian"):
+            def counted(*args, real=getattr(netcontrol.lti, name), name=name):
+                calls[name] += 1
+                return real(*args)
 
-        def counted(a, b, c):
-            checks.append((tuple(sorted(np.argmax(b, axis=0).tolist())),
-                           tuple(sorted(np.argmax(c, axis=1).tolist()))))
-            return output_controllable(a, b, c)
+            monkeypatch.setattr(netcontrol.lti, name, counted)
+            monkeypatch.setattr(netcontrol.elpgm, name, counted, raising=False)
+        evaluations = []
 
-        monkeypatch.setattr(netcontrol.elpgm, "output_controllable", counted)
+        def steering(a, b, c, t_f, real=netcontrol.elpgm._Steering):
+            before = dict(calls)
+            try:
+                return real(a, b, c, t_f)
+            finally:
+                evaluations.append(((tuple(sorted(np.argmax(b, axis=0).tolist())),
+                                     tuple(sorted(np.argmax(c, axis=1).tolist()))),
+                                    calls["output_controllable"] - before["output_controllable"],
+                                    calls["gramian"] - before["gramian"]))
+
+        def edcp(*args, real=netcontrol.elpgm.edcp):
+            # EDCP's own exact evaluations are not ELPGM's
+            before = calls["gramian"]
+            try:
+                return real(*args)
+            finally:
+                calls["edcp_gramian"] += calls["gramian"] - before
+
+        monkeypatch.setattr(netcontrol.elpgm, "_Steering", steering)
+        monkeypatch.setattr(netcontrol.elpgm, "edcp", edcp)
         for seed in (1, 4, 6):
             a = generate_er(12, 3.0, seed).realized_adjacency()
             cfg = ElpgmConfig(k_f=20, restarts=4, seed=seed)
             for update_b, update_c in ((True, True), (False, True), (True, False)):
-                checks.clear()
+                evaluations.clear()
+                calls.update(gramian=0, edcp_gramian=0)
                 elpgm_optimize(a, 2, 6, cfg, update_b=update_b, update_c=update_c)
-                assert checks
-                assert len(checks) == len(set(checks))
+                supports = [support for support, _, _ in evaluations]
+                assert supports
+                assert len(supports) == len(set(supports))
+                assert all(checks == 1 and gramians <= 1 for _, checks, gramians in evaluations)
+                assert any(gramians == 1 for _, _, gramians in evaluations)
+                assert calls["gramian"] == sum(g for _, _, g in evaluations) + calls["edcp_gramian"]
 
 
 class _FixedDraw:
@@ -282,6 +311,34 @@ class TestPinned:
             picks = np.argmax(out, axis=0).tolist()
             digest.update(repr((out.shape, picks, float(rng.random()).hex())).encode())
         assert digest.hexdigest() == "fac5db37d3fc8dc68d9cc3525d7bae49ba5e2709480c8c78413046390038cc0a"
+
+    def test_steering_terms_pinned_bit_for_bit(self):
+        # the cost, both gradients and the input share one evaluation of
+        # (A, B, C, t_f); the digest was recorded when each recomputed it
+        def hexes(x):
+            return tuple(float(v).hex() for v in np.ravel(x))
+
+        digest = hashlib.sha256()
+        for seed in range(40):
+            a, b, c = controllable_relaxation(seed)
+            n = a.shape[0]
+            placement = ControlPlacement(drivers=tuple(np.argmax(np.abs(b), axis=0).tolist()),
+                                         controlled=tuple(np.argmax(np.abs(c), axis=1).tolist()))
+            x0 = np.random.default_rng(seed).normal(size=n)
+            digest.update(repr((
+                hexes(control_cost_matrices(a, b, c, 2.0)), hexes(grad_b(a, b, c, 2.0)),
+                hexes(grad_c(a, b, c, 2.0)),
+                [hexes(optimal_input(a, placement, x0, t)) for t in (0.0, 0.7, 2.0)],
+            )).encode())
+        # a rank refusal carries no condition number, a conditioning one its value
+        for a, b, c in ((chain_matrix(2), np.array([[0.0], [1.0]]), np.array([[1.0, 0.0]])),
+                        (chain_matrix(10), np.eye(10)[:, :1], np.eye(10))):
+            for term in (control_cost_matrices, grad_b, grad_c):
+                with pytest.raises(UncontrollableError) as exc:
+                    term(a, b, c, 2.0)
+                condition = exc.value.condition
+                digest.update(repr(None if condition is None else condition.hex()).encode())
+        assert digest.hexdigest() == "7ff0e3a6575f4a14cb778a9b71fa0367b92fe1dd170eb3c395755224f44bb33f"
 
     def test_total_is_numpy_sum(self):
         # Nine weights whose numpy (pairwise) total differs from the
