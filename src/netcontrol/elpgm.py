@@ -106,7 +106,7 @@ def _draw(pool: list[int], weights: list[float], m0: int, rng: np.random.Generat
     pool, weights = list(pool), list(weights)
     selected = []
     for _ in range(m0):
-        total = np.array(weights).sum()
+        total = _pairwise_sum(weights)
         if total <= 0:
             idx = int(rng.integers(len(pool)))
         else:
@@ -115,6 +115,32 @@ def _draw(pool: list[int], weights: list[float], m0: int, rng: np.random.Generat
         selected.append(pool.pop(idx))
         weights.pop(idx)
     return selected
+
+
+def _pairwise_sum(w: list[float]) -> float:
+    """np.array(w).sum() for non-negative w, bit for bit, without the array.
+
+    numpy's pairwise summation: under 8 terms a sequential sum; up to 128
+    eight strided accumulators, combined as a tree, then the tail in order;
+    beyond that the two halves split at n/2 rounded down to a multiple of 8.
+    """
+    n = len(w)
+    if n < 8:
+        total = 0.0
+        for x in w:
+            total += x
+        return total
+    if n <= 128:
+        r = w[:8]
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            r = [x + y for x, y in zip(r, w[i:i + 8])]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in w[tail:]:
+            total += x
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(w[:half]) + _pairwise_sum(w[half:])
 
 
 def grad_b(a: np.ndarray, b: np.ndarray, c: np.ndarray, t_f: float) -> np.ndarray:
@@ -374,10 +400,13 @@ def elpgm_optimize(
         state = supports(drivers, controlled)
         if state[0] < best_e:
             best, best_e = (drivers, controlled), state[0]
+        pooled = None
         for _ in range(cfg.k_f):
-            _, b_raw, ct_raw = state
-            pool_b = _pool(b_raw, m, m1_b) if update_b else None
-            pool_c = _pool(ct_raw, r_size, m1_c) if update_c else None
+            if state is not pooled:  # the pools depend only on the iterate
+                pooled = state
+                _, b_raw, ct_raw = state
+                pool_b = _pool(b_raw, m, m1_b) if update_b else None
+                pool_c = _pool(ct_raw, r_size, m1_c) if update_c else None
             for _ in range(_PROJECTION_RETRIES):
                 new_drivers = _draw(*pool_b, m, rng) if update_b else drivers
                 new_controlled = _draw(*pool_c, r_size, rng) if update_c else controlled

@@ -340,6 +340,14 @@ class TestPinned:
                 digest.update(repr(None if condition is None else condition.hex()).encode())
         assert digest.hexdigest() == "7ff0e3a6575f4a14cb778a9b71fa0367b92fe1dd170eb3c395755224f44bb33f"
 
+    def test_pairwise_sum_is_numpy_sum(self):
+        from netcontrol.elpgm import _pairwise_sum
+
+        rng = np.random.default_rng(5)
+        for n in range(1, 301):
+            for w in (rng.random(n) * 10.0 ** rng.uniform(-6, 6, n), np.zeros(n)):
+                assert _pairwise_sum(w.tolist()).hex() == float(w.sum()).hex()
+
     def test_total_is_numpy_sum(self):
         # Nine weights whose numpy (pairwise) total differs from the
         # sequential one, and a uniform draw that picks different nodes under

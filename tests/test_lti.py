@@ -16,6 +16,7 @@ from netcontrol.lti import (
     output_controllable,
     simulate,
 )
+from netcontrol.pathcover import max_controllable_subset
 from oracles import gauss_jordan_chain_cost, simpson_gramian, taylor_expm
 
 CHAIN2 = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -142,6 +143,18 @@ class TestControlCost:
             ControlPlacement((0,), (1,), 0.0)
 
 
+def _path_placement(n, seed):
+    """A well-conditioned placement: two drivers on path heads, four path nodes controlled.
+
+    Only path nodes: free cycles are not reachable from one-wire drivers.
+    """
+    g = generate_er(n, 2.5, seed=seed)
+    cover, _ = max_controllable_subset(g, 2)
+    path_nodes = [v for pth in cover.paths for v in pth]
+    placement = ControlPlacement(tuple(pth[0] for pth in cover.paths), tuple(path_nodes[:4]), 2.0)
+    return g.randomized_adjacency(seed), placement
+
+
 class TestOptimalInput:
     def test_zero_state_zero_input(self):
         p = ControlPlacement((0,), (0, 1), 2.0)
@@ -160,17 +173,9 @@ class TestOptimalInput:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_realized_energy_matches_quadratic_form(self, seed):
-        from netcontrol.pathcover import max_controllable_subset
-
-        rng = np.random.default_rng(seed)
-        g = generate_er(6, 2.5, seed=seed)
-        a = g.randomized_adjacency(seed)
-        cover, _ = max_controllable_subset(g, 2)
-        # only path nodes: free cycles are not reachable from one-wire drivers
-        path_nodes = [v for pth in cover.paths for v in pth]
-        p = ControlPlacement(tuple(pth[0] for pth in cover.paths), tuple(path_nodes[:4]), 2.0)
+        a, p = _path_placement(6, seed)
         assert output_controllable(a, p.b_matrix(6), p.c_matrix(6))
-        x0 = rng.normal(size=6)
+        x0 = np.random.default_rng(seed).normal(size=6)
         _, residual, energy = drive_to_origin(a, p, x0)
         assert residual <= 1e-6
         c = p.c_matrix(6)
@@ -178,6 +183,45 @@ class TestOptimalInput:
         y = c @ mat_exp(a, 2.0) @ x0
         analytic = float(y @ np.linalg.solve(c @ w @ c.T, y))
         assert energy == pytest.approx(analytic, rel=1e-8)
+
+
+class TestDriveToOrigin:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_samples_match_pointwise_input(self, seed, monkeypatch):
+        import netcontrol.lti as lti
+
+        a, p = _path_placement(8, seed)
+        x0 = np.random.default_rng(seed).normal(size=8)
+        seen = {}
+        simulate_orig = lti.simulate
+
+        def recording(a_, b_, u, *args, **kwargs):
+            def wrapped(t):
+                seen[t] = np.array(u(t), dtype=float)
+                return seen[t]
+
+            return simulate_orig(a_, b_, wrapped, *args, **kwargs)
+
+        monkeypatch.setattr(lti, "simulate", recording)
+        _, residual, _ = drive_to_origin(a, p, x0, steps=2000)
+        assert residual <= 1e-6
+        grid = 2.0 / 4000
+        assert sorted(round(t / grid) for t in seen) == list(range(4001))
+        u = optimal_input_function(a, p, x0)
+        want = {t: u(t) for t in seen}
+        scale = max(np.abs(v).max() for v in want.values())
+        assert max(np.abs(seen[t] - want[t]).max() for t in seen) <= 1e-10 * scale
+
+    def test_expm_calls_per_drive(self, monkeypatch):
+        import netcontrol.lti as lti
+
+        a, p = _path_placement(8, 0)
+        calls = []
+        expm_orig = lti.expm
+        monkeypatch.setattr(lti, "expm", lambda m: calls.append(m.shape) or expm_orig(m))
+        drive_to_origin(a, p, np.ones(8), steps=2000)
+        # two-level grid sampling: 2 ceil(sqrt(4001)) + 2 (8,004 pointwise)
+        assert len(calls) <= 130
 
 
 class TestSimulate:
