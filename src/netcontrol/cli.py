@@ -25,13 +25,15 @@ from .graph import (
     parse_edge_list,
     serialize_edge_list,
 )
-from .lti import ControlPlacement, UncontrollableError, control_cost, drive_to_origin
+from .lti import ControlPlacement, UncontrollableError, _drive, _Steering
 from .pathcover import controllability_curve, curve_to_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_NUMERIC = 3
+
+_BENCH_ALGOS = ("edcp", "naive", "elpgm")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -138,9 +140,11 @@ def cmd_verify(args) -> int:
     a = g.realized_adjacency()
     report = {"controllable": True, "cost": None, "residual": None}
     try:
-        report["cost"] = control_cost(a, placement)
+        # one evaluation serves both the cost and the drive
+        s = _Steering(a, placement.b_matrix(g.n), placement.c_matrix(g.n), placement.t_f)
+        report["cost"] = s.cost()
         x0 = np.random.default_rng(args.seed).normal(size=g.n)
-        _, residual, _ = drive_to_origin(a, placement, x0)
+        _, residual, _ = _drive(s, x0)
         report["residual"] = residual
     except UncontrollableError as exc:
         report["controllable"] = False
@@ -165,25 +169,24 @@ def cmd_bench(args) -> int:
         g = generate_ba(args.n, args.m_attach, args.seed)
         label = f"ba-n{args.n}-m{args.m_attach}"
     fractions = [float(f) for f in args.fractions.split(",")]
-    algos = args.algos.split(",")
     rows = ["network,n,edges,fraction,M,algorithm,E,wall_time_s"]
     a = g.realized_adjacency()
     for fraction in fractions:
         r_size = max(1, int(np.ceil(fraction * g.n)))
-        for algo in algos:
+        for algo in args.algos:
             start = time.perf_counter()
             try:
+                if args.m > r_size:
+                    raise CoverInfeasibleError(f"M = {args.m} exceeds R = {r_size}")
                 if algo == "edcp":
                     res = edcp(g, args.m, r_size, args.tf)
                     cost = res.e_exact if res.e_exact is not None else res.e_estimate
                 elif algo == "naive":
                     res = naive_placement(g, args.m, r_size, args.tf)
                     cost = res.e_exact if res.e_exact is not None else res.e_estimate
-                elif algo == "elpgm":
+                else:
                     cfg = ElpgmConfig(seed=args.seed, t_f=args.tf)
                     _, cost = elpgm_optimize(a, args.m, r_size, cfg)
-                else:
-                    raise ValueError(f"unknown algorithm {algo!r}")
             except (CoverInfeasibleError, UncontrollableError) as exc:
                 print(f"netcontrol: {label} fraction {fraction:g} {algo}: {exc}", file=sys.stderr)
                 cost = float("nan")
@@ -194,6 +197,16 @@ def cmd_bench(args) -> int:
             )
     _write_out("\n".join(rows) + "\n", args.out)
     return EXIT_OK
+
+
+def _bench_algos(text: str) -> list[str]:
+    algos = text.split(",")
+    for algo in algos:
+        if algo not in _BENCH_ALGOS:
+            raise argparse.ArgumentTypeError(
+                f"unknown algorithm {algo!r} (choose from {', '.join(_BENCH_ALGOS)})"
+            )
+    return algos
 
 
 def build_parser() -> _Parser:
@@ -248,7 +261,7 @@ def build_parser() -> _Parser:
     p_bench.add_argument("--m-attach", type=int, default=4, help="BA attachments per node")
     p_bench.add_argument("-M", dest="m", type=int, required=True)
     p_bench.add_argument("--fractions", default="0.4,0.5,0.6,0.7,0.8,0.9,1.0")
-    p_bench.add_argument("--algos", default="edcp,naive")
+    p_bench.add_argument("--algos", type=_bench_algos, default="edcp,naive")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--tf", type=float, default=2.0)
     p_bench.add_argument("--out", default=None)

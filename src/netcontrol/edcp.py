@@ -26,7 +26,7 @@ import numpy as np
 
 from .flow import SufficiencySolver
 from .graph import DirectedGraph, matching_path_cover
-from .lti import ControlPlacement, UncontrollableError, chain_control_cost, control_cost
+from .lti import ControlPlacement, UncontrollableError, _check_horizon, chain_control_cost, control_cost
 from .pathcover import PathCover, extract_paths_cycles
 
 EXACT_EVAL_THRESHOLD = 400  # dense cost evaluation above this is left out
@@ -249,19 +249,23 @@ def reduce_drivers(stems: list[Stem], m: int, t_f: float = 2.0) -> list[Stem]:
     the cost increase resolve to the later stem.
     """
     while sum(stem.driver_count for stem in stems) > m:
-        step = _merge_step(stems, t_f)
-        if step is None:
-            raise CoverInfeasibleError("no stem can give up a driver")
-        _, idx, alloc = step
-        stem = stems[idx]
-        blocks = stem.controlled_blocks()
-        stem.segments = []
-        for block, d_block in zip(blocks, alloc):
-            pos = 0
-            for part in even_division(len(block), d_block):
-                stem.segments.append(block[pos:pos + part])
-                pos += part
+        _apply_merge(stems, _merge_step(stems, t_f))
     return stems
+
+
+def _apply_merge(stems: list[Stem], step: tuple[float, int, list[int]] | None) -> None:
+    """Re-spread the drivers of the stem a _merge_step result names."""
+    if step is None:
+        raise CoverInfeasibleError("no stem can give up a driver")
+    _, idx, alloc = step
+    stem = stems[idx]
+    blocks = stem.controlled_blocks()
+    stem.segments = []
+    for block, d_block in zip(blocks, alloc):
+        pos = 0
+        for part in even_division(len(block), d_block):
+            stem.segments.append(block[pos:pos + part])
+            pos += part
 
 
 @dataclass
@@ -279,7 +283,7 @@ class _Release:
 
 
 def _release_step(
-    g: DirectedGraph, stems: list[Stem], r_size: int, t_f: float, bound: float
+    succ: list[list[int]], pred: list[list[int]], stems: list[Stem], r_size: int, t_f: float, bound: float
 ) -> _Release | None:
     """Cheapest release of a single-driver segment, if cheaper than bound.
 
@@ -292,7 +296,6 @@ def _release_step(
     coverage between stems, which is how a request that no stem can absorb
     by merging still finds m disjoint paths.
     """
-    succ, pred = g.successors(), g.predecessors()
     records = []  # (segment, may grow at tail, may grow at head)
     for stem in stems:
         for block in stem.controlled_blocks():
@@ -303,7 +306,7 @@ def _release_step(
     if not any(tail or head for _, tail, head in records):
         return None
     controlled = {v for seg, _, _ in records for v in seg}
-    base_free = [v for v in range(g.n) if v not in controlled]
+    base_free = [v for v in range(len(succ)) if v not in controlled]
     base_tails = {seg[-1]: j for j, (seg, tail, _) in enumerate(records) if tail}
     base_heads = {seg[0]: j for j, (seg, _, head) in enumerate(records) if head}
 
@@ -456,15 +459,16 @@ def _pipeline(
     """
     stems = merge_cycles(cover)
     assign_drivers(stems, plan, r_size=r_size)
-    while (count := sum(stem.driver_count for stem in stems)) > m:
+    succ, pred = g.successors(), g.predecessors()
+    while sum(stem.driver_count for stem in stems) > m:
         merge = _merge_step(stems, t_f)
         release = None
         if merge is not None or release_when_stuck:
-            release = _release_step(g, stems, r_size, t_f, merge[0] if merge else math.inf)
+            release = _release_step(succ, pred, stems, r_size, t_f, merge[0] if merge else math.inf)
         if release is not None:
             _apply_release(stems, release)
         else:
-            reduce_drivers(stems, count - 1, t_f)
+            _apply_merge(stems, merge)
     if sum(stem.driver_count for stem in stems) < m:
         _split_for_extra_drivers(stems, m)
     trim_to_r(stems, r_size, longest_first=longest_first_trim)
@@ -516,7 +520,6 @@ def _run_pipeline(
     refine: bool = True,
 ) -> EdcpResult:
     """Try the full-coverage cover first, then cycle-free fallback covers."""
-    _check_request(g, m, r_size)
     solver = SufficiencySolver(g)
     mstar = solver.advance_until_coverage(g.n)
     rmax = g.n if m >= mstar else solver.coverage_at(m)
@@ -696,6 +699,7 @@ def edcp(g: DirectedGraph, m: int, r_size: int, t_f: float = 2.0) -> EdcpResult:
     contract is exact up to _EXACT_COVER_LIMIT nodes (see
     CoverInfeasibleError).
     """
+    _check_request(g, m, r_size, t_f)
     return _run_pipeline(g, m, r_size, t_f, even_division(r_size, m))
 
 
@@ -707,11 +711,13 @@ def naive_placement(g: DirectedGraph, m: int, r_size: int, t_f: float = 2.0) -> 
     even division avoids.  Surplus drivers and nodes are handled by the same
     reduce/trim steps as the main pipeline.
     """
+    _check_request(g, m, r_size, t_f)
     return _run_pipeline(g, m, r_size, t_f, [r_size] * m, longest_first_trim=False, refine=False)
 
 
-def _check_request(g: DirectedGraph, m: int, r_size: int) -> None:
+def _check_request(g: DirectedGraph, m: int, r_size: int, t_f: float) -> None:
     if not (1 <= r_size <= g.n):
         raise ValueError(f"r_size must be in [1, {g.n}], got {r_size}")
     if not (1 <= m <= r_size):
         raise ValueError(f"m must be in [1, r_size], got {m}")
+    _check_horizon(t_f)

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import expm, null_space
 
 from .graph import DirectedGraph
-from .lti import ControlPlacement, UncontrollableError, _Steering
+from .lti import ControlPlacement, UncontrollableError, _Steering, _check_horizon
 from .edcp import CoverInfeasibleError, edcp
 from .pathcover import max_controllable_subset
 
@@ -53,8 +53,7 @@ class ElpgmConfig:
             raise ValueError("k_f and restarts must be >= 1")
         if self.m1 is not None and self.m1 < 1:
             raise ValueError("m1 must be >= 1")
-        if self.t_f <= 0:
-            raise ValueError("t_f must be positive")
+        _check_horizon(self.t_f)
 
     def margin_for(self, m0: int, n: int) -> int:
         m1 = self.m1 if self.m1 is not None else max(1, math.ceil(m0 / 2))

@@ -55,12 +55,6 @@ class FlowNetwork:
     def sink(self) -> int:
         return 2 * self.n + 1
 
-    def v_in(self, i: int) -> int:
-        return i
-
-    def v_out(self, i: int) -> int:
-        return self.n + i
-
     def supply(self, v: int) -> int:
         if v == self.source:
             return self.units
@@ -135,14 +129,13 @@ class _Residual:
         self.adj: list[list[int]] = [[] for _ in range(num_nodes)]
         self.pi = [0] * num_nodes
 
-    def add_arc(self, tail: int, head: int, cap: int, cost: int) -> int:
+    def add_arc(self, tail: int, head: int, cap: int, cost: int) -> None:
         aid = len(self.to)
         self.to.extend((head, tail))
         self.cap.extend((cap, 0))
         self.cost.extend((cost, -cost))
         self.adj[tail].append(aid)
         self.adj[head].append(aid + 1)
-        return aid
 
     def _dijkstra(self, src: int, dst: int) -> list[float]:
         """Reduced-cost distances from src, final only up to dst.
@@ -270,10 +263,11 @@ class SufficiencySolver:
         self.aux_source = 2 * n + 2
         self.aux_sink = 2 * n + 3
         self.res = _Residual(num)
-        self.arc_ids: list[int] = []
-        self._arcs = build_sufficiency_flow_network(g, 1).arcs if n else ()
-        for tail, head, cap, cost in self._arcs:
-            self.arc_ids.append(self.res.add_arc(tail, head, cap, cost))
+        # D' arc k is residual arc 2k; its flow is the capacity of arc 2k + 1
+        arcs = build_sufficiency_flow_network(g, 1).arcs if n else ()
+        for arc in arcs:
+            self.res.add_arc(*arc)
+        self._num_arcs = len(arcs)
         self.unit_costs: list[int] = []
         self.base_cost = 0
         if n:
@@ -286,9 +280,9 @@ class SufficiencySolver:
         # Saturate every negative (inner) arc; v_out gains a unit of excess
         # and v_in a deficit, wired to an auxiliary source/sink.
         for v in range(n):
-            inner = self.arc_ids[n + v]
+            inner = 2 * (n + v)
             res.cap[inner] -= 1
-            res.cap[inner ^ 1] += 1
+            res.cap[inner + 1] += 1
         for v in range(n):
             res.add_arc(self.aux_source, n + v, 1, 0)
             res.add_arc(v, self.aux_sink, 1, 0)
@@ -347,32 +341,23 @@ class SufficiencySolver:
 
     def arc_flows(self) -> tuple[int, ...]:
         """Flow values on the D' arcs (in FlowNetwork order) right now."""
-        res = self.res
-        return tuple(arc[2] - res.cap[aid] for aid, arc in zip(self.arc_ids, self._arcs))
+        return tuple(self.res.cap[1:2 * self._num_arcs:2])
 
     def as_flow(self) -> Flow:
         values = self.arc_flows()
-        cost = sum(v * arc[3] for v, arc in zip(values, self._arcs))
+        cost = sum(v * c for v, c in zip(values, self.res.cost[0:2 * self._num_arcs:2]))
         return Flow(values=values, cost=cost)
 
 
-def min_cost_flow(fn: FlowNetwork) -> Flow:
-    """Minimum-cost integral flow shipping fn.units from s to t on D'.
+def min_cost_flow(g: DirectedGraph, units: int) -> Flow:
+    """Minimum-cost integral flow shipping `units` from s to t on g's D'.
 
     Profitable circulations (covered cycles) are included, per the
     circulation semantics of the transformation.
     """
-    g = _graph_from_network(fn)
+    fn = build_sufficiency_flow_network(g, units)
     solver = SufficiencySolver(g)
-    solver.advance_to(fn.units)
+    solver.advance_to(units)
     flow = solver.as_flow()
     assert validate_flow(fn, flow)
     return flow
-
-
-def _graph_from_network(fn: FlowNetwork) -> DirectedGraph:
-    n = fn.n
-    edges = []
-    for tail, head, cap, cost in fn.arcs[3 * n:]:
-        edges.append((tail - n, head, 1.0))
-    return DirectedGraph(n=n, edges=tuple(edges))

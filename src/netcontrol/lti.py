@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt, perm
+from math import comb, inf, isqrt, perm
 from typing import Callable
 
 import numpy as np
@@ -30,6 +30,12 @@ from scipy.linalg import expm
 CONDITION_LIMIT = 1e12
 RANK_TOLERANCE = 1e-9
 _MIN_STEPS = 1000  # the fewest RK4 steps `simulate` takes
+
+
+def _check_horizon(t_f: float) -> None:
+    """Refuse a control horizon that is not a positive finite number."""
+    if not 0 < t_f < inf:  # NaN fails both comparisons
+        raise ValueError(f"t_f must be positive and finite, got {t_f}")
 
 
 class UncontrollableError(RuntimeError):
@@ -60,8 +66,7 @@ class ControlPlacement:
             raise ValueError("duplicate driver node")
         if len(set(self.controlled)) != len(self.controlled):
             raise ValueError("duplicate controlled node")
-        if self.t_f <= 0:
-            raise ValueError("t_f must be positive")
+        _check_horizon(self.t_f)
 
     def b_matrix(self, n: int) -> np.ndarray:
         b = np.zeros((n, len(self.drivers)))
@@ -104,8 +109,7 @@ def gramian(a: np.ndarray, b: np.ndarray, t_f: float) -> np.ndarray:
     n = a.shape[0]
     if a.shape[1] != n or b.shape[0] != n:
         raise ValueError("A must be square and B must have matching rows")
-    if t_f <= 0:
-        raise ValueError("t_f must be positive")
+    _check_horizon(t_f)
     block = np.zeros((2 * n, 2 * n))
     block[:n, :n] = a
     block[:n, n:] = b @ b.T
@@ -252,8 +256,7 @@ def simulate(
     """
     a = _as_matrix(a, "A")
     b = _as_matrix(b, "B")
-    if t_f <= 0:
-        raise ValueError("t_f must be positive")
+    _check_horizon(t_f)
     steps = max(int(steps), _MIN_STEPS)
     h = t_f / steps
     x = np.asarray(x0, dtype=float).reshape(a.shape[0]).copy()
@@ -322,17 +325,19 @@ def drive_to_origin(
     """
     a = _as_matrix(a, "A")
     n = a.shape[0]
-    t_f = placement.t_f
-    x0 = np.asarray(x0, dtype=float).reshape(n)
-    b, c = placement.b_matrix(n), placement.c_matrix(n)
-    s = _Steering(a, b, c, t_f)
+    return _drive(_Steering(a, placement.b_matrix(n), placement.c_matrix(n), placement.t_f), x0, steps)
+
+
+def _drive(s: _Steering, x0: np.ndarray, steps: int = 2000) -> tuple[np.ndarray, float, float]:
+    """drive_to_origin on an evaluated steering problem."""
+    x0 = np.asarray(x0, dtype=float).reshape(s.a.shape[0])
     steps = max(int(steps), _MIN_STEPS)
     m = 2 * steps
-    delta = t_f / m
+    delta = s.t_f / m
     samples = _input_samples(s, s.costate(x0), m)
-    x_f = simulate(a, b, lambda t: samples[round(t / delta)], x0, t_f, steps=steps)
-    y0 = float(np.linalg.norm(c @ x0))
-    residual = float(np.linalg.norm(c @ x_f)) / y0 if y0 > 0 else 0.0
+    x_f = simulate(s.a, s.b, lambda t: samples[round(t / delta)], x0, s.t_f, steps=steps)
+    y0 = float(np.linalg.norm(s.c @ x0))
+    residual = float(np.linalg.norm(s.c @ x_f)) / y0 if y0 > 0 else 0.0
     weights = np.ones(m + 1)  # composite Simpson, m even
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0

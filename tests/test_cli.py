@@ -90,6 +90,11 @@ class TestPlace:
     def test_m_larger_than_r(self, fig8_file):
         assert main(["place", fig8_file, "-M", "5", "-R", "4"]) == 2
 
+    @pytest.mark.parametrize("algo,tf", [("edcp", "nan"), ("edcp", "inf"), ("elpgm", "nan"), ("elpgm", "inf")])
+    def test_nonfinite_horizon(self, fig8_file, capsys, algo, tf):
+        assert main(["place", fig8_file, "--algo", algo, "-M", "4", "-R", "12", "--tf", tf]) == 2
+        assert "t_f" in capsys.readouterr().err
+
     def test_fraction_resolution(self, fig8_file, tmp_path):
         out = tmp_path / "p.json"
         assert main(["place", fig8_file, "-M", "4", "--fraction", "0.85", "--out", str(out)]) == 0
@@ -147,6 +152,32 @@ class TestVerify:
         assert report["cost"] is None and report["residual"] is None
         assert report["condition"] >= 1e12
 
+    def test_placement_evaluated_once(self, fig8_file, tmp_path, monkeypatch, capsys):
+        import netcontrol.lti as lti
+
+        placement = tmp_path / "p.json"
+        main(["place", fig8_file, "-M", "4", "-R", "12", "--out", str(placement)])
+        calls = {"output_controllable": 0, "gramian": 0, "expm": 0}
+        for name in calls:
+            def counted(*args, _name=name, _orig=getattr(lti, name), **kwargs):
+                calls[_name] += 1
+                return _orig(*args, **kwargs)
+
+            monkeypatch.setattr(lti, name, counted)
+        assert main(["verify", fig8_file, str(placement)]) == 0
+        # one rank test and one Gramian serve both the cost and the drive
+        assert calls["output_controllable"] == 1
+        assert calls["gramian"] == 1
+        assert calls["expm"] <= 130
+        assert "controllable: true" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tf", ["nan", "inf"])
+    def test_nonfinite_horizon(self, fig8_file, tmp_path, capsys, tf):
+        placement = tmp_path / "p.json"
+        main(["place", fig8_file, "-M", "4", "-R", "12", "--out", str(placement)])
+        assert main(["verify", fig8_file, str(placement), "--tf", tf]) == 2
+        assert "t_f" in capsys.readouterr().err
+
     def test_json_report(self, fig8_file, tmp_path, capsys):
         placement = tmp_path / "p.json"
         main(["place", fig8_file, "-M", "4", "-R", "12", "--out", str(placement)])
@@ -194,6 +225,30 @@ class TestBench:
         assert [row.split(",")[5:7] for row in rows[1:]] == [["edcp", "nan"], ["elpgm", "nan"]]
         err = capsys.readouterr().err
         assert " edcp: " in err and " elpgm: " in err
+
+    def test_more_drivers_than_nodes_is_nan(self, tmp_path, capsys):
+        # at fraction 0.1, R = 4 < M = 8: those cells are refused, not the table
+        out = tmp_path / "bench.csv"
+        code = main(["bench", "--network", "er", "--n", "40", "-M", "8", "--algos", "edcp,naive",
+                     "--fractions", "0.1,0.5", "--out", str(out)])
+        assert code == 0
+        rows = [row.split(",") for row in out.read_text().strip().splitlines()[1:]]
+        assert [row[3:7:2] for row in rows] == [["0.1", "edcp"], ["0.1", "naive"], ["0.5", "edcp"], ["0.5", "naive"]]
+        assert [row[6] for row in rows[:2]] == ["nan", "nan"]
+        assert all(row[6] != "nan" for row in rows[2:])
+        assert "M = 8 exceeds R = 4" in capsys.readouterr().err
+
+    def test_unknown_algorithm_rejected_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        import netcontrol.cli as cli
+
+        ran = []
+        monkeypatch.setattr(cli, "edcp", lambda *args: ran.append(args))
+        out = tmp_path / "bench.csv"
+        code = main(["bench", "--network", "er", "--n", "40", "-M", "8", "--algos", "edcp,foo",
+                     "--fractions", "0.5", "--out", str(out)])
+        assert code == 1
+        assert ran == [] and not out.exists()
+        assert "unknown algorithm 'foo'" in capsys.readouterr().err
 
     def test_edcp_beats_naive_in_rows(self, tmp_path):
         out = tmp_path / "bench.csv"

@@ -198,6 +198,11 @@ class TestOptimize:
         with pytest.raises(ValueError):
             ElpgmConfig(restarts=0)
 
+    @pytest.mark.parametrize("t_f", [0.0, float("nan"), float("inf")])
+    def test_horizon_validation(self, t_f):
+        with pytest.raises(ValueError, match="t_f"):
+            ElpgmConfig(t_f=t_f)
+
     def test_one_controllability_check_per_support(self, monkeypatch):
         # the support cache is what lets the descent redraw 20 projections per
         # iterate cheaply: every support, start or draw, is evaluated once, and

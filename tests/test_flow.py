@@ -61,22 +61,22 @@ class TestBuild:
 class TestMinCostFlow:
     def test_chain_plus_isolated(self):
         g = graph_of(5, {(0, 1), (1, 2)})
-        f = min_cost_flow(build_sufficiency_flow_network(g, 1))
+        f = min_cost_flow(g, 1)
         assert f.cost == -3
 
     def test_no_edges_two_units(self):
-        f = min_cost_flow(build_sufficiency_flow_network(DirectedGraph(3, ()), 2))
+        f = min_cost_flow(DirectedGraph(3, ()), 2)
         assert f.cost == -2
 
     def test_free_cycle(self):
         g = graph_of(4, {(0, 1), (1, 2), (2, 0)})
-        f = min_cost_flow(build_sufficiency_flow_network(g, 1))
+        f = min_cost_flow(g, 1)
         assert f.cost == -4
 
     def test_determinism(self):
         g = generate_er(30, 3, seed=5)
-        f1 = min_cost_flow(build_sufficiency_flow_network(g, 4))
-        f2 = min_cost_flow(build_sufficiency_flow_network(g, 4))
+        f1 = min_cost_flow(g, 4)
+        f2 = min_cost_flow(g, 4)
         assert f1 == f2
 
 
@@ -84,7 +84,7 @@ class TestValidateFlow:
     def test_solver_output_valid(self):
         g = generate_er(20, 2, seed=3)
         fn = build_sufficiency_flow_network(g, 3)
-        assert validate_flow(fn, min_cost_flow(fn))
+        assert validate_flow(fn, min_cost_flow(g, 3))
 
     def test_zero_flow_invalid(self):
         fn = build_sufficiency_flow_network(graph_of(3, set()), 1)
@@ -92,15 +92,17 @@ class TestValidateFlow:
         assert not validate_flow(fn, zero)
 
     def test_overfull_arc_invalid(self):
-        fn = build_sufficiency_flow_network(graph_of(3, set()), 1)
-        f = min_cost_flow(fn)
+        g = graph_of(3, set())
+        fn = build_sufficiency_flow_network(g, 1)
+        f = min_cost_flow(g, 1)
         bumped = list(f.values)
         bumped[0] = 2
         assert not validate_flow(fn, Flow(values=tuple(bumped), cost=f.cost))
 
     def test_wrong_cost_invalid(self):
-        fn = build_sufficiency_flow_network(graph_of(3, set()), 1)
-        f = min_cost_flow(fn)
+        g = graph_of(3, set())
+        fn = build_sufficiency_flow_network(g, 1)
+        f = min_cost_flow(g, 1)
         assert not validate_flow(fn, Flow(values=f.values, cost=f.cost - 1))
 
 
@@ -133,7 +135,7 @@ class TestOptimality:
         g = graph_of(n, random_digraph(n, 0.3, rng))
         m = rng.randint(1, n)
         fn = build_sufficiency_flow_network(g, m)
-        f = min_cost_flow(fn)
+        f = min_cost_flow(g, m)
         assert not residual_has_negative_cycle(fn, f)
 
     def test_advance_until_coverage_minimal(self):

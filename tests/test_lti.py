@@ -83,6 +83,11 @@ class TestGramian:
         with pytest.raises(ValueError):
             gramian(np.zeros((2, 2)), np.zeros((2, 1)), 0.0)
 
+    @pytest.mark.parametrize("t_f", [float("nan"), float("inf")])
+    def test_nonfinite_horizon(self, t_f):
+        with pytest.raises(ValueError, match="t_f"):
+            gramian(np.zeros((2, 2)), np.zeros((2, 1)), t_f)
+
 
 class TestOutputControllable:
     def test_chain_head_drives_tail(self):
@@ -141,6 +146,11 @@ class TestControlCost:
             ControlPlacement((0,), (1, 1), 2.0)
         with pytest.raises(ValueError):
             ControlPlacement((0,), (1,), 0.0)
+
+    @pytest.mark.parametrize("t_f", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_horizon_rejected(self, t_f):
+        with pytest.raises(ValueError, match="t_f"):
+            ControlPlacement((0,), (1,), t_f)
 
 
 def _path_placement(n, seed):
@@ -243,6 +253,11 @@ class TestSimulate:
         x1 = simulate(a, b, u, np.ones(4), 2.0, steps=1000)
         x2 = simulate(a, b, u, np.ones(4), 2.0, steps=2000)
         assert np.abs(x1 - x2).max() <= 1e-9 * max(1.0, np.abs(x2).max())
+
+    @pytest.mark.parametrize("t_f", [float("nan"), float("inf")])
+    def test_nonfinite_horizon(self, t_f):
+        with pytest.raises(ValueError, match="t_f"):
+            simulate(np.zeros((2, 2)), np.zeros((2, 1)), lambda t: np.zeros(1), [1.0, -2.0], t_f)
 
     def test_trajectory_shape(self):
         ts, xs = simulate(np.zeros((2, 2)), np.zeros((2, 1)), lambda t: np.zeros(1), [0.0, 1.0], 1.0, return_trajectory=True)

@@ -26,13 +26,13 @@ def graph_of(n, edge_set):
 class TestExtraction:
     def test_chain(self):
         g = parse_edge_list("0 1\n1 2")
-        cover = extract_paths_cycles(g, min_cost_flow(build_sufficiency_flow_network(g, 1)))
+        cover = extract_paths_cycles(g, min_cost_flow(g, 1))
         assert cover.paths == ((0, 1, 2),)
         assert cover.cycles == ()
 
     def test_cycle_plus_isolated(self):
         g = graph_of(4, {(0, 1), (1, 2), (2, 0)})
-        cover = extract_paths_cycles(g, min_cost_flow(build_sufficiency_flow_network(g, 1)))
+        cover = extract_paths_cycles(g, min_cost_flow(g, 1))
         assert cover.paths == ((3,),)
         assert cover.cycles == ((0, 1, 2),)
 
@@ -57,7 +57,7 @@ class TestExtraction:
         n = rng.randint(2, 14)
         g = graph_of(n, random_digraph(n, 0.3, rng))
         m = rng.randint(1, n)
-        f = min_cost_flow(build_sufficiency_flow_network(g, m))
+        f = min_cost_flow(g, m)
         cover = extract_paths_cycles(g, f)
         assert cover.size == -f.cost
         assert len(cover.paths) == m
