@@ -175,20 +175,14 @@ def cmd_bench(args) -> int:
         r_size = max(1, int(np.ceil(fraction * g.n)))
         for algo in args.algos:
             start = time.perf_counter()
-            try:
-                if args.m > r_size:
-                    raise CoverInfeasibleError(f"M = {args.m} exceeds R = {r_size}")
-                if algo == "edcp":
-                    res = edcp(g, args.m, r_size, args.tf)
-                    cost = res.e_exact if res.e_exact is not None else res.e_estimate
-                elif algo == "naive":
-                    res = naive_placement(g, args.m, r_size, args.tf)
-                    cost = res.e_exact if res.e_exact is not None else res.e_estimate
-                else:
-                    cfg = ElpgmConfig(seed=args.seed, t_f=args.tf)
-                    _, cost = elpgm_optimize(a, args.m, r_size, cfg)
-            except (CoverInfeasibleError, UncontrollableError) as exc:
-                print(f"netcontrol: {label} fraction {fraction:g} {algo}: {exc}", file=sys.stderr)
+            reason = f"M = {args.m} exceeds R = {r_size}" if args.m > r_size else None
+            if reason is None:
+                try:
+                    cost = _bench_cost(g, a, algo, r_size, args)
+                except (CoverInfeasibleError, UncontrollableError) as exc:
+                    reason = str(exc)
+            if reason is not None:
+                print(f"netcontrol: {label} fraction {fraction:g} {algo}: {reason}", file=sys.stderr)
                 cost = float("nan")
             elapsed = time.perf_counter() - start
             rows.append(
@@ -197,6 +191,14 @@ def cmd_bench(args) -> int:
             )
     _write_out("\n".join(rows) + "\n", args.out)
     return EXIT_OK
+
+
+def _bench_cost(g: DirectedGraph, a: np.ndarray, algo: str, r_size: int, args) -> float:
+    """The cost one bench cell reports for `algo` at R = r_size."""
+    if algo == "elpgm":
+        return elpgm_optimize(a, args.m, r_size, ElpgmConfig(seed=args.seed, t_f=args.tf))[1]
+    res = (edcp if algo == "edcp" else naive_placement)(g, args.m, r_size, args.tf)
+    return res.e_exact if res.e_exact is not None else res.e_estimate
 
 
 def _bench_algos(text: str) -> list[str]:

@@ -241,31 +241,33 @@ def _merge_step(stems: list[Stem], t_f: float) -> tuple[float, int, list[int]] |
     return best
 
 
-def reduce_drivers(stems: list[Stem], m: int, t_f: float = 2.0) -> list[Stem]:
+def reduce_drivers(
+    stems: list[Stem], m: int, t_f: float = 2.0, *, step: tuple[float, int, list[int]] | None = None
+) -> list[Stem]:
     """Release surplus drivers where the cost increase is least.
 
     Removing a driver from a stem re-spreads its remaining drivers evenly
     over that stem's controlled blocks (never across junctions).  Ties on
-    the cost increase resolve to the later stem.
+    the cost increase resolve to the later stem.  `step`, if given, is
+    `_merge_step(stems, t_f)` for the stems as they stand; the first merge
+    applies it instead of pricing it again.
     """
     while sum(stem.driver_count for stem in stems) > m:
-        _apply_merge(stems, _merge_step(stems, t_f))
+        if step is None:
+            step = _merge_step(stems, t_f)
+        if step is None:
+            raise CoverInfeasibleError("no stem can give up a driver")
+        _, idx, alloc = step
+        stem = stems[idx]
+        blocks = stem.controlled_blocks()
+        stem.segments = []
+        for block, d_block in zip(blocks, alloc):
+            pos = 0
+            for part in even_division(len(block), d_block):
+                stem.segments.append(block[pos:pos + part])
+                pos += part
+        step = None
     return stems
-
-
-def _apply_merge(stems: list[Stem], step: tuple[float, int, list[int]] | None) -> None:
-    """Re-spread the drivers of the stem a _merge_step result names."""
-    if step is None:
-        raise CoverInfeasibleError("no stem can give up a driver")
-    _, idx, alloc = step
-    stem = stems[idx]
-    blocks = stem.controlled_blocks()
-    stem.segments = []
-    for block, d_block in zip(blocks, alloc):
-        pos = 0
-        for part in even_division(len(block), d_block):
-            stem.segments.append(block[pos:pos + part])
-            pos += part
 
 
 @dataclass
@@ -460,7 +462,7 @@ def _pipeline(
     stems = merge_cycles(cover)
     assign_drivers(stems, plan, r_size=r_size)
     succ, pred = g.successors(), g.predecessors()
-    while sum(stem.driver_count for stem in stems) > m:
+    while (count := sum(stem.driver_count for stem in stems)) > m:
         merge = _merge_step(stems, t_f)
         release = None
         if merge is not None or release_when_stuck:
@@ -468,7 +470,7 @@ def _pipeline(
         if release is not None:
             _apply_release(stems, release)
         else:
-            _apply_merge(stems, merge)
+            reduce_drivers(stems, count - 1, t_f, step=merge)
     if sum(stem.driver_count for stem in stems) < m:
         _split_for_extra_drivers(stems, m)
     trim_to_r(stems, r_size, longest_first=longest_first_trim)

@@ -34,7 +34,7 @@ INF = float("inf")
 class FlowNetwork:
     """The transformed s-t network D'(V', E', u, c, supply).
 
-    Vertices are numbered v_in(i) = i, v_out(i) = n + i, s = 2n, t = 2n + 1.
+    Vertex i is node i's in-copy v_in, n + i its out-copy v_out; s = 2n, t = 2n + 1.
     Arcs are ordered: s->v_in for all v, v_in->v_out for all v (cost -1),
     v_out->t for all v, then one v_out->w_in arc per original edge.
     """

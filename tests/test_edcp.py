@@ -218,12 +218,8 @@ class TestEdcpEndToEnd:
             edcp(g, 0, 5)
         with pytest.raises(ValueError):
             edcp(g, 3, 20)
-        with pytest.raises(ValueError):
-            edcp(g, 5, 4)
-
-    def test_request_checked_before_division(self):
         with pytest.raises(ValueError, match="m must be"):
-            edcp(fig8_graph(), 5, 4)
+            edcp(g, 5, 4)
 
     @pytest.mark.parametrize("t_f", [0.0, float("nan"), float("inf")])
     def test_horizon_checked_with_request(self, t_f):
@@ -233,18 +229,18 @@ class TestEdcpEndToEnd:
 
     def test_each_merge_step_evaluated_once(self, monkeypatch):
         # every pass of the reduction loop prices the merges once and then
-        # applies either that merge or a release
+        # applies either that merge (through reduce_drivers) or a release
         module = importlib.import_module("netcontrol.edcp")  # `netcontrol.edcp` is the function
         calls = Counter()
-        for name in ("_merge_step", "_apply_merge", "_apply_release"):
-            def counted(*args, _name=name, _orig=getattr(module, name)):
+        for name in ("_merge_step", "reduce_drivers", "_apply_release"):
+            def counted(*args, _name=name, _orig=getattr(module, name), **kwargs):
                 calls[_name] += 1
-                return _orig(*args)
+                return _orig(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
         edcp(generate_er(60, 4.0, 0), 13, 60)
-        assert calls["_apply_merge"] > 0 and calls["_apply_release"] > 0
-        assert calls["_merge_step"] == calls["_apply_merge"] + calls["_apply_release"]
+        assert calls["reduce_drivers"] > 0 and calls["_apply_release"] > 0
+        assert calls["_merge_step"] == calls["reduce_drivers"] + calls["_apply_release"]
 
     def test_infeasible_cover(self):
         g = parse_edge_list("0 1\n0 2\n2 3\n3 2")
