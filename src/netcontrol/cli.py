@@ -168,10 +168,9 @@ def cmd_bench(args) -> int:
     else:
         g = generate_ba(args.n, args.m_attach, args.seed)
         label = f"ba-n{args.n}-m{args.m_attach}"
-    fractions = [float(f) for f in args.fractions.split(",")]
     rows = ["network,n,edges,fraction,M,algorithm,E,wall_time_s"]
     a = g.realized_adjacency()
-    for fraction in fractions:
+    for fraction in args.fractions:
         r_size = max(1, int(np.ceil(fraction * g.n)))
         for algo in args.algos:
             start = time.perf_counter()
@@ -209,6 +208,20 @@ def _bench_algos(text: str) -> list[str]:
                 f"unknown algorithm {algo!r} (choose from {', '.join(_BENCH_ALGOS)})"
             )
     return algos
+
+
+def _bench_fractions(text: str) -> list[float]:
+    """Comma-separated controlled fractions, each a number in (0, 1] as for `place --fraction`."""
+    fractions = []
+    for item in text.split(","):
+        try:
+            fraction = float(item)
+        except ValueError:
+            fraction = None
+        if fraction is None or not (0 < fraction <= 1):
+            raise argparse.ArgumentTypeError(f"fraction {item!r} is not a number in (0, 1]")
+        fractions.append(fraction)
+    return fractions
 
 
 def build_parser() -> _Parser:
@@ -262,7 +275,7 @@ def build_parser() -> _Parser:
     p_bench.add_argument("--mu", type=float, default=6.0, help="ER mean total degree")
     p_bench.add_argument("--m-attach", type=int, default=4, help="BA attachments per node")
     p_bench.add_argument("-M", dest="m", type=int, required=True)
-    p_bench.add_argument("--fractions", default="0.4,0.5,0.6,0.7,0.8,0.9,1.0")
+    p_bench.add_argument("--fractions", type=_bench_fractions, default="0.4,0.5,0.6,0.7,0.8,0.9,1.0")
     p_bench.add_argument("--algos", type=_bench_algos, default="edcp,naive")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--tf", type=float, default=2.0)

@@ -9,12 +9,20 @@ that score, so the search can hop between supports while still descending.
 The pool depends only on the iterate, so the descent builds it once per
 iterate and each retry redraws from it; supports are keyed by node index,
 and B and C are built only for a support not evaluated before.
+
+Each pool remembers the draw states its draws reached: keyed by the set of
+positions already picked, a state holds the total and running sums of the
+remaining weights, computed once instead of at every pick of every retry.
+A draw adds at most one state, so a pool drawn k times holds at most k + 1,
+and the sums are those a fresh draw computes, so the results are the same
+bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -73,47 +81,79 @@ def project(h: np.ndarray, m0: int, m1: int, rng: np.random.Generator) -> np.nda
     probability proportional to importance, renormalized after each pick.
     An all-zero pool falls back to uniform draws.  Output column j carries
     the j-th selected node.  The pool depends only on H, the iterate, so the
-    descent builds it once per iterate (`_pool`) and each retry redraws from
-    it (`_draw`).
+    descent builds it once per iterate (`_Pool`) and each retry redraws from
+    it; the pool remembers the draw states its draws reached, at most one
+    new state per draw, and a remembered state yields the same pick for the
+    same random number as a fresh one.
     """
-    selected = _draw(*_pool(h, m0, m1), m0, rng)
+    selected = _Pool(h, m0, m1).draw(rng)
     out = np.zeros((np.shape(h)[0], m0))
     out[selected, np.arange(m0)] = 1.0
     return out
 
 
-def _pool(h: np.ndarray, m0: int, m1: int) -> tuple[list[int], list[float]]:
-    """The candidate pool of `project`: nodes, best first, and their importance."""
-    h = np.asarray(h, dtype=float)
-    n = h.shape[0]
-    if not (1 <= m0 <= n):
-        raise ValueError(f"m0 must be in [1, {n}]")
-    if m1 < 0 or m0 + m1 > n:
-        raise ValueError("need 0 <= m1 and m0 + m1 <= n")
-    r = importance(h)
-    pool = np.lexsort((np.arange(n), -r))[:m0 + m1]
-    return pool.tolist(), r[pool].tolist()
+class _Pool:
+    """The candidate pool of `project` and the draw states reached from it.
 
-
-def _draw(pool: list[int], weights: list[float], m0: int, rng: np.random.Generator) -> list[int]:
-    """m0 pool nodes drawn without replacement, in draw order (see `project`).
-
-    The total is numpy's (pairwise) sum, which for eight or more weights can
-    differ in the last bit from a sequential one; the running sums are
-    sequential, as np.cumsum's are.
+    nodes are the candidates, best first, and weights their importance.  A
+    draw state is the set of pool positions already picked, kept as a
+    bitmask, and holds the total and running sums of the remaining weights
+    with the remaining positions; both sums are computed as a fresh draw
+    computes them, so every pick, and every random number it consumes, is
+    the same with or without the memo.  A draw stores only the first state
+    it has to compute, and the root is stored when the pool is built, so
+    after k draws the memo holds at most k + 1 states.
     """
-    pool, weights = list(pool), list(weights)
-    selected = []
-    for _ in range(m0):
-        total = _pairwise_sum(weights)
-        if total <= 0:
-            idx = int(rng.integers(len(pool)))
-        else:
-            u = rng.random() * total
-            idx = min(bisect_right(list(itertools.accumulate(weights)), u), len(pool) - 1)
-        selected.append(pool.pop(idx))
-        weights.pop(idx)
-    return selected
+
+    def __init__(self, h: np.ndarray, m0: int, m1: int):
+        h = np.asarray(h, dtype=float)
+        n = h.shape[0]
+        if not (1 <= m0 <= n):
+            raise ValueError(f"m0 must be in [1, {n}]")
+        if m1 < 0 or m0 + m1 > n:
+            raise ValueError("need 0 <= m1 and m0 + m1 <= n")
+        r = importance(h)
+        pool = np.lexsort((np.arange(n), -r))[:m0 + m1]
+        self.m0 = m0
+        self.nodes, self.weights = pool.tolist(), r[pool].tolist()
+        w = self.weights
+        self.states = {0: (_pairwise_sum(w), array("d", itertools.accumulate(w)),
+                           array("i", range(len(w))))}
+
+    def draw(self, rng: np.random.Generator) -> list[int]:
+        """m0 pool nodes drawn without replacement, in draw order (see `project`).
+
+        The total is numpy's (pairwise) sum, which for eight or more weights
+        can differ in the last bit from a sequential one; the running sums
+        are sequential, as np.cumsum's are.  A remembered state's weights
+        are re-read by position when a pick leaves the memo.
+        """
+        mask, stored = 0, False
+        total, sums, remaining = self.states[0]
+        weights = None  # the remaining weights, once a state had to be computed
+        selected = []
+        while True:
+            if total <= 0:
+                idx = int(rng.integers(len(remaining)))
+            else:
+                idx = min(bisect_right(sums, rng.random() * total), len(remaining) - 1)
+            selected.append(self.nodes[remaining[idx]])
+            if len(selected) == self.m0:
+                return selected
+            mask |= 1 << remaining[idx]
+            state = self.states.get(mask)
+            if state is not None:
+                total, sums, remaining = state
+                weights = None
+                continue
+            if weights is None:
+                remaining = list(remaining)
+                weights = [self.weights[p] for p in remaining]
+            del remaining[idx], weights[idx]
+            total, sums = _pairwise_sum(weights), list(itertools.accumulate(weights))
+            if not stored:
+                self.states[mask] = total, array("d", sums), array("i", remaining)
+                stored = True
 
 
 def _pairwise_sum(w: list[float]) -> float:
@@ -292,8 +332,6 @@ class _Initializer:
 
     def edcp_start(self, supports: _Supports) -> tuple[list[int], list[int]] | None:
         """EDCP's placement on the same network, when it has one."""
-        if self.m > self.r_size:
-            return None
         try:
             placement = edcp(self.graph, self.m, self.r_size, self.t_f).placement
         except CoverInfeasibleError:
@@ -359,8 +397,8 @@ def elpgm_optimize(
     cfg = cfg or ElpgmConfig()
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
-    if not (1 <= m <= n and 1 <= r_size <= n):
-        raise ValueError("need 1 <= m <= n and 1 <= r_size <= n")
+    if not (1 <= m <= r_size <= n):
+        raise ValueError(f"need 1 <= m <= r_size <= n, got m = {m}, r_size = {r_size}, n = {n}")
     t_f = cfg.t_f
     seed_seq = np.random.SeedSequence(cfg.seed)
     initializer = _Initializer(a, m, r_size, t_f)
@@ -404,11 +442,11 @@ def elpgm_optimize(
             if state is not pooled:  # the pools depend only on the iterate
                 pooled = state
                 _, b_raw, ct_raw = state
-                pool_b = _pool(b_raw, m, m1_b) if update_b else None
-                pool_c = _pool(ct_raw, r_size, m1_c) if update_c else None
+                pool_b = _Pool(b_raw, m, m1_b) if update_b else None
+                pool_c = _Pool(ct_raw, r_size, m1_c) if update_c else None
             for _ in range(_PROJECTION_RETRIES):
-                new_drivers = _draw(*pool_b, m, rng) if update_b else drivers
-                new_controlled = _draw(*pool_c, r_size, rng) if update_c else controlled
+                new_drivers = pool_b.draw(rng) if update_b else drivers
+                new_controlled = pool_c.draw(rng) if update_c else controlled
                 accepted = supports(new_drivers, new_controlled)
                 if accepted is not None:
                     break

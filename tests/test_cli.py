@@ -250,6 +250,20 @@ class TestBench:
         assert ran == [] and not out.exists()
         assert "unknown algorithm 'foo'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fractions, bad", [("0.5,1.5", "1.5"), ("0.5,abc", "abc"), ("0,0.5", "0")])
+    def test_bad_fraction_rejected_before_any_cell(self, tmp_path, capsys, monkeypatch, fractions, bad):
+        import netcontrol.cli as cli
+
+        ran = []
+        monkeypatch.setattr(cli, "edcp", lambda *args: ran.append(args))
+        monkeypatch.setattr(cli, "naive_placement", lambda *args: ran.append(args))
+        out = tmp_path / "bench.csv"
+        code = main(["bench", "--network", "er", "--n", "20", "-M", "2",
+                     "--fractions", fractions, "--out", str(out)])
+        assert code == 1
+        assert ran == [] and not out.exists()
+        assert f"fraction {bad!r} is not a number in (0, 1]" in capsys.readouterr().err
+
     def test_edcp_beats_naive_in_rows(self, tmp_path):
         out = tmp_path / "bench.csv"
         main(["bench", "--network", "er", "--n", "40", "--mu", "4", "-M", "8",

@@ -127,6 +127,33 @@ class TestProjection:
         out = project(h, 1, 1, np.random.default_rng(0))
         assert np.nonzero(out)[0][0] in (0, 1)  # candidate pool is rows 0 and 1
 
+    @pytest.mark.parametrize("zeros", ["none", "some", "all"])
+    def test_shared_memo_draws_as_fresh_pools(self, zeros):
+        # draws through one pool's remembered states pick the nodes, and use
+        # the random numbers, of draws from a fresh pool each time; "some"
+        # pools run out of weight mid-draw and "all" pools draw uniformly
+        from netcontrol.elpgm import _Pool
+
+        reused = False
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(4, 16))
+            m0 = int(rng.integers(1, n + 1))
+            m1 = int(rng.integers(0, n - m0 + 1))
+            h = rng.normal(size=(n, 2))
+            if zeros == "some":
+                h[rng.random(n) < 0.5] = 0.0
+            elif zeros == "all":
+                h[:] = 0.0
+            shared = _Pool(h, m0, m1)
+            memo_rng, fresh_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for draws in range(1, 41):
+                assert shared.draw(memo_rng) == _Pool(h, m0, m1).draw(fresh_rng)
+                assert len(shared.states) <= draws + 1
+            assert memo_rng.random() == fresh_rng.random()
+            reused |= any(bin(mask).count("1") >= 2 for mask in shared.states)
+        assert reused  # some draw went past its first pick through the memo
+
 
 class TestOptimize:
     def test_single_node(self):
@@ -189,6 +216,25 @@ class TestOptimize:
         a = np.zeros((3, 3))  # no edges: one driver cannot cover 3 nodes
         with pytest.raises(UncontrollableError):
             elpgm_optimize(a, 1, 3, ElpgmConfig(k_f=3, restarts=1, seed=0))
+
+    def test_more_drivers_than_outputs_refused(self, monkeypatch):
+        # refused before the cover's flow runs or any support is evaluated
+        def unreachable(*args):
+            raise AssertionError("ran before the refusal")
+
+        monkeypatch.setattr(netcontrol.elpgm, "max_controllable_subset", unreachable)
+        monkeypatch.setattr(netcontrol.elpgm, "_Steering", unreachable)
+        with pytest.raises(ValueError, match="m <= r_size"):
+            elpgm_optimize(generate_er(12, 3.0, 1).realized_adjacency(), 4, 3)
+
+    def test_draw_states_computed_once(self, monkeypatch):
+        # the benchmark's descent instance: when every pick of every retry
+        # recomputed its pool total, one call took 259,753 of them
+        calls = []
+        real = netcontrol.elpgm._pairwise_sum
+        monkeypatch.setattr(netcontrol.elpgm, "_pairwise_sum", lambda w: calls.append(1) or real(w))
+        elpgm_optimize(generate_er(20, 3.0, 11).realized_adjacency(), 3, 10, ElpgmConfig(seed=0))
+        assert len(calls) <= 10_000
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
