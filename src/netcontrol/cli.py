@@ -1,21 +1,23 @@
 """Command-line front end: generate graphs, compute controllability curves,
 place drivers, verify placements, and run benchmark grids.
 
-Exit codes: 0 success, 1 usage or input error, 2 infeasible request,
-3 numeric failure.
+Exit codes: 0 success; 1 usage or input error, a fraction outside (0, 1]
+included; 2 refused request: sizes the graph cannot host, no EDCP cover, or no
+output-controllable placement; 3 numeric failure (numpy LinAlgError).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from .edcp import CoverInfeasibleError, edcp, naive_placement
+from .edcp import CoverInfeasibleError, EdcpResult, edcp, naive_placement
 from .elpgm import ElpgmConfig, elpgm_optimize
 from .graph import (
     DirectedGraph,
@@ -92,39 +94,36 @@ def cmd_curve(args) -> int:
     return EXIT_OK
 
 
-def _resolve_r(args, n: int) -> int:
-    if args.r is not None:
-        return args.r
-    if args.fraction is not None:
-        if not (0 < args.fraction <= 1):
-            raise ValueError("fraction must be in (0, 1]")
-        return max(1, int(np.ceil(args.fraction * n)))
-    raise ValueError("one of -R or --fraction is required")
+def _r_from_fraction(fraction: float, n: int) -> int:
+    return max(1, math.ceil(fraction * n))
+
+
+def _size_refusal(m: int, r_size: int, n: int) -> str | None:
+    """Why M drivers for R controlled nodes do not fit an n-node graph, or None."""
+    if r_size > n:
+        return f"R = {r_size} exceeds the {n}-node graph"
+    if m > r_size:
+        return f"M = {m} exceeds R = {r_size}"
+    return None
+
+
+def _elpgm(g: DirectedGraph, r_size: int, args) -> tuple[ControlPlacement, float]:
+    """ELPGM with the command's M, seed and horizon on g's realized adjacency."""
+    return elpgm_optimize(g.realized_adjacency(), args.m, r_size, ElpgmConfig(seed=args.seed, t_f=args.tf))
 
 
 def cmd_place(args) -> int:
     g = _load_graph(args.graph)
-    r_size = _resolve_r(args, g.n)
-    if r_size > g.n:
-        raise ValueError(f"R = {r_size} exceeds the {g.n}-node graph")
-    if args.m > r_size:
-        raise ValueError(f"M = {args.m} exceeds R = {r_size}")
+    r_size = args.r if args.fraction is None else _r_from_fraction(args.fraction, g.n)
+    reason = _size_refusal(args.m, r_size, g.n)
+    if reason is not None:
+        raise ValueError(reason)
     if args.algo == "edcp":
         result = edcp(g, args.m, r_size, args.tf)
-        _write_out(result.to_json(g), args.out)
     else:
-        a = g.realized_adjacency()
-        cfg = ElpgmConfig(seed=args.seed, t_f=args.tf)
-        placement, e_best = elpgm_optimize(a, args.m, r_size, cfg)
-        ext = g.internal_to_external()
-        payload = {
-            "drivers": [ext[v] for v in placement.drivers],
-            "controlled": [ext[v] for v in placement.controlled],
-            "segments": None,
-            "E_estimate": None,
-            "E_exact": e_best,
-        }
-        _write_out(json.dumps(payload, indent=2), args.out)
+        placement, e_best = _elpgm(g, r_size, args)
+        result = EdcpResult(placement, segments=None, e_estimate=None, e_exact=e_best)
+    _write_out(result.to_json(g), args.out)
     return EXIT_OK
 
 
@@ -169,15 +168,14 @@ def cmd_bench(args) -> int:
         g = generate_ba(args.n, args.m_attach, args.seed)
         label = f"ba-n{args.n}-m{args.m_attach}"
     rows = ["network,n,edges,fraction,M,algorithm,E,wall_time_s"]
-    a = g.realized_adjacency()
     for fraction in args.fractions:
-        r_size = max(1, int(np.ceil(fraction * g.n)))
+        r_size = _r_from_fraction(fraction, g.n)
         for algo in args.algos:
             start = time.perf_counter()
-            reason = f"M = {args.m} exceeds R = {r_size}" if args.m > r_size else None
+            reason = _size_refusal(args.m, r_size, g.n)
             if reason is None:
                 try:
-                    cost = _bench_cost(g, a, algo, r_size, args)
+                    cost = _bench_cost(g, algo, r_size, args)
                 except (CoverInfeasibleError, UncontrollableError) as exc:
                     reason = str(exc)
             if reason is not None:
@@ -192,10 +190,10 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _bench_cost(g: DirectedGraph, a: np.ndarray, algo: str, r_size: int, args) -> float:
+def _bench_cost(g: DirectedGraph, algo: str, r_size: int, args) -> float:
     """The cost one bench cell reports for `algo` at R = r_size."""
     if algo == "elpgm":
-        return elpgm_optimize(a, args.m, r_size, ElpgmConfig(seed=args.seed, t_f=args.tf))[1]
+        return _elpgm(g, r_size, args)[1]
     res = (edcp if algo == "edcp" else naive_placement)(g, args.m, r_size, args.tf)
     return res.e_exact if res.e_exact is not None else res.e_estimate
 
@@ -210,18 +208,20 @@ def _bench_algos(text: str) -> list[str]:
     return algos
 
 
+def _fraction(text: str) -> float:
+    """A controlled fraction of the nodes: a number in (0, 1]."""
+    try:
+        fraction = float(text)
+    except ValueError:
+        fraction = None
+    if fraction is None or not (0 < fraction <= 1):
+        raise argparse.ArgumentTypeError(f"fraction {text!r} is not a number in (0, 1]")
+    return fraction
+
+
 def _bench_fractions(text: str) -> list[float]:
-    """Comma-separated controlled fractions, each a number in (0, 1] as for `place --fraction`."""
-    fractions = []
-    for item in text.split(","):
-        try:
-            fraction = float(item)
-        except ValueError:
-            fraction = None
-        if fraction is None or not (0 < fraction <= 1):
-            raise argparse.ArgumentTypeError(f"fraction {item!r} is not a number in (0, 1]")
-        fractions.append(fraction)
-    return fractions
+    """Comma-separated controlled fractions, each as for `place --fraction`."""
+    return [_fraction(item) for item in text.split(",")]
 
 
 def build_parser() -> _Parser:
@@ -253,8 +253,9 @@ def build_parser() -> _Parser:
     p_place.add_argument("graph")
     p_place.add_argument("--algo", choices=("edcp", "elpgm"), default="edcp")
     p_place.add_argument("-M", dest="m", type=int, required=True, help="number of controllers")
-    p_place.add_argument("-R", dest="r", type=int, default=None, help="controlled-node count")
-    p_place.add_argument("--fraction", type=float, default=None, help="controlled fraction of n")
+    size = p_place.add_mutually_exclusive_group(required=True)
+    size.add_argument("-R", dest="r", type=int, help="controlled-node count")
+    size.add_argument("--fraction", type=_fraction, help="controlled fraction of n, in (0, 1]")
     p_place.add_argument("--seed", type=int, default=0)
     p_place.add_argument("--tf", type=float, default=2.0)
     p_place.add_argument("--out", default=None)
@@ -294,10 +295,10 @@ def main(argv=None) -> int:
     except (GraphFormatError, FileNotFoundError, OSError) as exc:
         print(f"netcontrol: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CoverInfeasibleError, ValueError) as exc:
+    except (CoverInfeasibleError, UncontrollableError, ValueError) as exc:
         print(f"netcontrol: infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (UncontrollableError, np.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError as exc:
         print(f"netcontrol: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -330,8 +330,8 @@ def _release_step(
         released = records[k][0]
         free = {*base_free, *released}
         need = max(0, r_size - (len(controlled) - len(released)))
-        tails = {v: j for v, j in base_tails.items() if j != k}
-        heads = {v: j for v, j in base_heads.items() if j != k}
+        tails, heads = dict(base_tails), dict(base_heads)
+        del tails[released[-1]], heads[released[0]]  # segments are disjoint: its only ends
         grown: dict[int, list[int]] = {}
         total = -chain_control_cost(len(released), t_f)
         for _ in range(need):
@@ -423,9 +423,11 @@ def trim_to_r(stems: list[Stem], r_size: int, longest_first: bool = True) -> lis
 
 @dataclass(frozen=True)
 class EdcpResult:
+    """A placement and its costs; an ELPGM result has no segments or e_estimate."""
+
     placement: ControlPlacement
-    segments: tuple[tuple[int, ...], ...]
-    e_estimate: float
+    segments: tuple[tuple[int, ...], ...] | None
+    e_estimate: float | None
     e_exact: float | None
     fallback: str | None = None
 
@@ -436,7 +438,7 @@ class EdcpResult:
         payload = {
             "drivers": [conv(v) for v in self.placement.drivers],
             "controlled": [conv(v) for v in self.placement.controlled],
-            "segments": [[conv(v) for v in seg] for seg in self.segments],
+            "segments": None if self.segments is None else [[conv(v) for v in seg] for seg in self.segments],
             "E_estimate": self.e_estimate,
             "E_exact": self.e_exact,
         }

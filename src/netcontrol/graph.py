@@ -330,28 +330,20 @@ def matching_path_cover(g: DirectedGraph) -> list[list[int]]:
     fallback cover for placement heuristics.
     """
     _, match_out = _hopcroft_karp(g.n, g.successors())
-    succ = dict(enumerate(match_out))
     has_pred = {v for v in match_out if v != -1}
 
+    # Path heads (no matched predecessor) come first, in index order; the
+    # nodes left after them sit on matching cycles, each broken at its
+    # lowest-index node.
     paths = []
     visited = set()
-    for start in range(g.n):
-        if start in visited or start in has_pred:
-            continue
-        path = [start]
-        visited.add(start)
-        while succ[path[-1]] != -1 and succ[path[-1]] not in visited:
-            path.append(succ[path[-1]])
-            visited.add(path[-1])
-        paths.append(path)
-    # Remaining nodes sit on matching cycles; break each at its lowest node.
-    for start in range(g.n):
+    for start in sorted(range(g.n), key=has_pred.__contains__):
         if start in visited:
             continue
         path = [start]
         visited.add(start)
-        while succ[path[-1]] != -1 and succ[path[-1]] not in visited:
-            path.append(succ[path[-1]])
+        while match_out[path[-1]] != -1 and match_out[path[-1]] not in visited:
+            path.append(match_out[path[-1]])
             visited.add(path[-1])
         paths.append(path)
     return paths

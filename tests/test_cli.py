@@ -3,6 +3,7 @@ import json
 import pytest
 
 from netcontrol.cli import main
+from netcontrol.graph import parse_edge_list
 
 FIG8 = "1 2\n2 3\n3 4\n4 5\n6 7\n7 8\n8 9\n9 10\n11 12\n12 13\n13 11\n1 3\n14\n"
 
@@ -101,6 +102,25 @@ class TestPlace:
         payload = json.loads(out.read_text())
         assert len(payload["controlled"]) == 12  # ceil(0.85 * 14)
 
+    @pytest.mark.parametrize("size, message", [
+        (["--fraction", "1.5"], "fraction '1.5' is not a number in (0, 1]"),
+        ([], "one of the arguments -R --fraction is required"),
+        (["-R", "12", "--fraction", "0.5"], "not allowed with argument -R"),
+    ], ids=["fraction-1.5", "no-size", "both-sizes"])
+    def test_size_options_are_usage_errors(self, fig8_file, tmp_path, capsys, size, message):
+        out = tmp_path / "p.json"
+        assert main(["place", fig8_file, "-M", "4", *size, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algo", ["edcp", "elpgm"])
+    def test_structural_refusal_is_infeasible(self, tmp_path, capsys, algo):
+        # rmax(1) = 1 < 3 on three isolated nodes: both algorithms refuse alike
+        graph = tmp_path / "iso.txt"
+        graph.write_text("0\n1\n2\n")
+        assert main(["place", str(graph), "--algo", algo, "-M", "1", "-R", "3"]) == 2
+        assert "netcontrol: infeasible: " in capsys.readouterr().err
+
 
 class TestVerify:
     def test_edcp_output_verifies(self, fig8_file, tmp_path, capsys):
@@ -187,6 +207,25 @@ class TestVerify:
         assert report["residual"] <= 1e-6
 
 
+class TestGraphJson:
+    def test_json_graph_reads_like_its_edge_list(self, fig8_file, tmp_path, capsys):
+        json_file = tmp_path / "fig8.json"
+        json_file.write_text(parse_edge_list(FIG8).to_json())
+
+        def outputs(graph):
+            texts = []
+            for argv in (["curve", graph], ["place", graph, "-M", "4", "-R", "12"],
+                         ["place", graph, "--algo", "elpgm", "-M", "4", "-R", "12"]):
+                assert main(argv) == 0
+                texts.append(capsys.readouterr().out)
+            placement = tmp_path / "p.json"
+            placement.write_text(texts[1])
+            assert main(["verify", graph, str(placement), "--format", "json"]) == 0
+            return texts + [capsys.readouterr().out]
+
+        assert outputs(str(json_file)) == outputs(fig8_file)
+
+
 class TestBench:
     def test_small_grid(self, tmp_path):
         out = tmp_path / "bench.csv"
@@ -203,6 +242,16 @@ class TestBench:
             assert fields[1] == "40"
             assert fields[5] in ("edcp", "naive")
             float(fields[6].replace("E", "e"))  # parseable cost
+
+    def test_ba_grid(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--network", "ba", "--n", "30", "--m-attach", "2", "-M", "6",
+                     "--fractions", "0.5,1", "--seed", "3", "--out", str(out)]) == 0
+        rows = [row.split(",") for row in out.read_text().strip().splitlines()[1:]]
+        assert [row[:6] for row in rows] == [
+            ["ba-n30-m2", "30", "56", fraction, "6", algo]
+            for fraction in ("0.5", "1") for algo in ("edcp", "naive")
+        ]
 
     def test_deterministic(self, tmp_path):
         args = ["bench", "--network", "er", "--n", "30", "--mu", "3", "-M", "6",

@@ -1,5 +1,7 @@
+import hashlib
 import importlib
 import json
+import random
 from collections import Counter
 
 import numpy as np
@@ -17,7 +19,7 @@ from netcontrol.edcp import (
     string_cost,
     trim_to_r,
 )
-from netcontrol.graph import generate_er, parse_edge_list
+from netcontrol.graph import generate_ba, generate_er, parse_edge_list
 from netcontrol.lti import chain_control_cost, output_controllable
 from netcontrol.pathcover import PathCover, max_controllable_subset
 
@@ -298,3 +300,34 @@ class TestEdcpEndToEnd:
         assert res.e_estimate <= base.e_estimate + 1e-9
         assert len(base.placement.drivers) == 6
         assert len(base.placement.controlled) == r
+
+
+def _pinned_requests():
+    """60 seeded small requests (ER or BA, n = 4..40), then the n=600 M* placement."""
+    for seed in range(60):
+        rnd = random.Random(seed)
+        n = rnd.randint(4, 40)
+        if rnd.random() < 0.5:
+            g = generate_er(n, rnd.uniform(1.5, 3.0), seed)
+        else:
+            g = generate_ba(n, rnd.randint(1, 3), seed)
+        m = rnd.randint(1, max(1, n // 2))
+        yield g, m, rnd.randint(m, n)
+    yield generate_er(600, 4.0, 0), 130, 600
+
+
+class TestPinned:
+    def test_results_pinned_bit_for_bit(self):
+        # the requests reach every cover rung and refusals, and the release
+        # step; the digest was recorded before releases copied their end maps
+        digest = hashlib.sha256()
+        for g, m, r in _pinned_requests():
+            for place in (edcp, naive_placement):
+                try:
+                    res = place(g, m, r)
+                except CoverInfeasibleError as exc:
+                    digest.update(repr(str(exc)).encode())
+                    continue
+                e_exact = None if res.e_exact is None else res.e_exact.hex()
+                digest.update(repr((res.segments, res.e_estimate.hex(), e_exact, res.fallback)).encode())
+        assert digest.hexdigest() == "b1865efe0b68fd55a16951e993cd2e526cf32df1bf17a463ddcec3ee30cbf4a6"
