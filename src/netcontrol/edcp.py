@@ -522,8 +522,12 @@ def _run_pipeline(
     plan: list[int],
     longest_first_trim: bool = True,
     refine: bool = True,
+    a: np.ndarray | None = None,
 ) -> EdcpResult:
-    """Try the full-coverage cover first, then cycle-free fallback covers."""
+    """Try the full-coverage cover first, then cycle-free fallback covers.
+
+    The exact evaluations run on a, g.realized_adjacency() when None.
+    """
     solver = SufficiencySolver(g)
     mstar = solver.advance_until_coverage(g.n)
     rmax = g.n if m >= mstar else solver.coverage_at(m)
@@ -567,7 +571,7 @@ def _run_pipeline(
                 last_error = exc
                 continue
             segments = [tuple(seg) for stem in stems for seg in stem.segments if seg]
-            return _result(g, segments, t_f, fallback, refine)
+            return _result(g, segments, t_f, fallback, refine, a)
     raise CoverInfeasibleError(
         f"no ({m}-driver, {r_size}-node) placement found" + (f": {last_error}" if last_error else "")
     )
@@ -670,10 +674,11 @@ def _result(
     t_f: float,
     fallback: str | None,
     refine: bool,
+    a: np.ndarray | None,
 ) -> EdcpResult:
     e_exact = None
     if g.n <= EXACT_EVAL_THRESHOLD:
-        a = g.realized_adjacency()
+        a = g.realized_adjacency() if a is None else a
         e_exact = _exact_cost(a, segments, t_f)
         if refine and g.n <= _REFINE_LIMIT:
             segments, e_exact = _refine(g, a, segments, t_f, e_exact)
@@ -686,7 +691,9 @@ def _result(
     )
 
 
-def edcp(g: DirectedGraph, m: int, r_size: int, t_f: float = 2.0) -> EdcpResult:
+def edcp(
+    g: DirectedGraph, m: int, r_size: int, t_f: float = 2.0, _a: np.ndarray | None = None
+) -> EdcpResult:
     """Place m drivers to control exactly r_size nodes of g at low cost.
 
     Returns the placement, its control segments (vertex-disjoint paths of
@@ -702,9 +709,13 @@ def edcp(g: DirectedGraph, m: int, r_size: int, t_f: float = 2.0) -> EdcpResult:
     drivers, so the flow's rmax(m) is an upper bound, not a promise.  The
     contract is exact up to _EXACT_COVER_LIMIT nodes (see
     CoverInfeasibleError).
+
+    _a is private to ELPGM, which evaluates on its own matrix: g built from
+    a matrix whose nonzeros are all 1.0 reads as structural, and
+    g.realized_adjacency() would draw other weights.
     """
     _check_request(g, m, r_size, t_f)
-    return _run_pipeline(g, m, r_size, t_f, even_division(r_size, m))
+    return _run_pipeline(g, m, r_size, t_f, even_division(r_size, m), a=_a)
 
 
 def naive_placement(g: DirectedGraph, m: int, r_size: int, t_f: float = 2.0) -> EdcpResult:

@@ -16,6 +16,19 @@ remaining weights, computed once instead of at every pick of every retry.
 A draw adds at most one state, so a pool drawn k times holds at most k + 1,
 and the sums are those a fresh draw computes, so the results are the same
 bit for bit.
+
+Each restart's descent reads its uniforms in blocks (`_Uniforms`): numpy's
+default PCG64 takes one 64-bit step per double, so rng.random(k) holds the
+next k scalar rng.random() values.  Where the generator's own position
+matters (an integers() fallback pick, or a skip past the block) the stream
+restores the block-start state and advances it exactly by the doubles
+consumed, so every pick gets the double it gets from scalar calls.  The C
+draw follows the B draw and is made against the nodes the drafted drivers
+reach, searched once per driver set: a controlled node outside them refuses
+the support, so the draw stops at the first such pick and skips the doubles
+its remaining picks would take.  That count is known only when the C pool
+holds at least m0 positive weights (every remaining pick then takes exactly
+one double); otherwise the draw runs to the end and is refused afterwards.
 """
 
 from __future__ import annotations
@@ -36,6 +49,7 @@ from .pathcover import max_controllable_subset
 
 _PROJECTION_RETRIES = 20
 _INIT_ATTEMPTS = 20
+_BLOCK = 256  # doubles a `_Uniforms` stream draws at a time
 
 
 @dataclass(frozen=True)
@@ -117,20 +131,31 @@ class _Pool:
         self.m0 = m0
         self.nodes, self.weights = pool.tolist(), r[pool].tolist()
         w = self.weights
+        self.positive = sum(x > 0 for x in w)
         self.states = {0: (_pairwise_sum(w), array("d", itertools.accumulate(w)),
                            array("i", range(len(w))))}
 
-    def draw(self, rng: np.random.Generator) -> list[int]:
+    def draw(self, rng, allowed: frozenset[int] | None = None) -> list[int] | None:
         """m0 pool nodes drawn without replacement, in draw order (see `project`).
 
         The total is numpy's (pairwise) sum, which for eight or more weights
         can differ in the last bit from a sequential one; the running sums
         are sequential, as np.cumsum's are.  A remembered state's weights
         are re-read by position when a pick leaves the memo.
+
+        rng is a generator or a `_Uniforms` stream over one.  With allowed,
+        a draw that picks a node outside it is refused: it returns None and
+        leaves rng where the full draw leaves it.  When the pool holds at
+        least m0 positive weights, a positive weight remains before every
+        pick, so each pick takes exactly one double and never falls back to
+        integers(); the draw then stops at the first node outside allowed
+        and calls rng.skip() for the doubles of the picks left.  With fewer,
+        the draw runs to the end and is refused afterwards.
         """
         mask, stored = 0, False
         total, sums, remaining = self.states[0]
         weights = None  # the remaining weights, once a state had to be computed
+        stops_early = allowed is not None and self.positive >= self.m0
         selected = []
         while True:
             if total <= 0:
@@ -138,8 +163,11 @@ class _Pool:
             else:
                 idx = min(bisect_right(sums, rng.random() * total), len(remaining) - 1)
             selected.append(self.nodes[remaining[idx]])
+            if stops_early and selected[-1] not in allowed:
+                rng.skip(self.m0 - len(selected))
+                return None
             if len(selected) == self.m0:
-                return selected
+                return selected if allowed is None or allowed.issuperset(selected) else None
             mask |= 1 << remaining[idx]
             state = self.states.get(mask)
             if state is not None:
@@ -154,6 +182,56 @@ class _Pool:
             if not stored:
                 self.states[mask] = total, array("d", sums), array("i", remaining)
                 stored = True
+
+
+class _Uniforms:
+    """A generator's doubles read in blocks, each at its scalar position.
+
+    rng.random(k) on PCG64 (numpy's default) returns the next k values of
+    scalar rng.random() calls, one 64-bit step each, and leaves the
+    generator after them.  The stream hands a block out one double at a
+    time.  Where the generator's own position matters, `sync` restores the
+    block-start state and advance()s it by the doubles consumed, so values
+    and the generator's state are those of scalar calls: integers() and a
+    skip past the block's end go through it.  advance() clears PCG64's
+    buffered 32-bit half-word, which integers() reads, so `sync` puts it
+    back; doubles never touch it.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng, self._bits = rng, rng.bit_generator
+        self._origin, self._block, self._pos = None, [], 0
+
+    def random(self) -> float:
+        if self._pos == len(self._block):  # the generator stands right after the block
+            self._origin = self._bits.state
+            self._block, self._pos = self.rng.random(_BLOCK).tolist(), 0
+        u = self._block[self._pos]
+        self._pos += 1
+        return u
+
+    def skip(self, k: int) -> None:
+        """Consume k doubles without reading them."""
+        self._pos += k
+        if self._pos > len(self._block):
+            self.sync()
+
+    def integers(self, high: int):
+        return self.sync().integers(high)
+
+    def sync(self) -> np.random.Generator:
+        """The generator, moved to just after the doubles consumed."""
+        ahead = self._pos - len(self._block)
+        if ahead != 0:
+            half_word = self._bits.state
+            if ahead < 0:
+                self._bits.state, ahead = self._origin, self._pos
+            self._bits.advance(ahead)
+            state = self._bits.state
+            state["has_uint32"], state["uinteger"] = half_word["has_uint32"], half_word["uinteger"]
+            self._bits.state = state
+        self._block, self._pos = [], 0
+        return self.rng
 
 
 def _pairwise_sum(w: list[float]) -> float:
@@ -269,6 +347,7 @@ class _Initializer:
         self.n = a.shape[0]
         self.graph = _graph_from_adjacency(a)
         self._succ = self.graph.successors()
+        self._reached: dict[tuple, frozenset[int]] = {}
         cover, rmax = max_controllable_subset(self.graph, m)
         if rmax < r_size:
             raise UncontrollableError(
@@ -285,15 +364,19 @@ class _Initializer:
         )
         self._combo_cursor = 0
 
-    def reach(self, drivers) -> set[int]:
-        seen = {int(v) for v in drivers}
-        stack = list(seen)
-        while stack:
-            for w in self._succ[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
+    def reach(self, drivers) -> frozenset[int]:
+        """The nodes the drivers reach, themselves included; searched once per driver set."""
+        key = tuple(sorted(drivers))
+        if key not in self._reached:
+            seen = {int(v) for v in key}
+            stack = list(seen)
+            while stack:
+                for w in self._succ[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            self._reached[key] = frozenset(seen)
+        return self._reached[key]
 
     def _fresh_drivers(self, rng: np.random.Generator) -> list[int]:
         if self.driver_combos is not None:
@@ -333,7 +416,7 @@ class _Initializer:
     def edcp_start(self, supports: _Supports) -> tuple[list[int], list[int]] | None:
         """EDCP's placement on the same network, when it has one."""
         try:
-            placement = edcp(self.graph, self.m, self.r_size, self.t_f).placement
+            placement = edcp(self.graph, self.m, self.r_size, self.t_f, self.a).placement
         except CoverInfeasibleError:
             return None
         drivers, controlled = list(placement.drivers), list(placement.controlled)
@@ -437,6 +520,7 @@ def elpgm_optimize(
         state = supports(drivers, controlled)
         if state[0] < best_e:
             best, best_e = (drivers, controlled), state[0]
+        stream = _Uniforms(rng)
         pooled = None
         for _ in range(cfg.k_f):
             if state is not pooled:  # the pools depend only on the iterate
@@ -445,9 +529,11 @@ def elpgm_optimize(
                 pool_b = _Pool(b_raw, m, m1_b) if update_b else None
                 pool_c = _Pool(ct_raw, r_size, m1_c) if update_c else None
             for _ in range(_PROJECTION_RETRIES):
-                new_drivers = pool_b.draw(rng) if update_b else drivers
-                new_controlled = pool_c.draw(rng) if update_c else controlled
-                accepted = supports(new_drivers, new_controlled)
+                new_drivers = pool_b.draw(stream) if update_b else drivers
+                # None: a controlled node that no drafted driver reaches
+                new_controlled = (pool_c.draw(stream, initializer.reach(new_drivers))
+                                  if update_c else controlled)
+                accepted = None if new_controlled is None else supports(new_drivers, new_controlled)
                 if accepted is not None:
                     break
             else:

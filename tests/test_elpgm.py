@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import itertools
 
 import numpy as np
@@ -154,6 +155,64 @@ class TestProjection:
             reused |= any(bin(mask).count("1") >= 2 for mask in shared.states)
         assert reused  # some draw went past its first pick through the memo
 
+    @pytest.mark.parametrize("zeros", ["none", "some", "all"])
+    def test_draw_against_allowed_as_full_draw(self, zeros):
+        # a draw against an allowed set is refused exactly when the full draw
+        # picks a node outside it, and leaves the generator where the full
+        # draw does, whether it stopped early or ("some" pools with fewer
+        # positive weights than picks, "all" pools) drew to the end
+        from netcontrol.elpgm import _Pool, _Uniforms
+
+        outcomes = set()
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(4, 16))
+            m0 = int(rng.integers(1, n + 1))
+            m1 = int(rng.integers(0, n - m0 + 1))
+            h = rng.normal(size=(n, 2))
+            if zeros == "some":
+                h[rng.random(n) < 0.5] = 0.0
+            elif zeros == "all":
+                h[:] = 0.0
+            shared = _Pool(h, m0, m1)
+            stream, full_rng = _Uniforms(np.random.default_rng(seed)), np.random.default_rng(seed)
+            for _ in range(40):
+                allowed = frozenset(np.flatnonzero(rng.random(n) < 0.9).tolist())
+                full = _Pool(h, m0, m1).draw(full_rng)
+                drawn = shared.draw(stream, allowed)
+                assert drawn == (full if allowed.issuperset(full) else None)
+                outcomes.add((drawn is None, shared.positive >= m0))
+            assert stream.random() == full_rng.random()
+            assert stream.sync().random() == full_rng.random()
+        expected = {"none": {(True, True), (False, True)},
+                    "some": {(True, True), (False, True), (True, False), (False, False)},
+                    "all": {(True, False), (False, False)}}
+        assert outcomes == expected[zeros]
+
+    def test_stream_reads_doubles_at_scalar_positions(self):
+        # seeded interleavings of doubles, skips and integers() calls that
+        # cross block boundaries, against scalar calls on a twin generator
+        from netcontrol.elpgm import _BLOCK, _Uniforms
+
+        for seed in range(20):
+            ops = np.random.default_rng(1000 + seed)
+            stream, twin = _Uniforms(np.random.default_rng(seed)), np.random.default_rng(seed)
+            for _ in range(400):
+                op = ops.integers(10)
+                if op < 6:
+                    assert stream.random() == twin.random()
+                elif op < 8:
+                    k = int(ops.integers(0, _BLOCK + 40))
+                    stream.skip(k)
+                    for _ in range(k):
+                        twin.random()
+                else:
+                    high = int(ops.choice([1, 2, 7, 1000, 2**40]))
+                    assert stream.integers(high) == twin.integers(high)
+            assert stream.random() == twin.random()
+            assert stream.sync().bit_generator.state == twin.bit_generator.state
+            assert stream.rng.integers(2**20) == twin.integers(2**20)
+
 
 class TestOptimize:
     def test_single_node(self):
@@ -235,6 +294,29 @@ class TestOptimize:
         monkeypatch.setattr(netcontrol.elpgm, "_pairwise_sum", lambda w: calls.append(1) or real(w))
         elpgm_optimize(generate_er(20, 3.0, 11).realized_adjacency(), 3, 10, ElpgmConfig(seed=0))
         assert len(calls) <= 10_000
+
+    def test_doomed_picks_skipped(self, monkeypatch):
+        # the benchmark's descent instance: when every C draw ran all its
+        # picks, also past a controlled node no drafted driver reaches, one
+        # call computed 259,753 picks
+        calls = []
+        real = netcontrol.elpgm.bisect_right
+        monkeypatch.setattr(netcontrol.elpgm, "bisect_right", lambda *x: calls.append(1) or real(*x))
+        elpgm_optimize(generate_er(20, 3.0, 11).realized_adjacency(), 3, 10, ElpgmConfig(seed=0))
+        assert len(calls) <= 130_000
+
+    def test_edcp_start_evaluated_on_a(self, monkeypatch):
+        # every nonzero of A is 1.0, so the graph ELPGM hands EDCP reads as
+        # structural: EDCP's exact evaluations must still run on A itself
+        module = importlib.import_module("netcontrol.edcp")  # `netcontrol.edcp` is the function
+        matrices = []
+        real = module._exact_cost
+        monkeypatch.setattr(module, "_exact_cost", lambda a, *rest: matrices.append(a) or real(a, *rest))
+        a = generate_er(12, 3.0, 1).adjacency()
+        assert set(np.unique(a)) == {0.0, 1.0}
+        elpgm_optimize(a, 2, 6, ElpgmConfig(k_f=5, restarts=2))
+        assert matrices
+        assert all(np.array_equal(m, a) for m in matrices)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
