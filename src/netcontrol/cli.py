@@ -1,8 +1,8 @@
 """Command-line front end: generate graphs, compute controllability curves,
 place drivers, verify placements, and run benchmark grids.
 
-Exit codes: 0 success; 1 usage or input error, a fraction outside (0, 1]
-included; 2 refused request: sizes the graph cannot host, no EDCP cover, or no
+Exit codes: 0 success; 1 usage or input error, a count, degree, seed or
+fraction out of range included; 2 refused request: sizes the graph cannot host, no EDCP cover, or no
 output-controllable placement; 3 numeric failure (numpy LinAlgError).
 """
 
@@ -208,15 +208,24 @@ def _bench_algos(text: str) -> list[str]:
     return algos
 
 
-def _fraction(text: str) -> float:
-    """A controlled fraction of the nodes: a number in (0, 1]."""
-    try:
-        fraction = float(text)
-    except ValueError:
-        fraction = None
-    if fraction is None or not (0 < fraction <= 1):
-        raise argparse.ArgumentTypeError(f"fraction {text!r} is not a number in (0, 1]")
-    return fraction
+def _checked(convert, ok, noun: str, rule: str):
+    """An argparse type: convert(text), refused as a usage error unless ok."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{noun} {text!r} is not {rule}")
+        return value
+
+    return parse
+
+
+_fraction = _checked(float, lambda v: 0 < v <= 1, "fraction", "a number in (0, 1]")
+_count = _checked(int, lambda v: v >= 1, "count", "an integer >= 1")
+_seed = _checked(int, lambda v: v >= 0, "seed", "an integer >= 0")  # as numpy's SeedSequence
+_degree = _checked(float, lambda v: 0 <= v < math.inf, "degree", "a finite number >= 0")
 
 
 def _bench_fractions(text: str) -> list[float]:
@@ -231,14 +240,14 @@ def build_parser() -> _Parser:
     p_gen = sub.add_parser("gen", help="generate a random graph edge list")
     gen_sub = p_gen.add_subparsers(dest="model", required=True, parser_class=_Parser)
     p_er = gen_sub.add_parser("er", help="uniform random digraph with round(mu*n/2) edges")
-    p_er.add_argument("--n", type=int, required=True)
-    p_er.add_argument("--mu", type=float, required=True, help="target mean total degree")
+    p_er.add_argument("--n", type=_count, required=True)
+    p_er.add_argument("--mu", type=_degree, required=True, help="target mean total degree")
     p_er.add_argument("--seed", type=int, default=0)
     p_er.add_argument("--out", default=None)
     p_er.set_defaults(func=cmd_gen)
     p_ba = gen_sub.add_parser("ba", help="preferential-attachment digraph")
-    p_ba.add_argument("--n", type=int, required=True)
-    p_ba.add_argument("--m", type=int, required=True, help="attachments per new node")
+    p_ba.add_argument("--n", type=_count, required=True)
+    p_ba.add_argument("--m", type=_count, required=True, help="attachments per new node")
     p_ba.add_argument("--seed", type=int, default=0)
     p_ba.add_argument("--out", default=None)
     p_ba.set_defaults(func=cmd_gen)
@@ -252,11 +261,11 @@ def build_parser() -> _Parser:
     p_place = sub.add_parser("place", help="compute a driver/controlled placement")
     p_place.add_argument("graph")
     p_place.add_argument("--algo", choices=("edcp", "elpgm"), default="edcp")
-    p_place.add_argument("-M", dest="m", type=int, required=True, help="number of controllers")
+    p_place.add_argument("-M", dest="m", type=_count, required=True, help="number of controllers")
     size = p_place.add_mutually_exclusive_group(required=True)
-    size.add_argument("-R", dest="r", type=int, help="controlled-node count")
+    size.add_argument("-R", dest="r", type=_count, help="controlled-node count")
     size.add_argument("--fraction", type=_fraction, help="controlled fraction of n, in (0, 1]")
-    p_place.add_argument("--seed", type=int, default=0)
+    p_place.add_argument("--seed", type=_seed, default=0)
     p_place.add_argument("--tf", type=float, default=2.0)
     p_place.add_argument("--out", default=None)
     p_place.set_defaults(func=cmd_place)
@@ -265,20 +274,20 @@ def build_parser() -> _Parser:
     p_verify.add_argument("graph")
     p_verify.add_argument("placement", help="placement JSON file")
     p_verify.add_argument("--tf", type=float, default=2.0)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_seed, default=0)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)
 
     p_bench = sub.add_parser("bench", help="cost table over coverage fractions")
     p_bench.add_argument("--network", choices=("er", "ba"), required=True)
-    p_bench.add_argument("--n", type=int, default=100)
-    p_bench.add_argument("--mu", type=float, default=6.0, help="ER mean total degree")
-    p_bench.add_argument("--m-attach", type=int, default=4, help="BA attachments per node")
-    p_bench.add_argument("-M", dest="m", type=int, required=True)
+    p_bench.add_argument("--n", type=_count, default=100)
+    p_bench.add_argument("--mu", type=_degree, default=6.0, help="ER mean total degree")
+    p_bench.add_argument("--m-attach", type=_count, default=4, help="BA attachments per node")
+    p_bench.add_argument("-M", dest="m", type=_count, required=True)
     p_bench.add_argument("--fractions", type=_bench_fractions, default="0.4,0.5,0.6,0.7,0.8,0.9,1.0")
     p_bench.add_argument("--algos", type=_bench_algos, default="edcp,naive")
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--seed", type=_seed, default=0)
     p_bench.add_argument("--tf", type=float, default=2.0)
     p_bench.add_argument("--out", default=None)
     p_bench.set_defaults(func=cmd_bench)

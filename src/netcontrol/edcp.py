@@ -27,7 +27,7 @@ import numpy as np
 from .flow import SufficiencySolver
 from .graph import DirectedGraph, matching_path_cover
 from .lti import ControlPlacement, UncontrollableError, _check_horizon, chain_control_cost, control_cost
-from .pathcover import PathCover, extract_paths_cycles
+from .pathcover import PathCover, extract_paths_cycles, max_controllable_subset
 
 EXACT_EVAL_THRESHOLD = 400  # dense cost evaluation above this is left out
 _EXACT_COVER_LIMIT = 12  # exhaustive path-cover fallback for tiny graphs
@@ -150,8 +150,13 @@ def string_cost(q: int, d: int, t_f: float = 2.0) -> float:
     return sum(chain_control_cost(part, t_f) for part in even_division(q, d))
 
 
-def _allocate_drivers(blocks: list[list[int]], d: int, t_f: float) -> tuple[float, list[int]]:
-    """Cheapest way to spread d drivers over contiguous blocks (>=1 each)."""
+def _allocate_drivers(blocks: list[list[int]], d: int, t_f: float) -> dict[int, tuple[float, list[int]]]:
+    """Cheapest ways to spread up to d drivers over contiguous blocks (>=1 each).
+
+    Maps each total of drivers to (cost, per-block drivers).  The candidates
+    a run for d adds to a run for d' < d only reach totals above d', so the
+    entry for d' is the one the run for d' returns, bit for bit.
+    """
     counts = [len(b) for b in blocks]
     if d < len(blocks) or d > sum(counts):
         raise CoverInfeasibleError(f"cannot spread {d} drivers over blocks {counts}")
@@ -165,7 +170,7 @@ def _allocate_drivers(blocks: list[list[int]], d: int, t_f: float) -> tuple[floa
                 if key not in nxt or cand[0] < nxt[key][0]:
                     nxt[key] = cand
         best = nxt
-    return best[d]
+    return best
 
 
 def assign_drivers(stems: list[Stem], plan: list[int], r_size: int | None = None) -> list[Stem]:
@@ -233,8 +238,8 @@ def _merge_step(stems: list[Stem], t_f: float) -> tuple[float, int, list[int]] |
         blocks = stem.controlled_blocks()
         if d - 1 < len(blocks):
             continue
-        cost_now, _ = _allocate_drivers(blocks, d, t_f)
-        cost_less, alloc = _allocate_drivers(blocks, d - 1, t_f)
+        priced = _allocate_drivers(blocks, d, t_f)
+        (cost_now, _), (cost_less, alloc) = priced[d], priced[d - 1]
         delta = cost_less - cost_now
         if best is None or delta <= best[0]:
             best = (delta, idx, alloc)
@@ -542,9 +547,7 @@ def _run_pipeline(
         if m != mstar:
             # a cover with exactly m paths spreads quota drivers over fewer,
             # reducible stems when the full-coverage cover fragments
-            fresh = SufficiencySolver(g)
-            fresh.advance_to(m)
-            yield extract_paths_cycles(g, fresh.as_flow()), "m-unit-cover"
+            yield max_controllable_subset(g, m)[0], "m-unit-cover"
         match_paths = matching_path_cover(g)
         if match_paths:
             yield PathCover(paths=tuple(tuple(p) for p in match_paths), cycles=()), "matching-paths"

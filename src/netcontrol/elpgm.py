@@ -29,6 +29,11 @@ the support, so the draw stops at the first such pick and skips the doubles
 its remaining picks would take.  That count is known only when the C pool
 holds at least m0 positive weights (every remaining pick then takes exactly
 one double); otherwise the draw runs to the end and is refused afterwards.
+
+Each `elpgm_optimize` call holds its (A, t_f) problem in one context,
+`_Problem`: the graph of A's nonzeros, the reach memo, the cover-seeded and
+EDCP starts, the support cache and the best placement, which the cache
+records as it evaluates each new support.
 """
 
 from __future__ import annotations
@@ -322,32 +327,38 @@ def _grad_c(s: _Steering) -> np.ndarray:
     return 2.0 * null @ (projected @ xf @ ct_ginv)
 
 
-def _graph_from_adjacency(a: np.ndarray) -> DirectedGraph:
-    n = a.shape[0]
-    edges = tuple(
-        (j, i, float(a[i, j])) for i in range(n) for j in range(n) if a[i, j] != 0.0
-    )
-    return DirectedGraph(n=n, edges=edges)
+class _Problem:
+    """One `elpgm_optimize` call's (A, t_f) problem, and what the call learns of it.
 
+    The graph holds A's nonzeros as edges j -> i of weight A[i, j].  Starts
+    are seeded from an optimal path/cycle cover: the canonical start puts
+    drivers on the path heads and controls path nodes first (head to tail),
+    then cycle nodes; randomized starts redraw the controlled set over the
+    covered nodes and eventually anything, so independent restarts explore
+    genuinely different supports.  Controlled nodes are always drawn from
+    the nodes the drafted drivers reach (a node no driver reaches cannot be
+    steered), and candidates whose support does not evaluate are skipped.
 
-class _Initializer:
-    """Controllable starting points seeded from an optimal path/cycle cover.
-
-    The canonical start puts drivers on the path heads and controls path
-    nodes first (head to tail), then cycle nodes.  Randomized starts redraw
-    the controlled set over the covered nodes and eventually anything, so
-    independent restarts explore genuinely different supports.  Controlled
-    nodes are always drawn from the nodes the drafted drivers reach (a node
-    no driver reaches cannot be steered), and candidates failing the
-    controllability or conditioning test are skipped.
+    A placement's cost and raw gradient steps depend only on its support
+    (column order permutes away), so each support, keyed by its sorted
+    driver and controlled nodes, is evaluated once, to (E, B - eta_b dE/dB,
+    C^T - eta_c dE/dC^T) with a frozen variable (eta None) left as it is, or
+    to None when it is not output controllable or fails the conditioning
+    test.  best is the first cheapest support evaluated, as first drawn.
     """
 
-    def __init__(self, a: np.ndarray, m: int, r_size: int, t_f: float):
+    def __init__(self, a: np.ndarray, m: int, r_size: int, t_f: float,
+                 eta_b: float | None, eta_c: float | None):
         self.a, self.m, self.r_size, self.t_f = a, m, r_size, t_f
+        self.eta_b, self.eta_c = eta_b, eta_c
         self.n = a.shape[0]
-        self.graph = _graph_from_adjacency(a)
+        rows, cols = np.nonzero(a)
+        self.graph = DirectedGraph(n=self.n, edges=tuple(zip(cols.tolist(), rows.tolist(),
+                                                             a[rows, cols].tolist())))
         self._succ = self.graph.successors()
         self._reached: dict[tuple, frozenset[int]] = {}
+        self.entries: dict[tuple, tuple[float, np.ndarray, np.ndarray] | None] = {}
+        self.best, self.best_e = None, math.inf  # (drivers, controlled) and its cost
         cover, rmax = max_controllable_subset(self.graph, m)
         if rmax < r_size:
             raise UncontrollableError(
@@ -378,6 +389,29 @@ class _Initializer:
             self._reached[key] = frozenset(seen)
         return self._reached[key]
 
+    def support(self, drivers: list[int], controlled: list[int]):
+        """The support's entry, evaluated on first sight (see the class docstring)."""
+        key = (tuple(sorted(drivers)), tuple(sorted(controlled)))
+        if key not in self.entries:
+            entry = self.entries[key] = self._evaluate(drivers, controlled)
+            if entry is not None and entry[0] < self.best_e:
+                self.best, self.best_e = (drivers, controlled), entry[0]
+        return self.entries[key]
+
+    def _evaluate(self, drivers: list[int], controlled: list[int]):
+        # a controlled node no driver reaches is a zero row of the output
+        # controllability matrix: reject before the rank test
+        if not set(controlled) <= self.reach(drivers):
+            return None
+        placement = ControlPlacement(drivers=tuple(drivers), controlled=tuple(controlled), t_f=self.t_f)
+        try:
+            s = _Steering(self.a, placement.b_matrix(self.n), placement.c_matrix(self.n), self.t_f)
+        except UncontrollableError:
+            return None
+        b_raw = s.b if self.eta_b is None else s.b - self.eta_b * _grad_b(s)
+        ct_raw = s.c.T if self.eta_c is None else s.c.T - self.eta_c * _grad_c(s)
+        return s.cost(), b_raw, ct_raw
+
     def _fresh_drivers(self, rng: np.random.Generator) -> list[int]:
         if self.driver_combos is not None:
             combo = self.driver_combos[self._combo_cursor % len(self.driver_combos)]
@@ -399,7 +433,7 @@ class _Initializer:
             return None
         return drivers, list(rng.choice(reached, size=self.r_size, replace=False))
 
-    def draw(self, rng: np.random.Generator, kind: int, supports: _Supports) -> tuple[list[int], list[int]]:
+    def draw(self, rng: np.random.Generator, kind: int) -> tuple[list[int], list[int]]:
         """The first candidate (drivers, controlled) whose support evaluates.
 
         kind 0: canonical start; 1: covered-set redraw; 2: fully random.
@@ -409,56 +443,18 @@ class _Initializer:
             if candidate is None:
                 continue
             drivers, controlled = [int(v) for v in candidate[0]], [int(v) for v in candidate[1]]
-            if supports(drivers, controlled) is not None:
+            if self.support(drivers, controlled) is not None:
                 return drivers, controlled
         raise UncontrollableError("no controllable initialization found")
 
-    def edcp_start(self, supports: _Supports) -> tuple[list[int], list[int]] | None:
+    def edcp_start(self) -> tuple[list[int], list[int]] | None:
         """EDCP's placement on the same network, when it has one."""
         try:
             placement = edcp(self.graph, self.m, self.r_size, self.t_f, self.a).placement
         except CoverInfeasibleError:
             return None
         drivers, controlled = list(placement.drivers), list(placement.controlled)
-        return (drivers, controlled) if supports(drivers, controlled) is not None else None
-
-
-class _Supports:
-    """Cost and raw gradient steps of each support, evaluated once.
-
-    A placement's cost and raw gradient steps depend only on its support
-    (column order permutes away), so entries are keyed by the sorted driver
-    and controlled nodes, and B and C are built only for a support not seen
-    before.  An entry is (E, B - eta_b dE/dB, C^T - eta_c dE/dC^T), with a
-    frozen variable (eta None) left as it is, or None for a support that is
-    not output controllable or fails the conditioning test.
-    """
-
-    def __init__(self, a: np.ndarray, t_f: float, reach, eta_b: float | None, eta_c: float | None):
-        self.a, self.t_f, self.reach = a, t_f, reach
-        self.eta_b, self.eta_c = eta_b, eta_c
-        self.entries: dict[tuple, tuple[float, np.ndarray, np.ndarray] | None] = {}
-
-    def __call__(self, drivers: list[int], controlled: list[int]):
-        key = (tuple(sorted(drivers)), tuple(sorted(controlled)))
-        if key not in self.entries:
-            self.entries[key] = self._evaluate(drivers, controlled)
-        return self.entries[key]
-
-    def _evaluate(self, drivers: list[int], controlled: list[int]):
-        # a controlled node no driver reaches is a zero row of the output
-        # controllability matrix: reject before the rank test
-        if not set(controlled) <= self.reach(drivers):
-            return None
-        n = self.a.shape[0]
-        placement = ControlPlacement(drivers=tuple(drivers), controlled=tuple(controlled), t_f=self.t_f)
-        try:
-            s = _Steering(self.a, placement.b_matrix(n), placement.c_matrix(n), self.t_f)
-        except UncontrollableError:
-            return None
-        b_raw = s.b if self.eta_b is None else s.b - self.eta_b * _grad_b(s)
-        ct_raw = s.c.T if self.eta_c is None else s.c.T - self.eta_c * _grad_c(s)
-        return s.cost(), b_raw, ct_raw
+        return (drivers, controlled) if self.support(drivers, controlled) is not None else None
 
 
 def elpgm_optimize(
@@ -482,29 +478,15 @@ def elpgm_optimize(
     n = a.shape[0]
     if not (1 <= m <= r_size <= n):
         raise ValueError(f"need 1 <= m <= r_size <= n, got m = {m}, r_size = {r_size}, n = {n}")
-    t_f = cfg.t_f
     seed_seq = np.random.SeedSequence(cfg.seed)
-    initializer = _Initializer(a, m, r_size, t_f)
-    supports = _Supports(a, t_f, initializer.reach,
-                         cfg.eta_b if update_b else None, cfg.eta_c if update_c else None)
-    init_rng = np.random.default_rng(seed_seq.spawn(1)[0])
-    starts = []
+    problem = _Problem(a, m, r_size, cfg.t_f,
+                       cfg.eta_b if update_b else None, cfg.eta_c if update_c else None)
     try:
-        starts.append(initializer.draw(init_rng, 0, supports))
+        problem.draw(np.random.default_rng(seed_seq.spawn(1)[0]), 0)
     except UncontrollableError:
         pass  # the restarts draw again; EDCP may still provide a start
-    edcp_start = initializer.edcp_start(supports)
-    if edcp_start is not None:
-        starts.append(edcp_start)
-
-    best = None
-    best_e = math.inf
-    for start in starts:
-        e_start = supports(*start)[0]
-        if e_start < best_e:
-            best, best_e = start, e_start
-    m1_b = cfg.margin_for(m, n)
-    m1_c = cfg.margin_for(r_size, n)
+    edcp_start = problem.edcp_start()
+    m1_b, m1_c = cfg.margin_for(m, n), cfg.margin_for(r_size, n)
     for restart, child in enumerate(seed_seq.spawn(cfg.restarts)):
         rng = np.random.default_rng(child)
         if restart == 0 and edcp_start is not None:
@@ -512,14 +494,12 @@ def elpgm_optimize(
         else:
             kind = 0 if restart == 0 else (1 if restart % 3 == 1 else 2)
             try:
-                drivers, controlled = initializer.draw(rng, kind, supports)
+                drivers, controlled = problem.draw(rng, kind)
             except UncontrollableError:
-                if best is None:
+                if problem.best is None:
                     continue
-                drivers, controlled = best
-        state = supports(drivers, controlled)
-        if state[0] < best_e:
-            best, best_e = (drivers, controlled), state[0]
+                drivers, controlled = problem.best
+        state = problem.support(drivers, controlled)
         stream = _Uniforms(rng)
         pooled = None
         for _ in range(cfg.k_f):
@@ -531,18 +511,17 @@ def elpgm_optimize(
             for _ in range(_PROJECTION_RETRIES):
                 new_drivers = pool_b.draw(stream) if update_b else drivers
                 # None: a controlled node that no drafted driver reaches
-                new_controlled = (pool_c.draw(stream, initializer.reach(new_drivers))
+                new_controlled = (pool_c.draw(stream, problem.reach(new_drivers))
                                   if update_c else controlled)
-                accepted = None if new_controlled is None else supports(new_drivers, new_controlled)
+                accepted = None if new_controlled is None else problem.support(new_drivers, new_controlled)
                 if accepted is not None:
                     break
             else:
                 continue  # keep the previous iterate, redraw next round
             drivers, controlled, state = new_drivers, new_controlled, accepted
-            if accepted[0] < best_e:
-                best, best_e = (drivers, controlled), accepted[0]
 
-    if best is None:
+    if problem.best is None:
         raise UncontrollableError("no controllable initialization found")
-    placement = ControlPlacement(drivers=tuple(best[0]), controlled=tuple(best[1]), t_f=t_f)
-    return placement, float(best_e)
+    drivers, controlled = problem.best
+    placement = ControlPlacement(drivers=tuple(drivers), controlled=tuple(controlled), t_f=cfg.t_f)
+    return placement, float(problem.best_e)

@@ -326,6 +326,35 @@ class TestBench:
             assert costs[(frac, "edcp")] <= costs[(frac, "naive")]
 
 
+@pytest.mark.parametrize("args, message", [
+    (["place", "{graph}", "-M", "0", "-R", "10"], "count '0' is not an integer >= 1"),
+    (["place", "{graph}", "-M", "-1", "-R", "10"], "count '-1' is not an integer >= 1"),
+    (["place", "{graph}", "-M", "3", "-R", "0"], "count '0' is not an integer >= 1"),
+    (["place", "{graph}", "--algo", "elpgm", "-M", "3", "-R", "10", "--seed", "-1"],
+     "seed '-1' is not an integer >= 0"),
+    (["verify", "{graph}", "{placement}", "--seed", "-1"], "seed '-1' is not an integer >= 0"),
+    (["gen", "er", "--n", "0", "--mu", "3"], "count '0' is not an integer >= 1"),
+    (["gen", "er", "--n", "10", "--mu", "-1"], "degree '-1' is not a finite number >= 0"),
+    (["gen", "ba", "--n", "10", "--m", "0"], "count '0' is not an integer >= 1"),
+    (["bench", "--network", "er", "--n", "0", "-M", "2"], "count '0' is not an integer >= 1"),
+    (["bench", "--network", "ba", "--n", "20", "--m-attach", "0", "-M", "2"],
+     "count '0' is not an integer >= 1"),
+    (["bench", "--network", "er", "--n", "20", "-M", "0", "--fractions", "0.5"],
+     "count '0' is not an integer >= 1"),
+    (["bench", "--network", "er", "--n", "20", "-M", "2", "--algos", "elpgm", "--seed", "-1"],
+     "seed '-1' is not an integer >= 0"),
+], ids=["place-M0", "place-M-1", "place-R0", "place-seed-1", "verify-seed-1", "gen-er-n0",
+        "gen-er-mu-1", "gen-ba-m0", "bench-n0", "bench-m-attach0", "bench-M0", "bench-seed-1"])
+def test_out_of_range_option_is_usage_error(tmp_path, capsys, args, message):
+    graph, placement, out = tmp_path / "g.txt", tmp_path / "p.json", tmp_path / "out"
+    graph.write_text("0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n6 7\n7 8\n8 9\n9 10\n")
+    placement.write_text('{"drivers": [0], "controlled": [0, 1]}')
+    argv = [arg.format(graph=graph, placement=placement) for arg in args]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestScientificFormat:
     def test_cost_formatting(self):
         from netcontrol.cli import _format_cost

@@ -244,6 +244,16 @@ class TestEdcpEndToEnd:
         assert calls["reduce_drivers"] > 0 and calls["_apply_release"] > 0
         assert calls["_merge_step"] == calls["reduce_drivers"] + calls["_apply_release"]
 
+    def test_each_stem_priced_by_one_allocation(self, monkeypatch):
+        # one allocation run for d drivers also prices the stem at d - 1;
+        # pricing both totals separately took 48 runs on this request
+        module = importlib.import_module("netcontrol.edcp")
+        calls = []
+        real = module._allocate_drivers
+        monkeypatch.setattr(module, "_allocate_drivers", lambda *args: calls.append(1) or real(*args))
+        edcp(generate_er(60, 4.0, 0), 13, 60)
+        assert 0 < len(calls) <= 24
+
     def test_infeasible_cover(self):
         g = parse_edge_list("0 1\n0 2\n2 3\n3 2")
         with pytest.raises(CoverInfeasibleError):

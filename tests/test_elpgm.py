@@ -7,7 +7,7 @@ import pytest
 
 import netcontrol.elpgm
 from netcontrol.elpgm import ElpgmConfig, elpgm_optimize, grad_b, grad_c, importance, project
-from netcontrol.graph import generate_er
+from netcontrol.graph import generate_ba, generate_er
 from netcontrol.lti import (
     ControlPlacement,
     UncontrollableError,
@@ -16,6 +16,7 @@ from netcontrol.lti import (
     optimal_input,
     output_controllable,
 )
+from netcontrol.pathcover import max_controllable_subset
 from oracles import brute_best_placement, central_difference_grad_b, central_difference_grad_ct
 
 
@@ -32,8 +33,6 @@ def controllable_relaxation(seed):
     n = int(rng.integers(3, 7))
     g = generate_er(n, 2.5, seed=seed)
     a = g.randomized_adjacency(seed)
-    from netcontrol.pathcover import max_controllable_subset
-
     m = int(rng.integers(1, max(2, n // 2)))
     cover, _ = max_controllable_subset(g, m)
     b = np.zeros((n, m))
@@ -229,15 +228,25 @@ class TestOptimize:
     def test_best_no_worse_than_initialization(self):
         g = generate_er(8, 2.5, seed=4)
         a = g.randomized_adjacency(4)
-        from netcontrol.elpgm import _Initializer, _Supports
+        from netcontrol.elpgm import _Problem
 
-        init = _Initializer(a, 2, 5, 2.0)
-        supports = _Supports(a, 2.0, init.reach, None, None)
-        drivers, controlled = init.draw(np.random.default_rng(0), 0, supports)
+        drivers, controlled = _Problem(a, 2, 5, 2.0, None, None).draw(np.random.default_rng(0), 0)
         start = ControlPlacement(drivers=tuple(drivers), controlled=tuple(controlled))
         e0 = control_cost_matrices(a, start.b_matrix(8), start.c_matrix(8), 2.0)
         _, e = elpgm_optimize(a, 2, 5, ElpgmConfig(k_f=15, restarts=3, seed=0))
         assert e <= e0 + 1e-12
+
+    def test_graph_holds_the_nonzeros_of_a(self):
+        # edge j -> i of weight A[i, j]; -0.0 is no edge, and node 2 has none in
+        a = np.array([[0.0, 1.0, 0.0, -0.0],
+                      [-2.5, 0.0, 0.0, 1.0],
+                      [0.0, 0.0, 0.0, 0.0],
+                      [1.0, -0.0, 3.0, 0.0]])
+        from netcontrol.elpgm import _Problem
+
+        graph = _Problem(a, 1, 1, 2.0, None, None).graph
+        assert graph.n == 4
+        assert graph.edges == ((0, 1, -2.5), (0, 3, 1.0), (1, 0, 1.0), (2, 3, 3.0), (3, 1, 1.0))
 
     def test_output_controllable_result(self):
         g = generate_er(8, 2.5, seed=4)
@@ -410,6 +419,36 @@ def _pinned_runs():
     return runs
 
 
+def _wide_runs():
+    """(a, m, r, cfg, update_b, update_c) of 150 seeded ELPGM calls.
+
+    They cover what `_pinned_runs` does not: 0/1 matrices (the graph EDCP
+    gets reads as unweighted, so EDCP is handed A itself), per-seed
+    `randomized_adjacency` weights, BA graphs, a set m1, both frozen
+    variants, and requests at the edge of what m drivers cover, where the
+    canonical start, EDCP and restart draws fail (a failed restart draw
+    falls back to the best placement, or is skipped when there is none).
+    """
+    runs = []
+    for seed in range(150):
+        rng = np.random.default_rng(500 + seed)
+        n = int(rng.integers(3, 27))
+        if n > 4 and rng.random() < 0.4:
+            g = generate_ba(n, int(rng.integers(1, 3)), seed)
+        else:
+            g = generate_er(n, float(rng.uniform(1.5, 5.0)), seed)
+        a = g.adjacency() if seed % 2 == 0 else g.randomized_adjacency(seed)
+        m = int(rng.integers(1, max(1, n // 3) + 1))
+        r = int(rng.integers(m, n + 1))
+        if seed % 4 == 3:
+            r = max(m, max_controllable_subset(g, m)[1])
+        m1 = int(rng.integers(1, 5)) if seed % 3 == 0 else None
+        cfg = ElpgmConfig(k_f=int(rng.integers(3, 31)), restarts=int(rng.integers(1, 7)), m1=m1, seed=seed)
+        update_b, update_c = ((True, True), (False, True), (True, False))[seed % 5 % 3]
+        runs.append((a, m, r, cfg, update_b, update_c))
+    return runs
+
+
 class TestPinned:
     """Digests recorded before the descent loop drew from a per-iterate pool.
 
@@ -423,6 +462,19 @@ class TestPinned:
             p, e = elpgm_optimize(a, m, r, cfg, update_b=update_b, update_c=update_c)
             digest.update(repr((p.drivers, p.controlled, float(e).hex())).encode())
         assert digest.hexdigest() == "7c2390f0cb8ac25ea843d4a765a1bc10930f8c014edc3aba17e5c6cb645f5c71"
+
+    def test_wide_results_pinned_bit_for_bit(self):
+        # recorded when one call's starts, support cache and best placement
+        # still lived in separate objects; 33 of the 150 calls refuse
+        digest = hashlib.sha256()
+        for a, m, r, cfg, update_b, update_c in _wide_runs():
+            try:
+                p, e = elpgm_optimize(a, m, r, cfg, update_b=update_b, update_c=update_c)
+                item = (p.drivers, p.controlled, float(e).hex())
+            except UncontrollableError as exc:
+                item = str(exc)
+            digest.update(repr(item).encode())
+        assert digest.hexdigest() == "bf2efe3952a10723d57249db7174c294a69fa187d25c09bb76636190c16d055e"
 
     def test_project_pinned_bit_for_bit(self):
         # 127 of the 200 pools have 8 or more candidates; every fifth H has
