@@ -1,8 +1,9 @@
 """Command-line front end: generate graphs, compute controllability curves,
 place drivers, verify placements, and run benchmark grids.
 
-Exit codes: 0 success; 1 usage or input error, a count, degree, seed or
-fraction out of range included; 2 refused request: sizes the graph cannot host, no EDCP cover, or no
+Exit codes: 0 success; 1 usage or input error, a count, degree, seed,
+fraction or horizon out of range and a malformed placement file included;
+2 refused request: sizes the graph cannot host, no EDCP cover, or no
 output-controllable placement; 3 numeric failure (numpy LinAlgError).
 """
 
@@ -127,13 +128,21 @@ def cmd_place(args) -> int:
     return EXIT_OK
 
 
+def _node_ids(g: DirectedGraph, payload: dict, key: str) -> tuple[int, ...]:
+    """The internal ids of a placement file's `key`: a non-empty list of g's external ids."""
+    ids = payload[key]
+    if not (isinstance(ids, list) and ids and all(type(v) is int for v in ids)):
+        raise ValueError(f"{key} must be a non-empty list of integer node ids, got {ids!r}")
+    return tuple(g.id_map[v] for v in ids)
+
+
 def cmd_verify(args) -> int:
     g = _load_graph(args.graph)
     try:
         payload = json.loads(Path(args.placement).read_text())
-        drivers = tuple(g.id_map[int(v)] for v in payload["drivers"])
-        controlled = tuple(g.id_map[int(v)] for v in payload["controlled"])
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        drivers = _node_ids(g, payload, "drivers")
+        controlled = _node_ids(g, payload, "controlled")
+    except (KeyError, TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         raise GraphFormatError(f"bad placement file: {exc}") from exc
     placement = ControlPlacement(drivers=drivers, controlled=controlled, t_f=args.tf)
     a = g.realized_adjacency()
@@ -226,6 +235,7 @@ _fraction = _checked(float, lambda v: 0 < v <= 1, "fraction", "a number in (0, 1
 _count = _checked(int, lambda v: v >= 1, "count", "an integer >= 1")
 _seed = _checked(int, lambda v: v >= 0, "seed", "an integer >= 0")  # as numpy's SeedSequence
 _degree = _checked(float, lambda v: 0 <= v < math.inf, "degree", "a finite number >= 0")
+_horizon = _checked(float, lambda v: 0 < v < math.inf, "t_f", "a positive finite number")
 
 
 def _bench_fractions(text: str) -> list[float]:
@@ -266,14 +276,14 @@ def build_parser() -> _Parser:
     size.add_argument("-R", dest="r", type=_count, help="controlled-node count")
     size.add_argument("--fraction", type=_fraction, help="controlled fraction of n, in (0, 1]")
     p_place.add_argument("--seed", type=_seed, default=0)
-    p_place.add_argument("--tf", type=float, default=2.0)
+    p_place.add_argument("--tf", type=_horizon, default=2.0)
     p_place.add_argument("--out", default=None)
     p_place.set_defaults(func=cmd_place)
 
     p_verify = sub.add_parser("verify", help="check a placement and its steering residual")
     p_verify.add_argument("graph")
     p_verify.add_argument("placement", help="placement JSON file")
-    p_verify.add_argument("--tf", type=float, default=2.0)
+    p_verify.add_argument("--tf", type=_horizon, default=2.0)
     p_verify.add_argument("--seed", type=_seed, default=0)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--out", default=None)
@@ -288,7 +298,7 @@ def build_parser() -> _Parser:
     p_bench.add_argument("--fractions", type=_bench_fractions, default="0.4,0.5,0.6,0.7,0.8,0.9,1.0")
     p_bench.add_argument("--algos", type=_bench_algos, default="edcp,naive")
     p_bench.add_argument("--seed", type=_seed, default=0)
-    p_bench.add_argument("--tf", type=float, default=2.0)
+    p_bench.add_argument("--tf", type=_horizon, default=2.0)
     p_bench.add_argument("--out", default=None)
     p_bench.set_defaults(func=cmd_bench)
     return parser

@@ -14,6 +14,11 @@ estimate cannot tell apart.
 Control segments never span a junction: the pasted-on edge does not exist in
 the graph, so a segment reaching a junction is cut there and the cycle head
 hosts the next driver.
+
+Each `edcp` or `naive_placement` call keeps its request in one context,
+`_Request`: the graph with its successor and predecessor lists, built once,
+m, r_size, t_f and the matrix of the exact evaluations.  The cover ladder,
+every pipeline run, the release step and the refine search read them there.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -289,9 +295,7 @@ class _Release:
     grown: list[tuple[list[int], list[int]]]
 
 
-def _release_step(
-    succ: list[list[int]], pred: list[list[int]], stems: list[Stem], r_size: int, t_f: float, bound: float
-) -> _Release | None:
+def _release_step(req: _Request, stems: list[Stem], bound: float) -> _Release | None:
     """Cheapest release of a single-driver segment, if cheaper than bound.
 
     A segment that is alone in its controlled block can lose its driver:
@@ -303,6 +307,7 @@ def _release_step(
     coverage between stems, which is how a request that no stem can absorb
     by merging still finds m disjoint paths.
     """
+    succ, pred, r_size, t_f = req.succ, req.pred, req.r_size, req.t_f
     records = []  # (segment, may grow at tail, may grow at head)
     for stem in stems:
         for block in stem.controlled_blocks():
@@ -450,136 +455,6 @@ class EdcpResult:
         return json.dumps(payload, indent=2)
 
 
-def _pipeline(
-    g: DirectedGraph,
-    cover: PathCover,
-    m: int,
-    r_size: int,
-    t_f: float,
-    plan: list[int],
-    longest_first_trim: bool = True,
-    release_when_stuck: bool = True,
-) -> list[Stem]:
-    """Assign, reduce, split and trim one cover into m segments.
-
-    Each surplus driver goes by the cheaper (in chain estimate) of a merge
-    inside a stem and a release with regrowth elsewhere; where no stem can
-    merge, a release is tried only with release_when_stuck.
-    """
-    stems = merge_cycles(cover)
-    assign_drivers(stems, plan, r_size=r_size)
-    succ, pred = g.successors(), g.predecessors()
-    while (count := sum(stem.driver_count for stem in stems)) > m:
-        merge = _merge_step(stems, t_f)
-        release = None
-        if merge is not None or release_when_stuck:
-            release = _release_step(succ, pred, stems, r_size, t_f, merge[0] if merge else math.inf)
-        if release is not None:
-            _apply_release(stems, release)
-        else:
-            reduce_drivers(stems, count - 1, t_f, step=merge)
-    if sum(stem.driver_count for stem in stems) < m:
-        _split_for_extra_drivers(stems, m)
-    trim_to_r(stems, r_size, longest_first=longest_first_trim)
-    return stems
-
-
-def _exact_path_cover(g: DirectedGraph, m: int) -> PathCover | None:
-    """Best coverage by exactly m vertex-disjoint paths, exhaustively."""
-    adj = g.successors()
-    best: tuple[int, tuple[tuple[int, ...], ...]] | None = None
-
-    def search(avail: set[int], k: int, chosen: list[tuple[int, ...]], covered: int, min_head: int):
-        nonlocal best
-        if k == 0:
-            if best is None or covered > best[0]:
-                best = (covered, tuple(chosen))
-            return
-        if len(avail) < k:
-            return
-        for head in sorted(avail):
-            if head < min_head:
-                continue
-
-            def extend(path: list[int]):
-                chosen.append(tuple(path))
-                search(avail - set(path), k - 1, chosen, covered + len(path), head + 1)
-                chosen.pop()
-                for w in adj[path[-1]]:
-                    if w in avail and w not in path:
-                        path.append(w)
-                        extend(path)
-                        path.pop()
-
-            extend([head])
-
-    search(set(range(g.n)), m, [], 0, 0)
-    if best is None:
-        return None
-    return PathCover(paths=best[1], cycles=())
-
-
-def _run_pipeline(
-    g: DirectedGraph,
-    m: int,
-    r_size: int,
-    t_f: float,
-    plan: list[int],
-    longest_first_trim: bool = True,
-    refine: bool = True,
-    a: np.ndarray | None = None,
-) -> EdcpResult:
-    """Try the full-coverage cover first, then cycle-free fallback covers.
-
-    The exact evaluations run on a, g.realized_adjacency() when None.
-    """
-    solver = SufficiencySolver(g)
-    mstar = solver.advance_until_coverage(g.n)
-    rmax = g.n if m >= mstar else solver.coverage_at(m)
-    if rmax < r_size:
-        raise CoverInfeasibleError(
-            f"{m} controllers can cover at most {rmax} nodes, {r_size} requested"
-        )
-    cover = extract_paths_cycles(g, solver.as_flow())
-
-    def candidates():
-        yield cover, None
-        if m != mstar:
-            # a cover with exactly m paths spreads quota drivers over fewer,
-            # reducible stems when the full-coverage cover fragments
-            yield max_controllable_subset(g, m)[0], "m-unit-cover"
-        match_paths = matching_path_cover(g)
-        if match_paths:
-            yield PathCover(paths=tuple(tuple(p) for p in match_paths), cycles=()), "matching-paths"
-        if g.n <= _EXACT_COVER_LIMIT:
-            exact = _exact_path_cover(g, m)
-            if exact is not None:
-                yield exact, "exact-paths"
-
-    # Covers whose stems can shed surplus drivers by merging come first;
-    # releasing a driver that no stem can merge away is the last resort.
-    tried: list[tuple[PathCover, str | None]] = []
-    last_error: Exception | None = None
-    for release_when_stuck, covers in ((False, candidates()), (True, tried)):
-        for cand, fallback in covers:
-            if not release_when_stuck:
-                tried.append((cand, fallback))
-            if cand.size < r_size:
-                continue
-            try:
-                stems = _pipeline(
-                    g, cand, m, r_size, t_f, list(plan), longest_first_trim, release_when_stuck
-                )
-            except CoverInfeasibleError as exc:
-                last_error = exc
-                continue
-            segments = [tuple(seg) for stem in stems for seg in stem.segments if seg]
-            return _result(g, segments, t_f, fallback, refine, a)
-    raise CoverInfeasibleError(
-        f"no ({m}-driver, {r_size}-node) placement found" + (f": {last_error}" if last_error else "")
-    )
-
-
 def _placement(segments: list[tuple[int, ...]], t_f: float) -> ControlPlacement:
     return ControlPlacement(
         drivers=tuple(seg[0] for seg in segments),
@@ -619,79 +494,193 @@ def _rooted_path(start: int, nodes: tuple[int, ...], succ: list[list[int]]) -> t
     return tuple(path) if extend() else None
 
 
-def _segment_moves(
-    segments: list[tuple[int, ...]], k: int, succ: list[list[int]], pred: list[list[int]]
-) -> list[tuple[int, ...]]:
-    """Same-length replacements of segment k, each again a real path.
+def _exact_path_cover(req: _Request) -> PathCover | None:
+    """Best coverage by exactly m vertex-disjoint paths, exhaustively."""
+    best: tuple[int, tuple[tuple[int, ...], ...]] | None = None
 
-    Re-rooting (another head, the same nodes: for a cycle, its rotation),
-    swapping the head or the tail for an uncontrolled node, and sliding the
-    segment one node along the graph.  Every move keeps the segment
-    lengths, so the chain estimate ties with the current placement.
+    def search(avail: set[int], k: int, chosen: list[tuple[int, ...]], covered: int, min_head: int):
+        nonlocal best
+        if k == 0:
+            if best is None or covered > best[0]:
+                best = (covered, tuple(chosen))
+            return
+        if len(avail) < k:
+            return
+        for head in sorted(avail):
+            if head < min_head:
+                continue
+
+            def extend(path: list[int]):
+                chosen.append(tuple(path))
+                search(avail - set(path), k - 1, chosen, covered + len(path), head + 1)
+                chosen.pop()
+                for w in req.succ[path[-1]]:
+                    if w in avail and w not in path:
+                        path.append(w)
+                        extend(path)
+                        path.pop()
+
+            extend([head])
+
+    search(set(range(req.g.n)), req.m, [], 0, 0)
+    return None if best is None else PathCover(paths=best[1], cycles=())
+
+
+class _Request:
+    """One `edcp` or `naive_placement` call: the checked request on its graph.
+
+    It holds g's successor and predecessor lists, built once, and the
+    matrix the exact evaluations run on: ELPGM's own when given, else
+    g.realized_adjacency(), drawn the first time a placement is evaluated.
     """
-    seg = segments[k]
-    taken = {v for other in segments for v in other}
-    moves = [p for u in seg[1:] if (p := _rooted_path(u, seg, succ)) is not None]
-    if len(seg) > 1:
-        moves += [(*seg[:-1], w) for w in succ[seg[-2]] if w not in taken]
-        moves += [(u, *seg[1:]) for u in pred[seg[1]] if u not in taken]
-    moves += [(*seg[1:], w) for w in succ[seg[-1]] if w not in taken]
-    moves += [(u, *seg[:-1]) for u in pred[seg[0]] if u not in taken]
-    return moves
 
+    def __init__(self, g: DirectedGraph, m: int, r_size: int, t_f: float, a: np.ndarray | None = None):
+        if not (1 <= r_size <= g.n):
+            raise ValueError(f"r_size must be in [1, {g.n}], got {r_size}")
+        if not (1 <= m <= r_size):
+            raise ValueError(f"m must be in [1, r_size], got {m}")
+        _check_horizon(t_f)
+        self.g, self.m, self.r_size, self.t_f = g, m, r_size, t_f
+        self.succ, self.pred = g.successors(), g.predecessors()
+        self._a = a
 
-def _refine(
-    g: DirectedGraph, a: np.ndarray, segments: list[tuple[int, ...]], t_f: float, cost: float | None
-) -> tuple[list[tuple[int, ...]], float | None]:
-    """Local search over estimate ties, ranked by the exact cost.
+    @cached_property
+    def a(self) -> np.ndarray:
+        return self.g.realized_adjacency() if self._a is None else self._a
 
-    Placements whose segments have the same lengths share one chain
-    estimate, while their exact costs can differ by orders of magnitude
-    (back edges, a head that reaches its path only the long way round).
-    Each pass tries every same-length move of every segment and takes the
-    best one when it at least halves the exact cost.  Smaller gains are
-    within what the draw of weights alone moves (two drivers on the 6-node
-    chain cost 3x their chain estimate on DEFAULT_WEIGHT_SEED weights), so
-    EDCP's own choice stands there.
-    """
-    succ, pred = g.successors(), g.predecessors()
-    improved = True
-    while improved:
-        improved = False
-        for k in range(len(segments)):
-            best = None
-            for move in _segment_moves(segments, k, succ, pred):
-                trial = [*segments[:k], move, *segments[k + 1:]]
-                trial_cost = _exact_cost(a, trial, t_f)
-                if trial_cost is not None and (best is None or trial_cost < best[0]):
-                    best = (trial_cost, trial)
-            if best is not None and (cost is None or best[0] <= _REFINE_GAIN * cost):
-                cost, segments = best
-                improved = True
-    return segments, cost
+    def place(self, plan: list[int], longest_first_trim: bool = True, refine: bool = True) -> EdcpResult:
+        """Try the full-coverage cover first, then cycle-free fallback covers."""
+        g, m, r_size = self.g, self.m, self.r_size
+        solver = SufficiencySolver(g)
+        mstar = solver.advance_until_coverage(g.n)
+        rmax = g.n if m >= mstar else solver.coverage_at(m)
+        if rmax < r_size:
+            raise CoverInfeasibleError(
+                f"{m} controllers can cover at most {rmax} nodes, {r_size} requested"
+            )
+        cover = extract_paths_cycles(g, solver.as_flow())
 
+        def candidates():
+            yield cover, None
+            if m != mstar:
+                # a cover with exactly m paths spreads quota drivers over fewer,
+                # reducible stems when the full-coverage cover fragments
+                yield max_controllable_subset(g, m)[0], "m-unit-cover"
+            match_paths = matching_path_cover(g)
+            if match_paths:
+                yield PathCover(paths=tuple(tuple(p) for p in match_paths), cycles=()), "matching-paths"
+            if g.n <= _EXACT_COVER_LIMIT:
+                exact = _exact_path_cover(self)
+                if exact is not None:
+                    yield exact, "exact-paths"
 
-def _result(
-    g: DirectedGraph,
-    segments: list[tuple[int, ...]],
-    t_f: float,
-    fallback: str | None,
-    refine: bool,
-    a: np.ndarray | None,
-) -> EdcpResult:
-    e_exact = None
-    if g.n <= EXACT_EVAL_THRESHOLD:
-        a = g.realized_adjacency() if a is None else a
-        e_exact = _exact_cost(a, segments, t_f)
-        if refine and g.n <= _REFINE_LIMIT:
-            segments, e_exact = _refine(g, a, segments, t_f, e_exact)
-    return EdcpResult(
-        placement=_placement(segments, t_f),
-        segments=tuple(segments),
-        e_estimate=float(sum(chain_control_cost(len(seg), t_f) for seg in segments)),
-        e_exact=e_exact,
-        fallback=fallback,
-    )
+        # Covers whose stems can shed surplus drivers by merging come first;
+        # releasing a driver that no stem can merge away is the last resort.
+        tried: list[tuple[PathCover, str | None]] = []
+        last_error: Exception | None = None
+        for release_when_stuck, covers in ((False, candidates()), (True, tried)):
+            for cand, fallback in covers:
+                if not release_when_stuck:
+                    tried.append((cand, fallback))
+                if cand.size < r_size:
+                    continue
+                try:
+                    stems = self.pipeline(cand, plan, longest_first_trim, release_when_stuck)
+                except CoverInfeasibleError as exc:
+                    last_error = exc
+                    continue
+                segments = [tuple(seg) for stem in stems for seg in stem.segments if seg]
+                return self.result(segments, fallback, refine)
+        raise CoverInfeasibleError(
+            f"no ({m}-driver, {r_size}-node) placement found" + (f": {last_error}" if last_error else "")
+        )
+
+    def pipeline(
+        self, cover: PathCover, plan: list[int], longest_first_trim: bool, release_when_stuck: bool
+    ) -> list[Stem]:
+        """Assign, reduce, split and trim one cover into m segments.
+
+        Each surplus driver goes by the cheaper (in chain estimate) of a merge
+        inside a stem and a release with regrowth elsewhere; where no stem can
+        merge, a release is tried only with release_when_stuck.
+        """
+        stems = merge_cycles(cover)
+        assign_drivers(stems, plan, r_size=self.r_size)
+        while (count := sum(stem.driver_count for stem in stems)) > self.m:
+            merge = _merge_step(stems, self.t_f)
+            release = None
+            if merge is not None or release_when_stuck:
+                release = _release_step(self, stems, merge[0] if merge else math.inf)
+            if release is not None:
+                _apply_release(stems, release)
+            else:
+                reduce_drivers(stems, count - 1, self.t_f, step=merge)
+        if sum(stem.driver_count for stem in stems) < self.m:
+            _split_for_extra_drivers(stems, self.m)
+        trim_to_r(stems, self.r_size, longest_first=longest_first_trim)
+        return stems
+
+    def result(self, segments: list[tuple[int, ...]], fallback: str | None, refine: bool) -> EdcpResult:
+        e_exact = None
+        if self.g.n <= EXACT_EVAL_THRESHOLD:
+            e_exact = _exact_cost(self.a, segments, self.t_f)
+            if refine and self.g.n <= _REFINE_LIMIT:
+                segments, e_exact = self.refine(segments, e_exact)
+        return EdcpResult(
+            placement=_placement(segments, self.t_f),
+            segments=tuple(segments),
+            e_estimate=float(sum(chain_control_cost(len(seg), self.t_f) for seg in segments)),
+            e_exact=e_exact,
+            fallback=fallback,
+        )
+
+    def refine(
+        self, segments: list[tuple[int, ...]], cost: float | None
+    ) -> tuple[list[tuple[int, ...]], float | None]:
+        """Local search over estimate ties, ranked by the exact cost.
+
+        Placements whose segments have the same lengths share one chain
+        estimate, while their exact costs can differ by orders of magnitude
+        (back edges, a head that reaches its path only the long way round).
+        Each pass tries every same-length move of every segment and takes the
+        best one when it at least halves the exact cost.  Smaller gains are
+        within what the draw of weights alone moves (two drivers on the 6-node
+        chain cost 3x their chain estimate on DEFAULT_WEIGHT_SEED weights), so
+        EDCP's own choice stands there.
+        """
+        improved = True
+        while improved:
+            improved = False
+            for k in range(len(segments)):
+                best = None
+                for move in self.segment_moves(segments, k):
+                    trial = [*segments[:k], move, *segments[k + 1:]]
+                    trial_cost = _exact_cost(self.a, trial, self.t_f)
+                    if trial_cost is not None and (best is None or trial_cost < best[0]):
+                        best = (trial_cost, trial)
+                if best is not None and (cost is None or best[0] <= _REFINE_GAIN * cost):
+                    cost, segments = best
+                    improved = True
+        return segments, cost
+
+    def segment_moves(self, segments: list[tuple[int, ...]], k: int) -> list[tuple[int, ...]]:
+        """Same-length replacements of segment k, each again a real path.
+
+        Re-rooting (another head, the same nodes: for a cycle, its rotation),
+        swapping the head or the tail for an uncontrolled node, and sliding the
+        segment one node along the graph.  Every move keeps the segment
+        lengths, so the chain estimate ties with the current placement.
+        """
+        succ, pred = self.succ, self.pred
+        seg = segments[k]
+        taken = {v for other in segments for v in other}
+        moves = [p for u in seg[1:] if (p := _rooted_path(u, seg, succ)) is not None]
+        if len(seg) > 1:
+            moves += [(*seg[:-1], w) for w in succ[seg[-2]] if w not in taken]
+            moves += [(u, *seg[1:]) for u in pred[seg[1]] if u not in taken]
+        moves += [(*seg[1:], w) for w in succ[seg[-1]] if w not in taken]
+        moves += [(u, *seg[:-1]) for u in pred[seg[0]] if u not in taken]
+        return moves
 
 
 def edcp(
@@ -705,7 +694,7 @@ def edcp(
     steering cost on g.realized_adjacency() (None when the dense evaluation
     is skipped or numerically out of range).  On graphs up to _REFINE_LIMIT
     nodes the exact cost also chooses among placements the chain estimate
-    cannot tell apart (see _refine).
+    cannot tell apart (see _Request.refine).
 
     Raises CoverInfeasibleError only when no m vertex-disjoint paths cover
     r_size nodes: free cycles are not reachable through single-wire
@@ -717,8 +706,7 @@ def edcp(
     a matrix whose nonzeros are all 1.0 reads as structural, and
     g.realized_adjacency() would draw other weights.
     """
-    _check_request(g, m, r_size, t_f)
-    return _run_pipeline(g, m, r_size, t_f, even_division(r_size, m), a=_a)
+    return _Request(g, m, r_size, t_f, _a).place(even_division(r_size, m))
 
 
 def naive_placement(g: DirectedGraph, m: int, r_size: int, t_f: float = 2.0) -> EdcpResult:
@@ -729,13 +717,4 @@ def naive_placement(g: DirectedGraph, m: int, r_size: int, t_f: float = 2.0) -> 
     even division avoids.  Surplus drivers and nodes are handled by the same
     reduce/trim steps as the main pipeline.
     """
-    _check_request(g, m, r_size, t_f)
-    return _run_pipeline(g, m, r_size, t_f, [r_size] * m, longest_first_trim=False, refine=False)
-
-
-def _check_request(g: DirectedGraph, m: int, r_size: int, t_f: float) -> None:
-    if not (1 <= r_size <= g.n):
-        raise ValueError(f"r_size must be in [1, {g.n}], got {r_size}")
-    if not (1 <= m <= r_size):
-        raise ValueError(f"m must be in [1, r_size], got {m}")
-    _check_horizon(t_f)
+    return _Request(g, m, r_size, t_f).place([r_size] * m, longest_first_trim=False, refine=False)

@@ -38,6 +38,12 @@ def _check_horizon(t_f: float) -> None:
         raise ValueError(f"t_f must be positive and finite, got {t_f}")
 
 
+def _check_nodes(nodes: tuple[int, ...], n: int) -> None:
+    """Refuse a node id of n or above; a placement refuses negative ids when built."""
+    if (highest := max(nodes, default=-1)) >= n:
+        raise ValueError(f"node {highest} is not in the {n}-node network")
+
+
 class UncontrollableError(RuntimeError):
     """The (A, B, C) triple is not output controllable, or C W C^T is too
     ill-conditioned to invert reliably."""
@@ -66,15 +72,19 @@ class ControlPlacement:
             raise ValueError("duplicate driver node")
         if len(set(self.controlled)) != len(self.controlled):
             raise ValueError("duplicate controlled node")
+        if (lowest := min((*self.drivers, *self.controlled), default=0)) < 0:
+            raise ValueError(f"node {lowest} is negative")
         _check_horizon(self.t_f)
 
     def b_matrix(self, n: int) -> np.ndarray:
+        _check_nodes(self.drivers, n)
         b = np.zeros((n, len(self.drivers)))
         for col, v in enumerate(self.drivers):
             b[v, col] = 1.0
         return b
 
     def c_matrix(self, n: int) -> np.ndarray:
+        _check_nodes(self.controlled, n)
         c = np.zeros((len(self.controlled), n))
         for row, v in enumerate(self.controlled):
             c[row, v] = 1.0

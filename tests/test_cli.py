@@ -93,7 +93,7 @@ class TestPlace:
 
     @pytest.mark.parametrize("algo,tf", [("edcp", "nan"), ("edcp", "inf"), ("elpgm", "nan"), ("elpgm", "inf")])
     def test_nonfinite_horizon(self, fig8_file, capsys, algo, tf):
-        assert main(["place", fig8_file, "--algo", algo, "-M", "4", "-R", "12", "--tf", tf]) == 2
+        assert main(["place", fig8_file, "--algo", algo, "-M", "4", "-R", "12", "--tf", tf]) == 1
         assert "t_f" in capsys.readouterr().err
 
     def test_fraction_resolution(self, fig8_file, tmp_path):
@@ -141,6 +141,23 @@ class TestVerify:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"nodes": [1]}))
         assert main(["verify", fig8_file, str(bad)]) == 1
+
+    @pytest.mark.parametrize("payload, key", [
+        ({"drivers": "12", "controlled": "34"}, "drivers"),
+        ({"drivers": [1.7], "controlled": [1, 2]}, "drivers"),
+        ({"drivers": [True], "controlled": [1, 2]}, "drivers"),
+        ({"drivers": ["1"], "controlled": [1, 2]}, "drivers"),
+        ({"drivers": [], "controlled": [1, 2]}, "drivers"),
+        ({"drivers": [1], "controlled": []}, "controlled"),
+        ({"drivers": [1], "controlled": [1, None]}, "controlled"),
+    ], ids=["string", "float", "bool", "string-id", "no-drivers", "no-controlled", "null-id"])
+    def test_placement_read_strictly(self, fig8_file, tmp_path, capsys, payload, key):
+        placement, out = tmp_path / "p.json", tmp_path / "report.txt"
+        placement.write_text(json.dumps(payload))
+        assert main(["verify", fig8_file, str(placement), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"bad placement file: {key} must be a non-empty list of integer node ids" in err
+        assert not out.exists()
 
     def test_wrong_direction_not_controllable(self, tmp_path, capsys):
         graph = tmp_path / "chain.txt"
@@ -195,7 +212,7 @@ class TestVerify:
     def test_nonfinite_horizon(self, fig8_file, tmp_path, capsys, tf):
         placement = tmp_path / "p.json"
         main(["place", fig8_file, "-M", "4", "-R", "12", "--out", str(placement)])
-        assert main(["verify", fig8_file, str(placement), "--tf", tf]) == 2
+        assert main(["verify", fig8_file, str(placement), "--tf", tf]) == 1
         assert "t_f" in capsys.readouterr().err
 
     def test_json_report(self, fig8_file, tmp_path, capsys):
@@ -343,8 +360,17 @@ class TestBench:
      "count '0' is not an integer >= 1"),
     (["bench", "--network", "er", "--n", "20", "-M", "2", "--algos", "elpgm", "--seed", "-1"],
      "seed '-1' is not an integer >= 0"),
+    (["place", "{graph}", "-M", "3", "-R", "10", "--tf", "nan"], "t_f 'nan' is not a positive finite number"),
+    (["place", "{graph}", "-M", "3", "-R", "10", "--tf", "0"], "t_f '0' is not a positive finite number"),
+    (["verify", "{graph}", "{placement}", "--tf", "nan"], "t_f 'nan' is not a positive finite number"),
+    (["verify", "{graph}", "{placement}", "--tf", "0"], "t_f '0' is not a positive finite number"),
+    (["bench", "--network", "er", "--n", "20", "-M", "2", "--tf", "nan"],
+     "t_f 'nan' is not a positive finite number"),
+    (["bench", "--network", "er", "--n", "20", "-M", "2", "--tf", "0"],
+     "t_f '0' is not a positive finite number"),
 ], ids=["place-M0", "place-M-1", "place-R0", "place-seed-1", "verify-seed-1", "gen-er-n0",
-        "gen-er-mu-1", "gen-ba-m0", "bench-n0", "bench-m-attach0", "bench-M0", "bench-seed-1"])
+        "gen-er-mu-1", "gen-ba-m0", "bench-n0", "bench-m-attach0", "bench-M0", "bench-seed-1",
+        "place-tf-nan", "place-tf0", "verify-tf-nan", "verify-tf0", "bench-tf-nan", "bench-tf0"])
 def test_out_of_range_option_is_usage_error(tmp_path, capsys, args, message):
     graph, placement, out = tmp_path / "g.txt", tmp_path / "p.json", tmp_path / "out"
     graph.write_text("0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n6 7\n7 8\n8 9\n9 10\n")

@@ -19,7 +19,7 @@ from netcontrol.edcp import (
     string_cost,
     trim_to_r,
 )
-from netcontrol.graph import generate_ba, generate_er, parse_edge_list
+from netcontrol.graph import DirectedGraph, generate_ba, generate_er, parse_edge_list
 from netcontrol.lti import chain_control_cost, output_controllable
 from netcontrol.pathcover import PathCover, max_controllable_subset
 
@@ -254,6 +254,17 @@ class TestEdcpEndToEnd:
         edcp(generate_er(60, 4.0, 0), 13, 60)
         assert 0 < len(calls) <= 24
 
+    @pytest.mark.parametrize("place", [edcp, naive_placement])
+    def test_adjacency_lists_built_once_per_request(self, monkeypatch, place):
+        # the request runs six pipelines on one set of lists (edcp also a refine
+        # search); building them per step took 7 predecessor lists for edcp, 6 for naive
+        calls = []
+        real = DirectedGraph.predecessors
+        monkeypatch.setattr(DirectedGraph, "predecessors", lambda g: calls.append(1) or real(g))
+        res = place(generate_er(13, 2.4535888044089837, 20), 1, 6)
+        assert res.fallback == "matching-paths"
+        assert len(calls) == 1
+
     def test_infeasible_cover(self):
         g = parse_edge_list("0 1\n0 2\n2 3\n3 2")
         with pytest.raises(CoverInfeasibleError):
@@ -326,18 +337,57 @@ def _pinned_requests():
     yield generate_er(600, 4.0, 0), 130, 600
 
 
+def _wide_requests():
+    """120 seeded requests (ER or BA, n = 4..40) with their horizon and ELPGM matrix.
+
+    Every third graph carries signed non-unit weights, and every third
+    request (another residue) hands EDCP its 0/1 adjacency as ELPGM does;
+    R is rmax(m) on every fourth request.  n stays at 40 or below, where the
+    exact costs do not depend on the BLAS thread count.
+    """
+    for seed in range(120):
+        rnd = random.Random(1000 + seed)
+        n = rnd.randint(4, 40)
+        if rnd.random() < 0.5:
+            g = generate_er(n, rnd.uniform(1.5, 3.5), seed)
+        else:
+            g = generate_ba(n, rnd.randint(1, 3), seed)
+        if seed % 3 == 1:
+            g = DirectedGraph(n=n, edges=tuple((s, d, rnd.choice((-1, 1)) * rnd.uniform(0.3, 2.0))
+                                               for s, d, _ in g.edges))
+        a = g.adjacency() if seed % 3 == 2 else None
+        m = rnd.randint(1, max(1, n // 2))
+        r = max_controllable_subset(g, m)[1] if seed % 4 == 0 else rnd.randint(m, n)
+        yield g, m, r, rnd.choice((0.5, 1.0, 2.0, 3.5)), a
+
+
+def _digest(calls) -> str:
+    """sha256 over each call's segments, costs and rung, or its refusal."""
+    digest = hashlib.sha256()
+    for call in calls:
+        try:
+            res = call()
+        except CoverInfeasibleError as exc:
+            digest.update(repr(str(exc)).encode())
+            continue
+        e_exact = None if res.e_exact is None else res.e_exact.hex()
+        digest.update(repr((res.segments, res.e_estimate.hex(), e_exact, res.fallback)).encode())
+    return digest.hexdigest()
+
+
 class TestPinned:
     def test_results_pinned_bit_for_bit(self):
         # the requests reach every cover rung and refusals, and the release
         # step; the digest was recorded before releases copied their end maps
-        digest = hashlib.sha256()
-        for g, m, r in _pinned_requests():
-            for place in (edcp, naive_placement):
-                try:
-                    res = place(g, m, r)
-                except CoverInfeasibleError as exc:
-                    digest.update(repr(str(exc)).encode())
-                    continue
-                e_exact = None if res.e_exact is None else res.e_exact.hex()
-                digest.update(repr((res.segments, res.e_estimate.hex(), e_exact, res.fallback)).encode())
-        assert digest.hexdigest() == "b1865efe0b68fd55a16951e993cd2e526cf32df1bf17a463ddcec3ee30cbf4a6"
+        calls = [lambda g=g, m=m, r=r, place=place: place(g, m, r)
+                 for g, m, r in _pinned_requests() for place in (edcp, naive_placement)]
+        assert _digest(calls) == "b1865efe0b68fd55a16951e993cd2e526cf32df1bf17a463ddcec3ee30cbf4a6"
+
+    def test_wide_results_pinned_bit_for_bit(self):
+        # 240 calls: 44 refusals, 25 fallback-rung results and 180 exact
+        # costs; the digest was recorded before each request became one context
+        calls = []
+        for g, m, r, t_f, a in _wide_requests():
+            calls.append(lambda g=g, m=m, r=r, t_f=t_f, a=a: edcp(g, m, r, t_f, a))
+            calls.append(lambda g=g, m=m, r=r, t_f=t_f: naive_placement(g, m, r, t_f))
+        assert _digest(calls) == "1bd1276d11832bb8980b63843671b3edbd91cff00ac3056f208e0930e45cdae1"

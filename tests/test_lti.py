@@ -147,6 +147,24 @@ class TestControlCost:
         with pytest.raises(ValueError):
             ControlPlacement((0,), (1,), 0.0)
 
+    @pytest.mark.parametrize("drivers, controlled, node", [
+        ((-3,), (1, 2), -3), ((0,), (-2, -1), -2), ((0,), (1, -1), -1),
+    ])
+    def test_negative_node_rejected(self, drivers, controlled, node):
+        # numpy would wrap -3 to node 0 of a 3-node chain and cost it alike
+        with pytest.raises(ValueError, match=f"node {node} is negative"):
+            ControlPlacement(drivers, controlled, 2.0)
+
+    def test_node_outside_network_rejected(self):
+        placement = ControlPlacement((0,), (1, 3), 2.0)
+        assert placement.b_matrix(3).shape == (3, 1)
+        with pytest.raises(ValueError, match="node 3 is not in the 3-node network"):
+            placement.c_matrix(3)
+        with pytest.raises(ValueError, match="node 3 is not in the 3-node network"):
+            control_cost(chain_matrix(3), placement)
+        with pytest.raises(ValueError, match="node 5 is not in the 3-node network"):
+            ControlPlacement((5,), (0,), 2.0).b_matrix(3)
+
     @pytest.mark.parametrize("t_f", [float("nan"), float("inf"), -float("inf")])
     def test_nonfinite_horizon_rejected(self, t_f):
         with pytest.raises(ValueError, match="t_f"):
