@@ -2,9 +2,11 @@
 place drivers, verify placements, and run benchmark grids.
 
 Exit codes: 0 success; 1 usage or input error, a count, degree, seed,
-fraction or horizon out of range and a malformed placement file included;
-2 refused request: sizes the graph cannot host, no EDCP cover, or no
-output-controllable placement; 3 numeric failure (numpy LinAlgError).
+fraction or horizon out of range and a malformed placement file (also one
+naming a node twice) included; 2 refused request: sizes the graph cannot
+host, no EDCP cover, or no output-controllable placement; 3 numeric failure
+(numpy LinAlgError).  A `bench` cell without an exact cost reports the
+chain estimate and says so on stderr.
 """
 
 from __future__ import annotations
@@ -140,11 +142,10 @@ def cmd_verify(args) -> int:
     g = _load_graph(args.graph)
     try:
         payload = json.loads(Path(args.placement).read_text())
-        drivers = _node_ids(g, payload, "drivers")
-        controlled = _node_ids(g, payload, "controlled")
+        placement = ControlPlacement(drivers=_node_ids(g, payload, "drivers"),
+                                     controlled=_node_ids(g, payload, "controlled"), t_f=args.tf)
     except (KeyError, TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         raise GraphFormatError(f"bad placement file: {exc}") from exc
-    placement = ControlPlacement(drivers=drivers, controlled=controlled, t_f=args.tf)
     a = g.realized_adjacency()
     report = {"controllable": True, "cost": None, "residual": None}
     try:
@@ -181,14 +182,15 @@ def cmd_bench(args) -> int:
         r_size = _r_from_fraction(fraction, g.n)
         for algo in args.algos:
             start = time.perf_counter()
+            cell = f"{label} fraction {fraction:g} {algo}"
             reason = _size_refusal(args.m, r_size, g.n)
             if reason is None:
                 try:
-                    cost = _bench_cost(g, algo, r_size, args)
+                    cost = _bench_cost(g, algo, r_size, args, cell)
                 except (CoverInfeasibleError, UncontrollableError) as exc:
                     reason = str(exc)
             if reason is not None:
-                print(f"netcontrol: {label} fraction {fraction:g} {algo}: {reason}", file=sys.stderr)
+                print(f"netcontrol: {cell}: {reason}", file=sys.stderr)
                 cost = float("nan")
             elapsed = time.perf_counter() - start
             rows.append(
@@ -199,12 +201,15 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _bench_cost(g: DirectedGraph, algo: str, r_size: int, args) -> float:
-    """The cost one bench cell reports for `algo` at R = r_size."""
+def _bench_cost(g: DirectedGraph, algo: str, r_size: int, args, cell: str) -> float:
+    """The cost bench cell `cell` reports for `algo` at R = r_size."""
     if algo == "elpgm":
         return _elpgm(g, r_size, args)[1]
     res = (edcp if algo == "edcp" else naive_placement)(g, args.m, r_size, args.tf)
-    return res.e_exact if res.e_exact is not None else res.e_estimate
+    if res.e_exact is None:
+        print(f"netcontrol: {cell}: E is the chain estimate, no exact cost", file=sys.stderr)
+        return res.e_estimate
+    return res.e_exact
 
 
 def _bench_algos(text: str) -> list[str]:

@@ -15,10 +15,11 @@ Control segments never span a junction: the pasted-on edge does not exist in
 the graph, so a segment reaching a junction is cut there and the cycle head
 hosts the next driver.
 
-Each `edcp` or `naive_placement` call keeps its request in one context,
-`_Request`: the graph with its successor and predecessor lists, built once,
-m, r_size, t_f and the matrix of the exact evaluations.  The cover ladder,
-every pipeline run, the release step and the refine search read them there.
+Each `edcp`, `naive_placement` or `elpgm_optimize` call keeps its request
+in one context, `_Request`: the graph with its successor and predecessor
+lists, built once, m, r_size, t_f, the matrix of the exact evaluations and
+the best m-path cover with rmax(m).  The cover ladder, every pipeline run,
+the release step, the refine search and ELPGM's starts read them there.
 """
 
 from __future__ import annotations
@@ -527,11 +528,11 @@ def _exact_path_cover(req: _Request) -> PathCover | None:
 
 
 class _Request:
-    """One `edcp` or `naive_placement` call: the checked request on its graph.
+    """One `edcp`, `naive_placement` or `elpgm_optimize` call: the checked request.
 
     It holds g's successor and predecessor lists, built once, and the
-    matrix the exact evaluations run on: ELPGM's own when given, else
-    g.realized_adjacency(), drawn the first time a placement is evaluated.
+    matrix the exact evaluations run on: ELPGM's A, whose nonzeros g holds,
+    when given, else g.realized_adjacency(), drawn on first use.
     """
 
     def __init__(self, g: DirectedGraph, m: int, r_size: int, t_f: float, a: np.ndarray | None = None):
@@ -547,6 +548,11 @@ class _Request:
     @cached_property
     def a(self) -> np.ndarray:
         return self.g.realized_adjacency() if self._a is None else self._a
+
+    @cached_property
+    def path_cover(self) -> tuple[PathCover, int]:
+        """`max_controllable_subset(g, m)`: the best m-path cover and rmax(m)."""
+        return max_controllable_subset(self.g, self.m)
 
     def place(self, plan: list[int], longest_first_trim: bool = True, refine: bool = True) -> EdcpResult:
         """Try the full-coverage cover first, then cycle-free fallback covers."""
@@ -565,7 +571,7 @@ class _Request:
             if m != mstar:
                 # a cover with exactly m paths spreads quota drivers over fewer,
                 # reducible stems when the full-coverage cover fragments
-                yield max_controllable_subset(g, m)[0], "m-unit-cover"
+                yield self.path_cover[0], "m-unit-cover"
             match_paths = matching_path_cover(g)
             if match_paths:
                 yield PathCover(paths=tuple(tuple(p) for p in match_paths), cycles=()), "matching-paths"
@@ -683,9 +689,7 @@ class _Request:
         return moves
 
 
-def edcp(
-    g: DirectedGraph, m: int, r_size: int, t_f: float = 2.0, _a: np.ndarray | None = None
-) -> EdcpResult:
+def edcp(g: DirectedGraph, m: int, r_size: int, t_f: float = 2.0) -> EdcpResult:
     """Place m drivers to control exactly r_size nodes of g at low cost.
 
     Returns the placement, its control segments (vertex-disjoint paths of
@@ -701,12 +705,8 @@ def edcp(
     drivers, so the flow's rmax(m) is an upper bound, not a promise.  The
     contract is exact up to _EXACT_COVER_LIMIT nodes (see
     CoverInfeasibleError).
-
-    _a is private to ELPGM, which evaluates on its own matrix: g built from
-    a matrix whose nonzeros are all 1.0 reads as structural, and
-    g.realized_adjacency() would draw other weights.
     """
-    return _Request(g, m, r_size, t_f, _a).place(even_division(r_size, m))
+    return _Request(g, m, r_size, t_f).place(even_division(r_size, m))
 
 
 def naive_placement(g: DirectedGraph, m: int, r_size: int, t_f: float = 2.0) -> EdcpResult:

@@ -31,9 +31,10 @@ holds at least m0 positive weights (every remaining pick then takes exactly
 one double); otherwise the draw runs to the end and is refused afterwards.
 
 Each `elpgm_optimize` call holds its (A, t_f) problem in one context,
-`_Problem`: the graph of A's nonzeros, the reach memo, the cover-seeded and
-EDCP starts, the support cache and the best placement, which the cache
-records as it evaluates each new support.
+`_Problem`: EDCP's request (`edcp._Request`) on the graph of A's nonzeros,
+whose one m-path cover seeds the starts and whose `place` gives the EDCP
+start, the reach memo, the support cache and the best placement, which
+the cache records as it evaluates each new support.
 """
 
 from __future__ import annotations
@@ -47,10 +48,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm, null_space
 
+from .edcp import CoverInfeasibleError, _Request, even_division
 from .graph import DirectedGraph
 from .lti import ControlPlacement, UncontrollableError, _Steering, _check_horizon
-from .edcp import CoverInfeasibleError, edcp
-from .pathcover import max_controllable_subset
 
 _PROJECTION_RETRIES = 20
 _INIT_ATTEMPTS = 20
@@ -137,7 +137,7 @@ class _Pool:
         self.nodes, self.weights = pool.tolist(), r[pool].tolist()
         w = self.weights
         self.positive = sum(x > 0 for x in w)
-        self.states = {0: (_pairwise_sum(w), array("d", itertools.accumulate(w)),
+        self.states = {0: (_total(w), array("d", itertools.accumulate(w)),
                            array("i", range(len(w))))}
 
     def draw(self, rng, allowed: frozenset[int] | None = None) -> list[int] | None:
@@ -183,7 +183,7 @@ class _Pool:
                 remaining = list(remaining)
                 weights = [self.weights[p] for p in remaining]
             del remaining[idx], weights[idx]
-            total, sums = _pairwise_sum(weights), list(itertools.accumulate(weights))
+            total, sums = _total(weights), list(itertools.accumulate(weights))
             if not stored:
                 self.states[mask] = total, array("d", sums), array("i", remaining)
                 stored = True
@@ -239,30 +239,9 @@ class _Uniforms:
         return self.rng
 
 
-def _pairwise_sum(w: list[float]) -> float:
-    """np.array(w).sum() for non-negative w, bit for bit, without the array.
-
-    numpy's pairwise summation: under 8 terms a sequential sum; up to 128
-    eight strided accumulators, combined as a tree, then the tail in order;
-    beyond that the two halves split at n/2 rounded down to a multiple of 8.
-    """
-    n = len(w)
-    if n < 8:
-        total = 0.0
-        for x in w:
-            total += x
-        return total
-    if n <= 128:
-        r = w[:8]
-        tail = n - n % 8
-        for i in range(8, tail, 8):
-            r = [x + y for x, y in zip(r, w[i:i + 8])]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for x in w[tail:]:
-            total += x
-        return total
-    half = n // 2 - n // 2 % 8
-    return _pairwise_sum(w[:half]) + _pairwise_sum(w[half:])
+def _total(w: list[float]) -> float:
+    """numpy's (pairwise) sum of w."""
+    return float(np.array(w).sum())
 
 
 def grad_b(a: np.ndarray, b: np.ndarray, c: np.ndarray, t_f: float) -> np.ndarray:
@@ -276,9 +255,8 @@ def grad_b(a: np.ndarray, b: np.ndarray, c: np.ndarray, t_f: float) -> np.ndarra
 
 
 def _grad_b(s: _Steering) -> np.ndarray:
-    xf = s.e_tf @ s.e_tf.T
     p = s.c.T @ np.linalg.solve(s.g, s.c)
-    q = p @ xf @ p
+    q = p @ s.x_f @ p
     return -2.0 * _exp_weighted_integral(s.a, q, s.t_f) @ s.b
 
 
@@ -321,23 +299,24 @@ def _grad_c(s: _Steering) -> np.ndarray:
     null = null_space(c)
     if null.shape[1] == 0:
         return np.zeros((c.shape[1], c.shape[0]))
-    xf = s.e_tf @ s.e_tf.T
     ct_ginv = np.linalg.solve(s.g, c).T  # C^T G^-1, exploiting G symmetry
     projected = null.T - (null.T @ s.w @ ct_ginv) @ c  # N^T (I - W C^T G^-1 C)
-    return 2.0 * null @ (projected @ xf @ ct_ginv)
+    return 2.0 * null @ (projected @ s.x_f @ ct_ginv)
 
 
 class _Problem:
     """One `elpgm_optimize` call's (A, t_f) problem, and what the call learns of it.
 
-    The graph holds A's nonzeros as edges j -> i of weight A[i, j].  Starts
-    are seeded from an optimal path/cycle cover: the canonical start puts
-    drivers on the path heads and controls path nodes first (head to tail),
-    then cycle nodes; randomized starts redraw the controlled set over the
-    covered nodes and eventually anything, so independent restarts explore
-    genuinely different supports.  Controlled nodes are always drawn from
-    the nodes the drafted drivers reach (a node no driver reaches cannot be
-    steered), and candidates whose support does not evaluate are skipped.
+    req is EDCP's request on the graph of A's nonzeros (edges j -> i of
+    weight A[i, j]), evaluated on A; the graph, its successor lists, m,
+    r_size, t_f and the m-path cover are read from it.  Starts are seeded
+    from that cover: the canonical start puts drivers on the path heads and
+    controls path nodes first (head to tail), then cycle nodes; randomized
+    starts redraw the controlled set over the covered nodes and eventually
+    anything, so independent restarts explore genuinely different supports.
+    Controlled nodes are always drawn from the nodes the drafted drivers
+    reach (a node no driver reaches cannot be steered), and candidates
+    whose support does not evaluate are skipped.
 
     A placement's cost and raw gradient steps depend only on its support
     (column order permutes away), so each support, keyed by its sorted
@@ -349,17 +328,15 @@ class _Problem:
 
     def __init__(self, a: np.ndarray, m: int, r_size: int, t_f: float,
                  eta_b: float | None, eta_c: float | None):
-        self.a, self.m, self.r_size, self.t_f = a, m, r_size, t_f
-        self.eta_b, self.eta_c = eta_b, eta_c
-        self.n = a.shape[0]
+        n = a.shape[0]
         rows, cols = np.nonzero(a)
-        self.graph = DirectedGraph(n=self.n, edges=tuple(zip(cols.tolist(), rows.tolist(),
-                                                             a[rows, cols].tolist())))
-        self._succ = self.graph.successors()
+        edges = tuple(zip(cols.tolist(), rows.tolist(), a[rows, cols].tolist()))
+        self.req = _Request(DirectedGraph(n=n, edges=edges), m, r_size, t_f, a)
+        self.eta_b, self.eta_c = eta_b, eta_c
         self._reached: dict[tuple, frozenset[int]] = {}
         self.entries: dict[tuple, tuple[float, np.ndarray, np.ndarray] | None] = {}
         self.best, self.best_e = None, math.inf  # (drivers, controlled) and its cost
-        cover, rmax = max_controllable_subset(self.graph, m)
+        cover, rmax = self.req.path_cover
         if rmax < r_size:
             raise UncontrollableError(
                 f"{m} drivers cover at most {rmax} nodes; no {r_size}-output start exists"
@@ -371,7 +348,7 @@ class _Problem:
         # On small instances sweep the driver supports round-robin instead of
         # hoping random draws cover them.
         self.driver_combos = (
-            list(itertools.combinations(range(self.n), m)) if math.comb(self.n, m) <= 64 else None
+            list(itertools.combinations(range(n), m)) if math.comb(n, m) <= 64 else None
         )
         self._combo_cursor = 0
 
@@ -382,7 +359,7 @@ class _Problem:
             seen = {int(v) for v in key}
             stack = list(seen)
             while stack:
-                for w in self._succ[stack.pop()]:
+                for w in self.req.succ[stack.pop()]:
                     if w not in seen:
                         seen.add(w)
                         stack.append(w)
@@ -403,9 +380,10 @@ class _Problem:
         # controllability matrix: reject before the rank test
         if not set(controlled) <= self.reach(drivers):
             return None
-        placement = ControlPlacement(drivers=tuple(drivers), controlled=tuple(controlled), t_f=self.t_f)
+        req = self.req
+        placement = ControlPlacement(drivers=tuple(drivers), controlled=tuple(controlled), t_f=req.t_f)
         try:
-            s = _Steering(self.a, placement.b_matrix(self.n), placement.c_matrix(self.n), self.t_f)
+            s = _Steering(req.a, placement.b_matrix(req.g.n), placement.c_matrix(req.g.n), req.t_f)
         except UncontrollableError:
             return None
         b_raw = s.b if self.eta_b is None else s.b - self.eta_b * _grad_b(s)
@@ -417,21 +395,22 @@ class _Problem:
             combo = self.driver_combos[self._combo_cursor % len(self.driver_combos)]
             self._combo_cursor += 1
             return list(combo)
-        return list(rng.choice(self.n, size=self.m, replace=False))
+        return list(rng.choice(self.req.g.n, size=self.req.m, replace=False))
 
     def _candidate(self, attempt: int, kind: int, rng: np.random.Generator):
         """(drivers, controlled), or None when the drivers reach too few nodes."""
+        r_size = self.req.r_size
         if kind <= 1 and attempt < _INIT_ATTEMPTS // 2:
-            if len(self.ordered) < self.r_size:
+            if len(self.ordered) < r_size:
                 return None
             if kind == 0 and attempt == 0:
-                return self.head_drivers, self.ordered[: self.r_size]
-            return self.head_drivers, list(rng.choice(self.ordered, size=self.r_size, replace=False))
+                return self.head_drivers, self.ordered[:r_size]
+            return self.head_drivers, list(rng.choice(self.ordered, size=r_size, replace=False))
         drivers = self._fresh_drivers(rng)
         reached = sorted(self.reach(drivers))
-        if len(reached) < self.r_size:
+        if len(reached) < r_size:
             return None
-        return drivers, list(rng.choice(reached, size=self.r_size, replace=False))
+        return drivers, list(rng.choice(reached, size=r_size, replace=False))
 
     def draw(self, rng: np.random.Generator, kind: int) -> tuple[list[int], list[int]]:
         """The first candidate (drivers, controlled) whose support evaluates.
@@ -448,9 +427,9 @@ class _Problem:
         raise UncontrollableError("no controllable initialization found")
 
     def edcp_start(self) -> tuple[list[int], list[int]] | None:
-        """EDCP's placement on the same network, when it has one."""
+        """EDCP's placement on the same request, when it has one."""
         try:
-            placement = edcp(self.graph, self.m, self.r_size, self.t_f, self.a).placement
+            placement = self.req.place(even_division(self.req.r_size, self.req.m)).placement
         except CoverInfeasibleError:
             return None
         drivers, controlled = list(placement.drivers), list(placement.controlled)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, inf, isqrt, perm
 from typing import Callable
 
@@ -182,8 +182,9 @@ class _Steering:
     """The shared terms of one steering problem (A, B, C, t_f).
 
     Computed once each, in this order: the output-controllability test, the
-    Gramian W, G = C W C^T with its conditioning guard, and e^(A t_f).  The
-    cost, its gradients and the minimum-energy input all derive from them.
+    Gramian W, G = C W C^T with its conditioning guard, e^(A t_f), and X_f
+    = e^(A t_f) e^(A^T t_f) on first use.  The cost, its gradients and the
+    minimum-energy input all derive from them.
     Raises UncontrollableError where the cost is undefined; its condition
     is None for a rank failure.
     """
@@ -202,6 +203,10 @@ class _Steering:
             )
         self.a, self.b, self.c, self.t_f, self.w, self.g = a, b, c, t_f, w, g
         self.e_tf = expm(a * t_f)
+
+    @cached_property
+    def x_f(self) -> np.ndarray:
+        return self.e_tf @ self.e_tf.T
 
     def cost(self) -> float:
         """E = tr((C W C^T)^-1 C e^(A t_f) e^(A^T t_f) C^T)."""

@@ -133,9 +133,10 @@ class TestVerify:
         assert residual <= 1e-6
 
     def test_duplicate_driver_rejected(self, fig8_file, tmp_path):
+        # a file that names a node twice is malformed input, not a refusal
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"drivers": [1, 1], "controlled": [1, 2]}))
-        assert main(["verify", fig8_file, str(bad)]) == 2
+        assert main(["verify", fig8_file, str(bad)]) == 1
 
     def test_malformed_placement(self, fig8_file, tmp_path):
         bad = tmp_path / "bad.json"
@@ -291,6 +292,19 @@ class TestBench:
         assert [row.split(",")[5:7] for row in rows[1:]] == [["edcp", "nan"], ["elpgm", "nan"]]
         err = capsys.readouterr().err
         assert " edcp: " in err and " elpgm: " in err
+
+    def test_estimate_cells_say_so(self, tmp_path, capsys):
+        # every exact cost of this full-control cell is out of numeric range:
+        # E stays the chain estimate, and stderr says so for both cells
+        out = tmp_path / "bench.csv"
+        code = main(["bench", "--network", "er", "--n", "30", "-M", "4", "--algos", "edcp,naive",
+                     "--fractions", "1.0", "--out", str(out)])
+        assert code == 0
+        rows = [row.split(",") for row in out.read_text().strip().splitlines()[1:]]
+        assert [row[5:7] for row in rows] == [["edcp", "1.62E55"], ["naive", "1.62E55"]]
+        err = capsys.readouterr().err
+        for algo in ("edcp", "naive"):
+            assert f"er-n30-mu6 fraction 1 {algo}: E is the chain estimate" in err
 
     def test_more_drivers_than_nodes_is_nan(self, tmp_path, capsys):
         # at fraction 0.1, R = 4 < M = 8: those cells are refused, not the table

@@ -10,6 +10,7 @@ import pytest
 from netcontrol.edcp import (
     CoverInfeasibleError,
     Stem,
+    _Request,
     assign_drivers,
     edcp,
     even_division,
@@ -388,6 +389,7 @@ class TestPinned:
         # costs; the digest was recorded before each request became one context
         calls = []
         for g, m, r, t_f, a in _wide_requests():
-            calls.append(lambda g=g, m=m, r=r, t_f=t_f, a=a: edcp(g, m, r, t_f, a))
+            calls.append(lambda g=g, m=m, r=r, t_f=t_f, a=a:
+                         _Request(g, m, r, t_f, a).place(even_division(r, m)))
             calls.append(lambda g=g, m=m, r=r, t_f=t_f: naive_placement(g, m, r, t_f))
         assert _digest(calls) == "1bd1276d11832bb8980b63843671b3edbd91cff00ac3056f208e0930e45cdae1"

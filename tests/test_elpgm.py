@@ -244,7 +244,7 @@ class TestOptimize:
                       [1.0, -0.0, 3.0, 0.0]])
         from netcontrol.elpgm import _Problem
 
-        graph = _Problem(a, 1, 1, 2.0, None, None).graph
+        graph = _Problem(a, 1, 1, 2.0, None, None).req.g
         assert graph.n == 4
         assert graph.edges == ((0, 1, -2.5), (0, 3, 1.0), (1, 0, 1.0), (2, 3, 3.0), (3, 1, 1.0))
 
@@ -290,7 +290,8 @@ class TestOptimize:
         def unreachable(*args):
             raise AssertionError("ran before the refusal")
 
-        monkeypatch.setattr(netcontrol.elpgm, "max_controllable_subset", unreachable)
+        edcp_module = importlib.import_module("netcontrol.edcp")  # `netcontrol.edcp` is the function
+        monkeypatch.setattr(edcp_module, "max_controllable_subset", unreachable)
         monkeypatch.setattr(netcontrol.elpgm, "_Steering", unreachable)
         with pytest.raises(ValueError, match="m <= r_size"):
             elpgm_optimize(generate_er(12, 3.0, 1).realized_adjacency(), 4, 3)
@@ -299,8 +300,8 @@ class TestOptimize:
         # the benchmark's descent instance: when every pick of every retry
         # recomputed its pool total, one call took 259,753 of them
         calls = []
-        real = netcontrol.elpgm._pairwise_sum
-        monkeypatch.setattr(netcontrol.elpgm, "_pairwise_sum", lambda w: calls.append(1) or real(w))
+        real = netcontrol.elpgm._total
+        monkeypatch.setattr(netcontrol.elpgm, "_total", lambda w: calls.append(1) or real(w))
         elpgm_optimize(generate_er(20, 3.0, 11).realized_adjacency(), 3, 10, ElpgmConfig(seed=0))
         assert len(calls) <= 10_000
 
@@ -313,6 +314,31 @@ class TestOptimize:
         monkeypatch.setattr(netcontrol.elpgm, "bisect_right", lambda *x: calls.append(1) or real(*x))
         elpgm_optimize(generate_er(20, 3.0, 11).realized_adjacency(), 3, 10, ElpgmConfig(seed=0))
         assert len(calls) <= 130_000
+
+    def test_one_flow_and_successor_build_per_call(self, monkeypatch):
+        # ELPGM and its EDCP start share one request: the m-path cover is
+        # solved once and the successor lists are built once; when EDCP ran
+        # on a graph of its own, the BA call built 3 solvers and the descent
+        # instance built its successor lists twice
+        counts = {"solvers": 0, "successors": 0}
+        solver, graph = netcontrol.flow.SufficiencySolver, netcontrol.graph.DirectedGraph
+
+        def init(self, *args, real=solver.__init__):
+            counts["solvers"] += 1
+            return real(self, *args)
+
+        def successors(self, real=graph.successors):
+            counts["successors"] += 1
+            return real(self)
+
+        monkeypatch.setattr(solver, "__init__", init)
+        monkeypatch.setattr(graph, "successors", successors)
+        ba = generate_ba(24, 1, 6201).realized_adjacency()
+        elpgm_optimize(ba, 1, 6, ElpgmConfig(k_f=10, restarts=2))
+        assert counts["solvers"] == 2
+        counts.update(solvers=0, successors=0)
+        elpgm_optimize(generate_er(20, 3.0, 11).realized_adjacency(), 3, 10, ElpgmConfig(seed=0))
+        assert counts["successors"] == 1
 
     def test_edcp_start_evaluated_on_a(self, monkeypatch):
         # every nonzero of A is 1.0, so the graph ELPGM hands EDCP reads as
@@ -364,7 +390,9 @@ class TestOptimize:
                                     calls["output_controllable"] - before["output_controllable"],
                                     calls["gramian"] - before["gramian"]))
 
-        def edcp(*args, real=netcontrol.elpgm.edcp):
+        request = importlib.import_module("netcontrol.edcp")._Request
+
+        def place(*args, real=request.place):
             # EDCP's own exact evaluations are not ELPGM's
             before = calls["gramian"]
             try:
@@ -373,7 +401,7 @@ class TestOptimize:
                 calls["edcp_gramian"] += calls["gramian"] - before
 
         monkeypatch.setattr(netcontrol.elpgm, "_Steering", steering)
-        monkeypatch.setattr(netcontrol.elpgm, "edcp", edcp)
+        monkeypatch.setattr(request, "place", place)
         for seed in (1, 4, 6):
             a = generate_er(12, 3.0, seed).realized_adjacency()
             cfg = ElpgmConfig(k_f=20, restarts=4, seed=seed)
@@ -524,14 +552,6 @@ class TestPinned:
                 condition = exc.value.condition
                 digest.update(repr(None if condition is None else condition.hex()).encode())
         assert digest.hexdigest() == "7ff0e3a6575f4a14cb778a9b71fa0367b92fe1dd170eb3c395755224f44bb33f"
-
-    def test_pairwise_sum_is_numpy_sum(self):
-        from netcontrol.elpgm import _pairwise_sum
-
-        rng = np.random.default_rng(5)
-        for n in range(1, 301):
-            for w in (rng.random(n) * 10.0 ** rng.uniform(-6, 6, n), np.zeros(n)):
-                assert _pairwise_sum(w.tolist()).hex() == float(w.sum()).hex()
 
     def test_total_is_numpy_sum(self):
         # Nine weights whose numpy (pairwise) total differs from the
