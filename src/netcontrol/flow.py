@@ -12,17 +12,39 @@ The solver first saturates all negative (inner) arcs, which leaves a residual
 network with nonnegative costs, then routes the resulting excesses and the M
 supply units with successive-shortest-path batches (Dijkstra with vertex
 potentials + blocking flow per cost level).  This is exact and integral.
+No arc enters s, so no excess path can pass through it: s's arcs stay closed
+while the excesses move, which spares every search their scan.
 
-Each round runs Dijkstra until the sink is settled (labels beyond it are not
-final; the update pi += min(dist, dist[t]) caps them and keeps all residual
-reduced costs nonnegative), then Dinic phases on the zero-reduced-cost arcs:
-a BFS up to the sink's level records each node's admissible arcs into the
-next level, and a DFS with current-arc pointers walks only those lists.
+Each round runs Dijkstra on reduced costs with Dial's bucket queue, since
+they are nonnegative integers, until it reaches the sink.  Labels beyond it
+are not final; the update pi += min(dist, dist[t]) caps them, keeps every
+residual reduced cost nonnegative, and gives the same potentials whatever
+order a queue settles ties in.  Then Dinic phases run on the
+zero-reduced-cost arcs.  Each phase labels nodes with their arc distance tl
+to the sink by a reverse BFS that stops once the source has a label, and a
+DFS with current-arc pointers leaves a node v only along a live admissible
+arc into a node w with tl[w] == tl[v] - 1.  A path never enters the source
+or leaves the sink, so within a round their arcs only close: each round
+keeps the source's out-arcs and the sink's in-arcs that are live and
+admissible at its start, and its phases scan only those.
+
+These phases augment the same paths, in the same order, as Dinic phases
+layered from the source.  A path that starts at the source and steps down
+one sink level per arc reaches the sink after tl[s] arcs, so it is a
+shortest admissible path; conversely every arc of a shortest path steps
+down one sink level.  So both layerings hold the same source-sink paths,
+and at each node the DFS takes the first arc, in adjacency order, that still
+continues to the sink: each augmenting path is the lexicographically first
+live shortest path.  Sink levels only leave out arcs into dead ends, which a
+source-layered DFS enters and retreats from.  An augmentation opens only
+reverse arcs, which climb one level and never join the phase's graph, so
+within a phase the set of live shortest paths only shrinks under both
+layerings, and every phase and every stop at a unit limit ends on the same
+flow.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from .graph import DirectedGraph
@@ -63,12 +85,17 @@ class FlowNetwork:
         return 0
 
     def to_dimacs(self) -> str:
-        """DIMACS-min-like text dump, for debugging."""
+        """The network in DIMACS min-cost-flow format, for an outside solver.
+
+        DIMACS numbers nodes 1..N, so vertex v is written as v + 1: the source
+        s = 2n is node 2n + 1 and the sink t is node 2n + 2.  Arc lines read
+        "a tail head lower capacity cost", in `arcs` order.
+        """
         lines = [f"p min {self.num_vertices} {len(self.arcs)}"]
-        lines.append(f"n {self.source} {self.units}")
-        lines.append(f"n {self.sink} {-self.units}")
+        lines.append(f"n {self.source + 1} {self.units}")
+        lines.append(f"n {self.sink + 1} {-self.units}")
         for tail, head, cap, cost in self.arcs:
-            lines.append(f"a {tail} {head} 0 {cap} {cost}")
+            lines.append(f"a {tail + 1} {head + 1} 0 {cap} {cost}")
         return "\n".join(lines) + "\n"
 
 
@@ -119,79 +146,103 @@ def validate_flow(fn: FlowNetwork, f: Flow) -> bool:
 
 
 class _Residual:
-    """Paired-arc residual network with potentials for reduced-cost search."""
+    """Paired-arc residual network with potentials for reduced-cost search.
 
-    def __init__(self, num_nodes: int):
+    Built in one pass over an iterable of (tail, head, capacity, cost)
+    arcs: arc k becomes residual arc 2k and its reverse 2k + 1, so arc `aid`
+    runs from `to[aid ^ 1]` to `to[aid]`.  Each node lists its residual arcs
+    in increasing id; the searches scan them in that order, which fixes the
+    tie breaks between optimal flows.
+    """
+
+    def __init__(self, num_nodes: int, arcs):
         self.num_nodes = num_nodes
         self.to: list[int] = []
         self.cap: list[int] = []
         self.cost: list[int] = []
+        for tail, head, cap, cost in arcs:
+            self.to += (head, tail)
+            self.cap += (cap, 0)
+            self.cost += (cost, -cost)
         self.adj: list[list[int]] = [[] for _ in range(num_nodes)]
+        for aid in range(len(self.to)):
+            self.adj[self.to[aid ^ 1]].append(aid)
         self.pi = [0] * num_nodes
-
-    def add_arc(self, tail: int, head: int, cap: int, cost: int) -> None:
-        aid = len(self.to)
-        self.to.extend((head, tail))
-        self.cap.extend((cap, 0))
-        self.cost.extend((cost, -cost))
-        self.adj[tail].append(aid)
-        self.adj[head].append(aid + 1)
 
     def _dijkstra(self, src: int, dst: int) -> list[float]:
         """Reduced-cost distances from src, final only up to dst.
 
-        The search stops once dst is settled: labels of the nodes it has not
-        settled are tentative (never below dist[dst]) or infinite.  That is
-        enough, because `ship` caps every potential update at dist[dst].
+        Dial's bucket queue: reduced costs are nonnegative integers, so node
+        labels are settled bucket by bucket in increasing distance.  A
+        negative reduced cost would file a node into a bucket already passed
+        and silently leave it unsettled; the potentials keep every residual
+        reduced cost nonnegative (see `ship`), and the tests check that.
+
+        The search stops when it reaches dst in its bucket: labels of the
+        nodes it has not settled are tentative (never below dist[dst]) or
+        infinite.  That is enough, because `ship` caps every potential update
+        at dist[dst], and the capped labels min(dist, dist[dst]) are the same
+        whatever order a queue settles ties in.
         """
         pi, adj, cap, to, cost = self.pi, self.adj, self.cap, self.to, self.cost
         dist = [INF] * self.num_nodes
         dist[src] = 0
-        heap = [(0, src)]
-        while heap:
-            d, v = heapq.heappop(heap)
-            if d > dist[v]:
-                continue
-            if v == dst:
+        buckets = [[src]]
+        for d, bucket in enumerate(buckets):
+            if dist[dst] <= d:
                 break
-            pv = pi[v]
-            for aid in adj[v]:
-                if cap[aid] <= 0:
-                    continue
-                w = to[aid]
-                nd = d + cost[aid] + pv - pi[w]
-                if nd < dist[w]:
-                    dist[w] = nd
-                    heapq.heappush(heap, (nd, w))
-        return dist
-
-    def _blocking_flows(self, src: int, dst: int, limit: int) -> int:
-        """Max flow from src to dst over zero-reduced-cost arcs, up to limit."""
-        pi, adj, cap, to, cost = self.pi, self.adj, self.cap, self.to, self.cost
-        pushed_total = 0
-        while pushed_total < limit:
-            level = [-1] * self.num_nodes
-            level[src] = 0
-            ahead: list[list[int]] = [[]] * self.num_nodes
-            queue = [src]
-            for v in queue:
-                if level[v] == level[dst]:
-                    break
-                nxt = level[v] + 1
-                pv = pi[v]
-                out = []
+            for v in bucket:
+                if v == dst:
+                    break  # dist[dst] == d: every label below d is final
+                if dist[v] != d:
+                    continue  # settled earlier from a lower bucket
+                pv = pi[v] + d
                 for aid in adj[v]:
                     if cap[aid] > 0:
                         w = to[aid]
-                        if cost[aid] + pv == pi[w]:
-                            if level[w] == -1:
-                                level[w] = nxt
-                                queue.append(w)
-                                out.append(aid)
-                            elif level[w] == nxt:
-                                out.append(aid)
-                ahead[v] = out
-            if level[dst] == -1:
+                        nd = cost[aid] + pv - pi[w]
+                        if nd < dist[w]:
+                            dist[w] = nd
+                            if nd >= len(buckets):
+                                buckets.extend([] for _ in range(nd + 1 - len(buckets)))
+                            buckets[nd].append(w)
+        return dist
+
+    def _blocking_flows(self, src: int, dst: int, limit: int) -> int:
+        """Max flow from src to dst over zero-reduced-cost arcs, up to limit.
+
+        Dinic phases with levels measured from the sink: a reverse BFS from
+        dst over live zero-reduced-cost arcs gives each node its arc distance
+        tl to dst and stops once src has one.  The DFS leaves v only along a
+        live zero-reduced-cost arc into a node w with tl[w] == tl[v] - 1, so
+        every arc it takes lies on a shortest admissible src-dst path and it
+        rarely meets a dead end.
+        """
+        pi, cap, to, cost = self.pi, self.cap, self.to, self.cost
+        # A path never enters src or leaves dst, so within one round the arcs
+        # out of src and into dst only close.  The DFS leaves src, and the BFS
+        # enters dst, only through the arcs that are live and admissible now.
+        adj = self.adj.copy()
+        adj[src] = [aid for aid in adj[src] if cap[aid] > 0 and cost[aid] + pi[src] == pi[to[aid]]]
+        adj[dst] = [aid for aid in adj[dst] if cap[aid ^ 1] > 0 and pi[to[aid]] - cost[aid] == pi[dst]]
+        pushed_total = 0
+        while pushed_total < limit:
+            tl = [-1] * self.num_nodes
+            tl[dst] = 0
+            queue = [dst]
+            for w in queue:
+                nxt = tl[w] + 1
+                pw = pi[w]
+                for aid in adj[w]:
+                    # aid ^ 1 is the arc v -> w
+                    if cap[aid ^ 1] > 0:
+                        v = to[aid]
+                        if tl[v] < 0 and pi[v] - cost[aid] == pw:
+                            tl[v] = nxt
+                            queue.append(v)
+                if tl[src] >= 0:
+                    break
+            if tl[src] < 0:
                 break
             it = [0] * self.num_nodes
             path: list[int] = []
@@ -207,21 +258,26 @@ class _Residual:
                     path = []
                     v = src
                     continue
-                out = ahead[v]
-                i = it[v]
-                while i < len(out) and cap[out[i]] <= 0:
-                    i += 1
-                it[v] = i
-                if i < len(out):
+                out = adj[v]
+                down = tl[v] - 1
+                pv = pi[v]
+                for i in range(it[v], len(out)):
                     aid = out[i]
-                    path.append(aid)
-                    v = to[aid]
+                    if cap[aid] > 0:
+                        w = to[aid]
+                        if tl[w] == down and cost[aid] + pv == pi[w]:
+                            break
+                else:  # a dead end: retreat one arc
+                    it[v] = len(out)
+                    if v == src:
+                        break
+                    aid = path.pop()
+                    v = to[aid ^ 1]
+                    it[v] += 1
                     continue
-                if v == src:
-                    break
-                aid = path.pop()
-                v = to[aid ^ 1]
-                it[v] += 1
+                it[v] = i
+                path.append(aid)
+                v = w
         return pushed_total
 
     def ship(self, src: int, dst: int, limit: int) -> list[int]:
@@ -229,16 +285,17 @@ class _Residual:
 
         Returns the true (un-reduced) cost of each shipped unit, in order;
         within one Dijkstra round every unit moves at the same marginal cost.
+        The update pi += min(dist, dist[dst]) keeps every residual reduced
+        cost nonnegative, also on the arcs the round's augmentations reverse.
         """
         unit_costs: list[int] = []
         while len(unit_costs) < limit:
             dist = self._dijkstra(src, dst)
-            if dist[dst] == INF:
-                break
-            marginal = int(dist[dst]) + self.pi[dst] - self.pi[src]
             cap_d = dist[dst]
-            for v in range(self.num_nodes):
-                self.pi[v] += int(min(dist[v], cap_d))
+            if cap_d == INF:
+                break
+            marginal = cap_d + self.pi[dst] - self.pi[src]
+            self.pi = [p + (d if d < cap_d else cap_d) for p, d in zip(self.pi, dist)]
             pushed = self._blocking_flows(src, dst, limit - len(unit_costs))
             if pushed == 0:
                 break
@@ -262,12 +319,13 @@ class SufficiencySolver:
         num = 2 * n + 4  # D' plus a super source/sink for excess routing
         self.aux_source = 2 * n + 2
         self.aux_sink = 2 * n + 3
-        self.res = _Residual(num)
-        # D' arc k is residual arc 2k; its flow is the capacity of arc 2k + 1
+        # D' arc k is residual arc 2k; its flow is the capacity of arc 2k + 1.
+        # The excess-routing arcs follow: aux source -> v_out, v_in -> aux sink.
         arcs = build_sufficiency_flow_network(g, 1).arcs if n else ()
-        for arc in arcs:
-            self.res.add_arc(*arc)
         self._num_arcs = len(arcs)
+        aux = (arc for v in range(n)
+               for arc in ((self.aux_source, n + v, 1, 0), (v, self.aux_sink, 1, 0)))
+        self.res = _Residual(num, (arc for part in (arcs, aux) for arc in part))
         self.unit_costs: list[int] = []
         self.base_cost = 0
         if n:
@@ -278,17 +336,19 @@ class SufficiencySolver:
         n = self.n
         res = self.res
         # Saturate every negative (inner) arc; v_out gains a unit of excess
-        # and v_in a deficit, wired to an auxiliary source/sink.
+        # and v_in a deficit, wired to the auxiliary source/sink.
         for v in range(n):
             inner = 2 * (n + v)
             res.cap[inner] -= 1
             res.cap[inner + 1] += 1
-        for v in range(n):
-            res.add_arc(self.aux_source, n + v, 1, 0)
-            res.add_arc(v, self.aux_sink, 1, 0)
+        # No arc enters s, so no excess path passes through it.  Its arcs
+        # s -> v_in (D' arcs 0..n-1) stay closed while the excesses move,
+        # which only keeps the searches from scanning them, and open after.
+        res.cap[0:2 * n:2] = [0] * n
         routed = res.ship(self.aux_source, self.aux_sink, n)
         if len(routed) != n:
             raise AssertionError("excess routing must always complete")
+        res.cap[0:2 * n:2] = [1] * n
         self.base_cost = -n + sum(routed)
 
     @property

@@ -143,18 +143,19 @@ def controllability_curve(g: DirectedGraph) -> list[CurvePoint]:
     """(M, rmax(M)) for M = 1..M*(n), with normalized fraction columns.
 
     Marginal coverage gains of successive units are nonincreasing, so the
-    solver's per-unit costs give the whole curve in one sweep.
+    solver's per-unit costs give the whole curve in one sweep, which stops at
+    M*: after k units the flow is optimal for supply k, so each prefix sum is
+    rmax(k).
     """
     if g.n == 0:
         return []
     solver = SufficiencySolver(g)
-    solver.advance_to(g.n)
+    mstar = solver.advance_until_coverage(g.n)
     coverages = []
     cov = -solver.base_cost
     for c in solver.unit_costs:
         cov -= c
         coverages.append(cov)
-    mstar = coverages.index(g.n) + 1
     return [
         CurvePoint(m, coverages[m - 1], coverages[m - 1] / g.n, m / mstar)
         for m in range(1, mstar + 1)

@@ -57,6 +57,25 @@ class TestBuild:
         assert dump.startswith("p min 6 7\n")
         assert "a " in dump
 
+    @pytest.mark.parametrize("n, units", [(1, 1), (5, 2), (12, 7)])
+    def test_dimacs_parses_back(self, n, units):
+        # DIMACS numbers nodes 1..N: a standard reader rejects node 0.
+        rng = random.Random(n)
+        g = graph_of(n, random_digraph(n, 0.3, rng))
+        fn = build_sufficiency_flow_network(g, units)
+        lines = [line.split() for line in fn.to_dimacs().splitlines()]
+        problem = [line for line in lines if line[0] == "p"]
+        assert len(problem) == 1 and problem[0][1] == "min"
+        num_nodes, num_arcs = int(problem[0][2]), int(problem[0][3])
+        supplies = {int(line[1]): int(line[2]) for line in lines if line[0] == "n"}
+        arcs = [tuple(map(int, line[1:])) for line in lines if line[0] == "a"]
+        assert num_nodes == fn.num_vertices and len(arcs) == num_arcs == len(fn.arcs)
+        assert sum(supplies.values()) == 0
+        assert supplies == {fn.source + 1: units, fn.sink + 1: -units}
+        ids = list(supplies) + [v for arc in arcs for v in arc[:2]]
+        assert all(1 <= v <= num_nodes for v in ids)
+        assert arcs == [(t + 1, h + 1, 0, cap, cost) for t, h, cap, cost in fn.arcs]
+
 
 class TestMinCostFlow:
     def test_chain_plus_isolated(self):
@@ -138,6 +157,24 @@ class TestOptimality:
         f = min_cost_flow(g, m)
         assert not residual_has_negative_cycle(fn, f)
 
+    @pytest.mark.parametrize("seed", range(24))
+    def test_self_loops_match_exhaustive_cover(self, seed):
+        # A self-loop v -> v is the residual arc v_out -> v_in, parallel to
+        # the reverse of v's inner arc once the circulation saturates it.
+        rng = random.Random(700 + seed)
+        n = rng.randint(1, 6)
+        edge_set = {(s, d) for s, d in random_digraph(n, rng.uniform(0.1, 0.4), rng) if s != d}
+        edge_set |= {(v, v) for v in range(n) if rng.random() < 0.5}
+        edge_set.add((n - 1, n - 1))
+        g = graph_of(n, edge_set)
+        solver = SufficiencySolver(g)
+        for m in range(1, n + 1):
+            assert solver.advance_to(m) == best_cover_size(n, edge_set, m)
+            fn = build_sufficiency_flow_network(g, m)
+            flow = solver.as_flow()
+            assert validate_flow(fn, flow)
+            assert not residual_has_negative_cycle(fn, flow)
+
     def test_advance_until_coverage_minimal(self):
         g = generate_er(60, 2, seed=11)
         fast = SufficiencySolver(g)
@@ -153,6 +190,28 @@ class TestOptimality:
         solver.advance_to(g.n)
         gains = [-c for c in solver.unit_costs]
         assert gains == sorted(gains, reverse=True)
+
+
+def _flow_digest(graphs):
+    # sha256 over base cost, unit costs and arc flows of each graph's solver
+    # after construction and after advancing to 1, ceil(n/3) and n units,
+    # then of a fresh solver advanced until it covers every node.
+    digest = hashlib.sha256()
+
+    def record(solver):
+        state = (solver.base_cost, solver.unit_costs, solver.arc_flows())
+        digest.update(repr(state).encode())
+
+    for g in graphs:
+        solver = SufficiencySolver(g)
+        record(solver)
+        for m in (1, math.ceil(g.n / 3), g.n):
+            solver.advance_to(m)
+            record(solver)
+        fresh = SufficiencySolver(g)
+        fresh.advance_until_coverage(g.n)
+        record(fresh)
+    return digest.hexdigest()
 
 
 def _assert_reduced_costs_nonnegative(solver):
@@ -189,19 +248,30 @@ class TestKernel:
             graphs.append(generate_er(n, rng.uniform(0.5, 5.0), seed))
             graphs.append(generate_ba(n, rng.randint(1, 2), seed))
         graphs.append(generate_er(1500, 4.0, 0))
-        digest = hashlib.sha256()
+        assert _flow_digest(graphs) == "ec76efd9689ce0bbf9df582172b126fbfb17a98a492196eb32bd2c9dfcf9f2e4"
 
-        def record(solver):
-            state = (solver.base_cost, solver.unit_costs, solver.arc_flows())
-            digest.update(repr(state).encode())
-
-        for g in graphs:
-            solver = SufficiencySolver(g)
-            record(solver)
-            for m in (1, math.ceil(g.n / 3), g.n):
-                solver.advance_to(m)
-                record(solver)
-            fresh = SufficiencySolver(g)
-            fresh.advance_until_coverage(g.n)
-            record(fresh)
-        assert digest.hexdigest() == "ec76efd9689ce0bbf9df582172b126fbfb17a98a492196eb32bd2c9dfcf9f2e4"
+    def test_tie_heavy_flows_pinned_bit_for_bit(self):
+        # A second digest on families with many optimal flows: self-loops,
+        # isolated nodes, disjoint cycles beside chains, and ER/BA graphs up
+        # to n=300 with self-loops and isolated nodes added.
+        rng = random.Random(1969)
+        graphs = []
+        for _ in range(30):
+            n = rng.randint(1, 12)
+            graphs.append(graph_of(n, random_digraph(n, rng.uniform(0.05, 0.5), rng)))
+        for lengths in ((1,), (1, 1, 2), (2, 3), (3, 3, 3), (1, 2, 3, 4, 5), (6, 6)):
+            edge_set, v = set(), 0
+            for length in lengths:
+                edge_set |= {(v + i, v + (i + 1) % length) for i in range(length)}
+                v += length
+            edge_set |= {(v, v + 1), (v + 1, v + 2)}  # a chain beside them
+            graphs.append(graph_of(v + 5, edge_set))  # two isolated nodes
+        graphs.append(graph_of(7, {(i, j) for i in range(7) for j in range(7)}))
+        for seed in range(10):
+            n = rng.randint(3, 300)
+            for g in (generate_er(n, rng.uniform(0.3, 4.0), seed),
+                      generate_ba(n, rng.randint(1, 3), seed)):
+                loops = {(v, v) for v in range(n) if rng.random() < 0.1}
+                edge_set = {(s, d) for s, d, _ in g.edges} | loops
+                graphs.append(graph_of(n + rng.randint(0, 5), edge_set))
+        assert _flow_digest(graphs) == "321fe1c93ad628fb69421ce4a07cc663e532ae7634475da5d0cd1f974b67115d"

@@ -3,7 +3,13 @@ import random
 import pytest
 
 from netcontrol.flow import SufficiencySolver, build_sufficiency_flow_network, min_cost_flow
-from netcontrol.graph import DirectedGraph, generate_er, maximum_matching, parse_edge_list
+from netcontrol.graph import (
+    DirectedGraph,
+    generate_ba,
+    generate_er,
+    maximum_matching,
+    parse_edge_list,
+)
 from netcontrol.lti import output_controllable
 from netcontrol.pathcover import (
     PathCover,
@@ -128,6 +134,21 @@ class TestCurve:
         assert values == sorted(values)
         assert values[-1] == g.n
         assert curve[-1].frac_drivers == 1.0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_curve_stops_at_mstar_with_every_rmax(self, seed):
+        # The sweep ships M* units, not n: each point must still be the
+        # optimum rmax(M) a solver reaches by advancing to exactly M units.
+        rng = random.Random(300 + seed)
+        n = rng.randint(2, 120)
+        g = (generate_er(n, rng.uniform(0.5, 4.0), seed) if seed % 2
+             else generate_ba(n, rng.randint(1, 2), seed))
+        curve = controllability_curve(g)
+        mstar = len(curve)
+        solver = SufficiencySolver(g)
+        assert [p.rmax for p in curve] == [solver.advance_to(m) for m in range(1, mstar + 1)]
+        assert curve[-1].rmax == g.n and (mstar == 1 or curve[-2].rmax < g.n)
+        assert [p.m for p in curve] == list(range(1, mstar + 1))
 
     def test_csv_format(self):
         text = curve_to_csv(controllability_curve(parse_edge_list("0 1\n1 2\n2 3")))
