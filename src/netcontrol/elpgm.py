@@ -6,29 +6,12 @@ manifold (one unit wire per column, fixed column count).  The projection
 scores each node by the row mass it carried, keeps the top m0 + m1 as
 candidates, and samples m0 of them without replacement proportionally to
 that score, so the search can hop between supports while still descending.
-The pool depends only on the iterate, so the descent builds it once per
-iterate and each retry redraws from it; supports are keyed by node index,
-and B and C are built only for a support not evaluated before.
-
-Each pool remembers the draw states its draws reached: keyed by the set of
-positions already picked, a state holds the total and running sums of the
-remaining weights, computed once instead of at every pick of every retry.
-A draw adds at most one state, so a pool drawn k times holds at most k + 1,
-and the sums are those a fresh draw computes, so the results are the same
-bit for bit.
-
-Each restart's descent reads its uniforms in blocks (`_Uniforms`): numpy's
-default PCG64 takes one 64-bit step per double, so rng.random(k) holds the
-next k scalar rng.random() values.  Where the generator's own position
-matters (an integers() fallback pick, or a skip past the block) the stream
-restores the block-start state and advances it exactly by the doubles
-consumed, so every pick gets the double it gets from scalar calls.  The C
-draw follows the B draw and is made against the nodes the drafted drivers
-reach, searched once per driver set: a controlled node outside them refuses
-the support, so the draw stops at the first such pick and skips the doubles
-its remaining picks would take.  That count is known only when the C pool
-holds at least m0 positive weights (every remaining pick then takes exactly
-one double); otherwise the draw runs to the end and is refused afterwards.
+The sampling is an exponential race: each candidate draws one exponential
+key scaled by its score and the m0 smallest keys win, in order, so a whole
+support comes from one vectorised call.  Each iterate draws all its
+projection retries at once, one row of uniforms per retry, for B and for
+C; supports are keyed by node index, and B and C are built only for a
+support not evaluated before.
 
 Each `elpgm_optimize` call holds its (A, t_f) problem in one context,
 `_Problem`: EDCP's request (`edcp._Request`) on the graph of A's nonzeros,
@@ -41,8 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +35,6 @@ from .lti import ControlPlacement, UncontrollableError, _Steering, _check_horizo
 
 _PROJECTION_RETRIES = 20
 _INIT_ATTEMPTS = 20
-_BLOCK = 256  # doubles a `_Uniforms` stream draws at a time
 
 
 @dataclass(frozen=True)
@@ -80,6 +60,8 @@ class ElpgmConfig:
             raise ValueError("k_f and restarts must be >= 1")
         if self.m1 is not None and self.m1 < 1:
             raise ValueError("m1 must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         _check_horizon(self.t_f)
 
     def margin_for(self, m0: int, n: int) -> int:
@@ -98,150 +80,37 @@ def project(h: np.ndarray, m0: int, m1: int, rng: np.random.Generator) -> np.nda
     The m0 + m1 nodes with the largest importance (ties to the lower index)
     form the candidate pool; m0 of them are drawn without replacement with
     probability proportional to importance, renormalized after each pick.
-    An all-zero pool falls back to uniform draws.  Output column j carries
-    the j-th selected node.  The pool depends only on H, the iterate, so the
-    descent builds it once per iterate (`_Pool`) and each retry redraws from
-    it; the pool remembers the draw states its draws reached, at most one
-    new state per draw, and a remembered state yields the same pick for the
-    same random number as a fresh one.
+    An all-zero pool draws uniformly.  Output column j carries the j-th
+    selected node.  The draw is an exponential race (`_draw`).
     """
-    selected = _Pool(h, m0, m1).draw(rng)
+    selected = _draw(h, m0, m1, rng)
     out = np.zeros((np.shape(h)[0], m0))
     out[selected, np.arange(m0)] = 1.0
     return out
 
 
-class _Pool:
-    """The candidate pool of `project` and the draw states reached from it.
+def _draw(h: np.ndarray, m0: int, m1: int, rng: np.random.Generator, size: tuple[int, ...] = ()):
+    """m0 pool nodes of `project` drawn without replacement, in draw order, per row of size.
 
-    nodes are the candidates, best first, and weights their importance.  A
-    draw state is the set of pool positions already picked, kept as a
-    bitmask, and holds the total and running sums of the remaining weights
-    with the remaining positions; both sums are computed as a fresh draw
-    computes them, so every pick, and every random number it consumes, is
-    the same with or without the memo.  A draw stores only the first state
-    it has to compute, and the root is stored when the pool is built, so
-    after k draws the memo holds at most k + 1 states.
+    Each candidate with importance w gets the key e / w, e = -log(u) a
+    standard exponential from one uniform u; the m0 smallest keys, in
+    ascending order, are a weighted draw without replacement (Efraimidis and
+    Spirakis, Inf. Process. Lett. 97(5), 2006).  Zero weights get infinite
+    keys and rank by e among themselves, so once the positive weights are
+    drawn the rest is uniform.  The uniforms are rng.random((*size, pool)).
     """
-
-    def __init__(self, h: np.ndarray, m0: int, m1: int):
-        h = np.asarray(h, dtype=float)
-        n = h.shape[0]
-        if not (1 <= m0 <= n):
-            raise ValueError(f"m0 must be in [1, {n}]")
-        if m1 < 0 or m0 + m1 > n:
-            raise ValueError("need 0 <= m1 and m0 + m1 <= n")
-        r = importance(h)
-        pool = np.lexsort((np.arange(n), -r))[:m0 + m1]
-        self.m0 = m0
-        self.nodes, self.weights = pool.tolist(), r[pool].tolist()
-        w = self.weights
-        self.positive = sum(x > 0 for x in w)
-        self.states = {0: (_total(w), array("d", itertools.accumulate(w)),
-                           array("i", range(len(w))))}
-
-    def draw(self, rng, allowed: frozenset[int] | None = None) -> list[int] | None:
-        """m0 pool nodes drawn without replacement, in draw order (see `project`).
-
-        The total is numpy's (pairwise) sum, which for eight or more weights
-        can differ in the last bit from a sequential one; the running sums
-        are sequential, as np.cumsum's are.  A remembered state's weights
-        are re-read by position when a pick leaves the memo.
-
-        rng is a generator or a `_Uniforms` stream over one.  With allowed,
-        a draw that picks a node outside it is refused: it returns None and
-        leaves rng where the full draw leaves it.  When the pool holds at
-        least m0 positive weights, a positive weight remains before every
-        pick, so each pick takes exactly one double and never falls back to
-        integers(); the draw then stops at the first node outside allowed
-        and calls rng.skip() for the doubles of the picks left.  With fewer,
-        the draw runs to the end and is refused afterwards.
-        """
-        mask, stored = 0, False
-        total, sums, remaining = self.states[0]
-        weights = None  # the remaining weights, once a state had to be computed
-        stops_early = allowed is not None and self.positive >= self.m0
-        selected = []
-        while True:
-            if total <= 0:
-                idx = int(rng.integers(len(remaining)))
-            else:
-                idx = min(bisect_right(sums, rng.random() * total), len(remaining) - 1)
-            selected.append(self.nodes[remaining[idx]])
-            if stops_early and selected[-1] not in allowed:
-                rng.skip(self.m0 - len(selected))
-                return None
-            if len(selected) == self.m0:
-                return selected if allowed is None or allowed.issuperset(selected) else None
-            mask |= 1 << remaining[idx]
-            state = self.states.get(mask)
-            if state is not None:
-                total, sums, remaining = state
-                weights = None
-                continue
-            if weights is None:
-                remaining = list(remaining)
-                weights = [self.weights[p] for p in remaining]
-            del remaining[idx], weights[idx]
-            total, sums = _total(weights), list(itertools.accumulate(weights))
-            if not stored:
-                self.states[mask] = total, array("d", sums), array("i", remaining)
-                stored = True
-
-
-class _Uniforms:
-    """A generator's doubles read in blocks, each at its scalar position.
-
-    rng.random(k) on PCG64 (numpy's default) returns the next k values of
-    scalar rng.random() calls, one 64-bit step each, and leaves the
-    generator after them.  The stream hands a block out one double at a
-    time.  Where the generator's own position matters, `sync` restores the
-    block-start state and advance()s it by the doubles consumed, so values
-    and the generator's state are those of scalar calls: integers() and a
-    skip past the block's end go through it.  advance() clears PCG64's
-    buffered 32-bit half-word, which integers() reads, so `sync` puts it
-    back; doubles never touch it.
-    """
-
-    def __init__(self, rng: np.random.Generator):
-        self.rng, self._bits = rng, rng.bit_generator
-        self._origin, self._block, self._pos = None, [], 0
-
-    def random(self) -> float:
-        if self._pos == len(self._block):  # the generator stands right after the block
-            self._origin = self._bits.state
-            self._block, self._pos = self.rng.random(_BLOCK).tolist(), 0
-        u = self._block[self._pos]
-        self._pos += 1
-        return u
-
-    def skip(self, k: int) -> None:
-        """Consume k doubles without reading them."""
-        self._pos += k
-        if self._pos > len(self._block):
-            self.sync()
-
-    def integers(self, high: int):
-        return self.sync().integers(high)
-
-    def sync(self) -> np.random.Generator:
-        """The generator, moved to just after the doubles consumed."""
-        ahead = self._pos - len(self._block)
-        if ahead != 0:
-            half_word = self._bits.state
-            if ahead < 0:
-                self._bits.state, ahead = self._origin, self._pos
-            self._bits.advance(ahead)
-            state = self._bits.state
-            state["has_uint32"], state["uinteger"] = half_word["has_uint32"], half_word["uinteger"]
-            self._bits.state = state
-        self._block, self._pos = [], 0
-        return self.rng
-
-
-def _total(w: list[float]) -> float:
-    """numpy's (pairwise) sum of w."""
-    return float(np.array(w).sum())
+    h = np.asarray(h, dtype=float)
+    n = h.shape[0]
+    if not (1 <= m0 <= n):
+        raise ValueError(f"m0 must be in [1, {n}]")
+    if m1 < 0 or m0 + m1 > n:
+        raise ValueError("need 0 <= m1 and m0 + m1 <= n")
+    r = importance(h)
+    pool = np.lexsort((np.arange(n), -r))[:m0 + m1]
+    with np.errstate(divide="ignore"):  # u = 0 and w = 0 give infinite keys
+        e = -np.log(rng.random((*size, len(pool))))
+        keys = e / r[pool]
+    return pool[np.lexsort((e, keys))[..., :m0]]
 
 
 def grad_b(a: np.ndarray, b: np.ndarray, c: np.ndarray, t_f: float) -> np.ndarray:
@@ -323,7 +192,9 @@ class _Problem:
     driver and controlled nodes, is evaluated once, to (E, B - eta_b dE/dB,
     C^T - eta_c dE/dC^T) with a frozen variable (eta None) left as it is, or
     to None when it is not output controllable or fails the conditioning
-    test.  best is the first cheapest support evaluated, as first drawn.
+    test; one with a controlled node that no driver reaches is refused
+    without an entry.  best is the first cheapest support evaluated, as
+    first drawn.
     """
 
     def __init__(self, a: np.ndarray, m: int, r_size: int, t_f: float,
@@ -368,6 +239,8 @@ class _Problem:
 
     def support(self, drivers: list[int], controlled: list[int]):
         """The support's entry, evaluated on first sight (see the class docstring)."""
+        if not set(controlled) <= self.reach(drivers):
+            return None  # a zero row of the output controllability matrix
         key = (tuple(sorted(drivers)), tuple(sorted(controlled)))
         if key not in self.entries:
             entry = self.entries[key] = self._evaluate(drivers, controlled)
@@ -376,10 +249,6 @@ class _Problem:
         return self.entries[key]
 
     def _evaluate(self, drivers: list[int], controlled: list[int]):
-        # a controlled node no driver reaches is a zero row of the output
-        # controllability matrix: reject before the rank test
-        if not set(controlled) <= self.reach(drivers):
-            return None
         req = self.req
         placement = ControlPlacement(drivers=tuple(drivers), controlled=tuple(controlled), t_f=req.t_f)
         try:
@@ -479,25 +348,19 @@ def elpgm_optimize(
                     continue
                 drivers, controlled = problem.best
         state = problem.support(drivers, controlled)
-        stream = _Uniforms(rng)
-        pooled = None
         for _ in range(cfg.k_f):
-            if state is not pooled:  # the pools depend only on the iterate
-                pooled = state
-                _, b_raw, ct_raw = state
-                pool_b = _Pool(b_raw, m, m1_b) if update_b else None
-                pool_c = _Pool(ct_raw, r_size, m1_c) if update_c else None
-            for _ in range(_PROJECTION_RETRIES):
-                new_drivers = pool_b.draw(stream) if update_b else drivers
-                # None: a controlled node that no drafted driver reaches
-                new_controlled = (pool_c.draw(stream, problem.reach(new_drivers))
-                                  if update_c else controlled)
-                accepted = None if new_controlled is None else problem.support(new_drivers, new_controlled)
+            _, b_raw, ct_raw = state
+            # retry i takes row i of each draw, a frozen variable keeps its
+            # nodes, and when no retry is accepted the iterate stays
+            draws_b = (_draw(b_raw, m, m1_b, rng, (_PROJECTION_RETRIES,)).tolist() if update_b
+                       else [drivers] * _PROJECTION_RETRIES)
+            draws_c = (_draw(ct_raw, r_size, m1_c, rng, (_PROJECTION_RETRIES,)).tolist() if update_c
+                       else [controlled] * _PROJECTION_RETRIES)
+            for new_drivers, new_controlled in zip(draws_b, draws_c):
+                accepted = problem.support(new_drivers, new_controlled)
                 if accepted is not None:
+                    drivers, controlled, state = new_drivers, new_controlled, accepted
                     break
-            else:
-                continue  # keep the previous iterate, redraw next round
-            drivers, controlled, state = new_drivers, new_controlled, accepted
 
     if problem.best is None:
         raise UncontrollableError("no controllable initialization found")

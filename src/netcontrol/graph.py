@@ -32,7 +32,8 @@ class DirectedGraph:
     Attributes:
         n: number of nodes; node indices are 0..n-1.
         edges: sorted tuple of (src, dst, weight) with weight != 0.
-        id_map: external id -> internal index (identity for generated graphs).
+        id_map: external id -> internal index (identity for generated graphs);
+            a bijection onto 0..n-1.
     """
 
     n: int
@@ -44,6 +45,8 @@ class DirectedGraph:
         object.__setattr__(self, "edges", edges)
         if not self.id_map:
             object.__setattr__(self, "id_map", {i: i for i in range(self.n)})
+        elif sorted(self.id_map.values()) != list(range(self.n)):
+            raise ValueError(f"id_map must map {self.n} external ids one to one onto 0..{self.n - 1}")
         seen = set()
         for s, d, w in self.edges:
             if not (0 <= s < self.n and 0 <= d < self.n):

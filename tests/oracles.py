@@ -275,6 +275,32 @@ def brute_best_placement(a: np.ndarray, m: int, r: int, t_f: float = 2.0):
     return best
 
 
+def sequential_draw_probabilities(weights, m0: int, m1: int) -> dict[tuple[int, ...], float]:
+    """Exact probability of each ordered m0-node draw from a weighted pool.
+
+    The pool is the m0 + m1 nodes of largest weight (ties to the lower
+    index).  The sampler picks one remaining pool node at a time with
+    probability proportional to its weight, uniformly when every remaining
+    weight is 0; every ordered draw it can make is enumerated.
+    """
+    pool = sorted(range(len(weights)), key=lambda v: (-weights[v], v))[:m0 + m1]
+    probs: dict[tuple[int, ...], float] = {}
+
+    def pick(prefix: tuple[int, ...], p: float):
+        if len(prefix) == m0:
+            probs[prefix] = p
+            return
+        rest = [v for v in pool if v not in prefix]
+        total = sum(weights[v] for v in rest)
+        for v in rest:
+            q = weights[v] / total if total > 0 else 1 / len(rest)
+            if q > 0:
+                pick(prefix + (v,), p * q)
+
+    pick((), 1.0)
+    return probs
+
+
 def random_digraph(n: int, p: float, rng) -> set[tuple[int, int]]:
     """Uniform random arc set, self-loops allowed."""
     return {(i, j) for i in range(n) for j in range(n) if rng.random() < p}

@@ -243,6 +243,15 @@ class TestGraphJson:
 
         assert outputs(str(json_file)) == outputs(fig8_file)
 
+    def test_id_map_not_onto_nodes_is_usage_error(self, tmp_path, capsys):
+        # refused on reading, before any placement work
+        graph = tmp_path / "bad.json"
+        graph.write_text('{"n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0]], "id_map": {"10": 0}}')
+        out = tmp_path / "p.json"
+        assert main(["place", str(graph), "-M", "1", "-R", "3", "--out", str(out)]) == 1
+        assert "id_map" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBench:
     def test_small_grid(self, tmp_path):

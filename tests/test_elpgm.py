@@ -1,6 +1,5 @@
 import hashlib
 import importlib
-import itertools
 
 import numpy as np
 import pytest
@@ -17,7 +16,12 @@ from netcontrol.lti import (
     output_controllable,
 )
 from netcontrol.pathcover import max_controllable_subset
-from oracles import brute_best_placement, central_difference_grad_b, central_difference_grad_ct
+from oracles import (
+    brute_best_placement,
+    central_difference_grad_b,
+    central_difference_grad_ct,
+    sequential_draw_probabilities,
+)
 
 
 def chain_matrix(length):
@@ -127,90 +131,29 @@ class TestProjection:
         out = project(h, 1, 1, np.random.default_rng(0))
         assert np.nonzero(out)[0][0] in (0, 1)  # candidate pool is rows 0 and 1
 
-    @pytest.mark.parametrize("zeros", ["none", "some", "all"])
-    def test_shared_memo_draws_as_fresh_pools(self, zeros):
-        # draws through one pool's remembered states pick the nodes, and use
-        # the random numbers, of draws from a fresh pool each time; "some"
-        # pools run out of weight mid-draw and "all" pools draw uniformly
-        from netcontrol.elpgm import _Pool
 
-        reused = False
-        for seed in range(20):
-            rng = np.random.default_rng(seed)
-            n = int(rng.integers(4, 16))
-            m0 = int(rng.integers(1, n + 1))
-            m1 = int(rng.integers(0, n - m0 + 1))
-            h = rng.normal(size=(n, 2))
-            if zeros == "some":
-                h[rng.random(n) < 0.5] = 0.0
-            elif zeros == "all":
-                h[:] = 0.0
-            shared = _Pool(h, m0, m1)
-            memo_rng, fresh_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            for draws in range(1, 41):
-                assert shared.draw(memo_rng) == _Pool(h, m0, m1).draw(fresh_rng)
-                assert len(shared.states) <= draws + 1
-            assert memo_rng.random() == fresh_rng.random()
-            reused |= any(bin(mask).count("1") >= 2 for mask in shared.states)
-        assert reused  # some draw went past its first pick through the memo
-
-    @pytest.mark.parametrize("zeros", ["none", "some", "all"])
-    def test_draw_against_allowed_as_full_draw(self, zeros):
-        # a draw against an allowed set is refused exactly when the full draw
-        # picks a node outside it, and leaves the generator where the full
-        # draw does, whether it stopped early or ("some" pools with fewer
-        # positive weights than picks, "all" pools) drew to the end
-        from netcontrol.elpgm import _Pool, _Uniforms
-
-        outcomes = set()
-        for seed in range(30):
-            rng = np.random.default_rng(seed)
-            n = int(rng.integers(4, 16))
-            m0 = int(rng.integers(1, n + 1))
-            m1 = int(rng.integers(0, n - m0 + 1))
-            h = rng.normal(size=(n, 2))
-            if zeros == "some":
-                h[rng.random(n) < 0.5] = 0.0
-            elif zeros == "all":
-                h[:] = 0.0
-            shared = _Pool(h, m0, m1)
-            stream, full_rng = _Uniforms(np.random.default_rng(seed)), np.random.default_rng(seed)
-            for _ in range(40):
-                allowed = frozenset(np.flatnonzero(rng.random(n) < 0.9).tolist())
-                full = _Pool(h, m0, m1).draw(full_rng)
-                drawn = shared.draw(stream, allowed)
-                assert drawn == (full if allowed.issuperset(full) else None)
-                outcomes.add((drawn is None, shared.positive >= m0))
-            assert stream.random() == full_rng.random()
-            assert stream.sync().random() == full_rng.random()
-        expected = {"none": {(True, True), (False, True)},
-                    "some": {(True, True), (False, True), (True, False), (False, False)},
-                    "all": {(True, False), (False, False)}}
-        assert outcomes == expected[zeros]
-
-    def test_stream_reads_doubles_at_scalar_positions(self):
-        # seeded interleavings of doubles, skips and integers() calls that
-        # cross block boundaries, against scalar calls on a twin generator
-        from netcontrol.elpgm import _BLOCK, _Uniforms
-
-        for seed in range(20):
-            ops = np.random.default_rng(1000 + seed)
-            stream, twin = _Uniforms(np.random.default_rng(seed)), np.random.default_rng(seed)
-            for _ in range(400):
-                op = ops.integers(10)
-                if op < 6:
-                    assert stream.random() == twin.random()
-                elif op < 8:
-                    k = int(ops.integers(0, _BLOCK + 40))
-                    stream.skip(k)
-                    for _ in range(k):
-                        twin.random()
-                else:
-                    high = int(ops.choice([1, 2, 7, 1000, 2**40]))
-                    assert stream.integers(high) == twin.integers(high)
-            assert stream.random() == twin.random()
-            assert stream.sync().bit_generator.state == twin.bit_generator.state
-            assert stream.rng.integers(2**20) == twin.integers(2**20)
+    @pytest.mark.parametrize("n, m0, m1, zero_rows", [
+        (4, 1, 3, ()), (5, 2, 3, ()), (6, 3, 0, ()),
+        (6, 3, 1, (0, 2, 4, 5)), (4, 3, 1, (1, 2)), (5, 2, 3, (1, 3)),
+        (4, 1, 3, (0, 1, 2, 3)), (5, 2, 3, (0, 1, 2, 3, 4)),
+    ], ids=["none-4", "none-5", "none-6", "some-6", "some-4", "some-5", "all-4", "all-5"])
+    def test_draws_follow_sequential_sampler(self, n, m0, m1, zero_rows):
+        # the ordered picks of 20,000 seeded projections against the exact
+        # probabilities of a sequential weighted draw without replacement;
+        # "some" pools hold fewer positive weights than picks or zeros beside
+        # enough positive ones, "all" pools draw uniformly
+        rng = np.random.default_rng(n * 100 + m0 * 10 + len(zero_rows))
+        h = rng.random((n, 2)) + 0.1
+        h[list(zero_rows)] = 0.0
+        expected = sequential_draw_probabilities(importance(h).tolist(), m0, m1)
+        draws = 20_000
+        counts = {}
+        for _ in range(draws):
+            picks = tuple(np.argmax(project(h, m0, m1, rng), axis=0).tolist())
+            counts[picks] = counts.get(picks, 0) + 1
+        tv = 0.5 * sum(abs(counts.get(k, 0) / draws - expected.get(k, 0.0))
+                       for k in counts.keys() | expected.keys())
+        assert tv < 0.02
 
 
 class TestOptimize:
@@ -296,25 +239,6 @@ class TestOptimize:
         with pytest.raises(ValueError, match="m <= r_size"):
             elpgm_optimize(generate_er(12, 3.0, 1).realized_adjacency(), 4, 3)
 
-    def test_draw_states_computed_once(self, monkeypatch):
-        # the benchmark's descent instance: when every pick of every retry
-        # recomputed its pool total, one call took 259,753 of them
-        calls = []
-        real = netcontrol.elpgm._total
-        monkeypatch.setattr(netcontrol.elpgm, "_total", lambda w: calls.append(1) or real(w))
-        elpgm_optimize(generate_er(20, 3.0, 11).realized_adjacency(), 3, 10, ElpgmConfig(seed=0))
-        assert len(calls) <= 10_000
-
-    def test_doomed_picks_skipped(self, monkeypatch):
-        # the benchmark's descent instance: when every C draw ran all its
-        # picks, also past a controlled node no drafted driver reaches, one
-        # call computed 259,753 picks
-        calls = []
-        real = netcontrol.elpgm.bisect_right
-        monkeypatch.setattr(netcontrol.elpgm, "bisect_right", lambda *x: calls.append(1) or real(*x))
-        elpgm_optimize(generate_er(20, 3.0, 11).realized_adjacency(), 3, 10, ElpgmConfig(seed=0))
-        assert len(calls) <= 130_000
-
     def test_one_flow_and_successor_build_per_call(self, monkeypatch):
         # ELPGM and its EDCP start share one request: the m-path cover is
         # solved once and the successor lists are built once; when EDCP ran
@@ -360,6 +284,8 @@ class TestOptimize:
             ElpgmConfig(m1=0)
         with pytest.raises(ValueError):
             ElpgmConfig(restarts=0)
+        with pytest.raises(ValueError, match="seed"):
+            ElpgmConfig(seed=-1)
 
     @pytest.mark.parametrize("t_f", [0.0, float("nan"), float("inf")])
     def test_horizon_validation(self, t_f):
@@ -417,16 +343,6 @@ class TestOptimize:
                 assert calls["gramian"] == sum(g for _, _, g in evaluations) + calls["edcp_gramian"]
 
 
-class _FixedDraw:
-    """A generator stub whose uniform draws all return one value."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
-
-
 def _pinned_runs():
     """(a, m, r, cfg, update_b, update_c) of the pinned ELPGM calls."""
     runs = []
@@ -478,35 +394,38 @@ def _wide_runs():
 
 
 class TestPinned:
-    """Digests recorded before the descent loop drew from a per-iterate pool.
+    """Digests of ELPGM results, projections and steering terms.
 
     A change that alters a single draw, a candidate order or a cost bit
     changes the digest.
     """
 
     def test_results_pinned_bit_for_bit(self):
+        # recorded when the projection became an exponential race drawing
+        # each iterate's retries in one call
         digest = hashlib.sha256()
         for a, m, r, cfg, update_b, update_c in _pinned_runs():
             p, e = elpgm_optimize(a, m, r, cfg, update_b=update_b, update_c=update_c)
             digest.update(repr((p.drivers, p.controlled, float(e).hex())).encode())
-        assert digest.hexdigest() == "7c2390f0cb8ac25ea843d4a765a1bc10930f8c014edc3aba17e5c6cb645f5c71"
+        assert digest.hexdigest() == "69198776e3192ef1491f393395407eae5e544a535b4e8963bbf46bdb750db2cd"
 
     def test_wide_results_pinned_bit_for_bit(self):
-        # recorded when one call's starts, support cache and best placement
-        # still lived in separate objects; 33 of the 150 calls refuse
-        digest = hashlib.sha256()
+        # recorded when the projection became an exponential race; 33 of the
+        # 150 calls refuse, as they did with the sequential sampler before it
+        digest, refusals = hashlib.sha256(), 0
         for a, m, r, cfg, update_b, update_c in _wide_runs():
             try:
                 p, e = elpgm_optimize(a, m, r, cfg, update_b=update_b, update_c=update_c)
                 item = (p.drivers, p.controlled, float(e).hex())
             except UncontrollableError as exc:
-                item = str(exc)
+                item, refusals = str(exc), refusals + 1
             digest.update(repr(item).encode())
-        assert digest.hexdigest() == "bf2efe3952a10723d57249db7174c294a69fa187d25c09bb76636190c16d055e"
+        assert refusals == 33
+        assert digest.hexdigest() == "410102ed7e25ed2e4cf2632ec41a818c2040ef486bca728dfe347194edfd5897"
 
     def test_project_pinned_bit_for_bit(self):
-        # 127 of the 200 pools have 8 or more candidates; every fifth H has
-        # zero rows and every seventeenth is all zero (uniform fallback)
+        # recorded when the projection became an exponential race; every
+        # fifth H has zero rows and every seventeenth is all zero (uniform)
         digest = hashlib.sha256()
         for seed in range(200):
             rng = np.random.default_rng(seed)
@@ -523,7 +442,7 @@ class TestPinned:
             # the trailing draw pins how many numbers the projection consumed
             picks = np.argmax(out, axis=0).tolist()
             digest.update(repr((out.shape, picks, float(rng.random()).hex())).encode())
-        assert digest.hexdigest() == "fac5db37d3fc8dc68d9cc3525d7bae49ba5e2709480c8c78413046390038cc0a"
+        assert digest.hexdigest() == "c845dbe88f3027a2d8e440dd7a309d045be246d21231dcd193d1a9a3646855ae"
 
     def test_steering_terms_pinned_bit_for_bit(self):
         # the cost, both gradients and the input share one evaluation of
@@ -552,25 +471,3 @@ class TestPinned:
                 condition = exc.value.condition
                 digest.update(repr(None if condition is None else condition.hex()).encode())
         assert digest.hexdigest() == "7ff0e3a6575f4a14cb778a9b71fa0367b92fe1dd170eb3c395755224f44bb33f"
-
-    def test_total_is_numpy_sum(self):
-        # Nine weights whose numpy (pairwise) total differs from the
-        # sequential one, and a uniform draw that picks different nodes under
-        # the two totals: the pick must follow numpy's total.
-        rng = np.random.default_rng(0)
-        for _ in range(1000):
-            w = np.sort(rng.random(9) * 10.0 ** rng.uniform(-3, 3, 9))[::-1]
-            pairwise, sequential = float(w.sum()), float(sum(w.tolist()))
-            if pairwise == sequential:
-                continue
-            bounds = np.cumsum(w)
-            for k, u in itertools.product(range(8), np.arange(-4, 5)):
-                x = float(np.nextafter(bounds[k] / sequential, 0.0)) + float(u) * np.finfo(float).eps / 2
-                if not 0.0 <= x < 1.0:
-                    continue
-                by_pairwise = int(np.searchsorted(bounds, x * pairwise, side="right"))
-                if by_pairwise != int(np.searchsorted(bounds, x * sequential, side="right")):
-                    out = project(w[:, None], 1, 8, _FixedDraw(x))
-                    assert int(np.argmax(out[:, 0])) == by_pairwise
-                    return
-        pytest.fail("no weight vector separates the two totals")

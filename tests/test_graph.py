@@ -81,6 +81,13 @@ class TestRoundTrip:
         with pytest.raises(GraphFormatError):
             DirectedGraph.from_json('{"nodes": 3}')
 
+    @pytest.mark.parametrize("n, id_map", [
+        (3, '{"10": 0}'), (2, '{"10": 0, "11": 0}'), (2, '{"10": 0, "11": 5}'),
+    ], ids=["partial", "two-ids-to-one", "out-of-range"])
+    def test_json_rejects_id_map_not_onto_nodes(self, n, id_map):
+        with pytest.raises(GraphFormatError, match="id_map"):
+            DirectedGraph.from_json(f'{{"n": {n}, "edges": [[0, 1, 1.0]], "id_map": {id_map}}}')
+
 
 class TestInvariants:
     def test_duplicate_edge_rejected(self):
