@@ -15,6 +15,11 @@ Control segments never span a junction: the pasted-on edge does not exist in
 the graph, so a segment reaching a junction is cut there and the cycle head
 hosts the next driver.
 
+One pass walks a ladder of covers (the flow cover at M*, the m-path cover,
+the matching paths, on tiny graphs the exhaustive paths).  The first cover
+that sheds its surplus drivers without a stuck release (where no stem can
+merge) wins; failing that, the first that placed with one.
+
 Each `edcp`, `naive_placement` or `elpgm_optimize` call keeps its request
 in one context, `_Request`: the graph with its successor and predecessor
 lists, built once, m, r_size, t_f, the matrix of the exact evaluations and
@@ -73,7 +78,6 @@ class Stem:
     junctions: tuple[int, ...] = ()
     undivided_start: int = 0
     segments: list[list[int]] = field(default_factory=list)
-    synthetic: bool = False
 
     @property
     def undivided_len(self) -> int:
@@ -115,28 +119,24 @@ def merge_cycles(cover: PathCover) -> list[Stem]:
 
     Cycles are taken longest first (ties: lowest starting node) and each is
     rotated to start at its lowest node; the paste point is recorded as a
-    junction.  A cover with cycles but no stems gets a synthetic empty host.
+    junction.  A cover with cycles but no stems gets an empty host, which
+    its first cycle starts without a junction.
     """
     stems = [Stem(nodes=tuple(p)) for p in cover.paths]
-    synthetic = False
     cycles = []
     for cyc in cover.cycles:
         k = cyc.index(min(cyc))
         cycles.append(tuple(cyc[k:] + cyc[:k]))
     if cycles and not stems:
-        stems = [Stem(nodes=(), synthetic=True)]
-        synthetic = True
+        stems = [Stem(nodes=())]
     while cycles:
         cycles.sort(key=lambda c: (-len(c), c[0]))
         cyc = cycles.pop(0)
         host = min(range(len(stems)), key=lambda i: (len(stems[i].nodes), i))
         stem = stems[host]
-        stem.junctions = (*stem.junctions, len(stem.nodes))
+        if stem.nodes:
+            stem.junctions = (*stem.junctions, len(stem.nodes))
         stem.nodes = (*stem.nodes, *cyc)
-    if synthetic:
-        # the empty host contributed a junction at index 0; the first run
-        # simply starts the stem
-        stems[0].junctions = tuple(j for j in stems[0].junctions if j > 0)
     return stems
 
 
@@ -554,8 +554,13 @@ class _Request:
         """`max_controllable_subset(g, m)`: the best m-path cover and rmax(m)."""
         return max_controllable_subset(self.g, self.m)
 
-    def place(self, plan: list[int], longest_first_trim: bool = True, refine: bool = True) -> EdcpResult:
-        """Try the full-coverage cover first, then cycle-free fallback covers."""
+    def place(self, naive: bool = False) -> EdcpResult:
+        """Walk the cover ladder once; the first cover without a stuck release wins.
+
+        Failing that, the first cover that placed with one does.  naive gives
+        the no-division baseline: the [r_size] * m plan, the shortest-first
+        trim and no refine search.
+        """
         g, m, r_size = self.g, self.m, self.r_size
         solver = SufficiencySolver(g)
         mstar = solver.advance_until_coverage(g.n)
@@ -580,51 +585,51 @@ class _Request:
                 if exact is not None:
                     yield exact, "exact-paths"
 
-        # Covers whose stems can shed surplus drivers by merging come first;
-        # releasing a driver that no stem can merge away is the last resort.
-        tried: list[tuple[PathCover, str | None]] = []
+        stuck: tuple[list[tuple[int, ...]], str | None] | None = None
         last_error: Exception | None = None
-        for release_when_stuck, covers in ((False, candidates()), (True, tried)):
-            for cand, fallback in covers:
-                if not release_when_stuck:
-                    tried.append((cand, fallback))
-                if cand.size < r_size:
-                    continue
-                try:
-                    stems = self.pipeline(cand, plan, longest_first_trim, release_when_stuck)
-                except CoverInfeasibleError as exc:
-                    last_error = exc
-                    continue
-                segments = [tuple(seg) for stem in stems for seg in stem.segments if seg]
-                return self.result(segments, fallback, refine)
+        for cand, fallback in candidates():
+            if cand.size < r_size:
+                continue
+            try:
+                stems, released_when_stuck = self.pipeline(cand, naive)
+            except CoverInfeasibleError as exc:
+                last_error = exc
+                continue
+            segments = [tuple(seg) for stem in stems for seg in stem.segments if seg]
+            if not released_when_stuck:
+                return self.result(segments, fallback, not naive)
+            if stuck is None:
+                stuck = (segments, fallback)
+        if stuck is not None:
+            return self.result(*stuck, not naive)
         raise CoverInfeasibleError(
             f"no ({m}-driver, {r_size}-node) placement found" + (f": {last_error}" if last_error else "")
         )
 
-    def pipeline(
-        self, cover: PathCover, plan: list[int], longest_first_trim: bool, release_when_stuck: bool
-    ) -> list[Stem]:
+    def pipeline(self, cover: PathCover, naive: bool) -> tuple[list[Stem], bool]:
         """Assign, reduce, split and trim one cover into m segments.
 
         Each surplus driver goes by the cheaper (in chain estimate) of a merge
         inside a stem and a release with regrowth elsewhere; where no stem can
-        merge, a release is tried only with release_when_stuck.
+        merge, a stuck release goes if one exists.  Returns the stems and
+        whether one did; up to the first, the run is the one that refuses them.
         """
+        r_size, m = self.r_size, self.m
         stems = merge_cycles(cover)
-        assign_drivers(stems, plan, r_size=self.r_size)
-        while (count := sum(stem.driver_count for stem in stems)) > self.m:
+        assign_drivers(stems, [r_size] * m if naive else even_division(r_size, m), r_size=r_size)
+        released_when_stuck = False
+        while (count := sum(stem.driver_count for stem in stems)) > m:
             merge = _merge_step(stems, self.t_f)
-            release = None
-            if merge is not None or release_when_stuck:
-                release = _release_step(self, stems, merge[0] if merge else math.inf)
+            release = _release_step(self, stems, merge[0] if merge else math.inf)
             if release is not None:
+                released_when_stuck = released_when_stuck or merge is None
                 _apply_release(stems, release)
             else:
                 reduce_drivers(stems, count - 1, self.t_f, step=merge)
-        if sum(stem.driver_count for stem in stems) < self.m:
-            _split_for_extra_drivers(stems, self.m)
-        trim_to_r(stems, self.r_size, longest_first=longest_first_trim)
-        return stems
+        if sum(stem.driver_count for stem in stems) < m:
+            _split_for_extra_drivers(stems, m)
+        trim_to_r(stems, r_size, longest_first=not naive)
+        return stems, released_when_stuck
 
     def result(self, segments: list[tuple[int, ...]], fallback: str | None, refine: bool) -> EdcpResult:
         e_exact = None
@@ -706,7 +711,7 @@ def edcp(g: DirectedGraph, m: int, r_size: int, t_f: float = 2.0) -> EdcpResult:
     contract is exact up to _EXACT_COVER_LIMIT nodes (see
     CoverInfeasibleError).
     """
-    return _Request(g, m, r_size, t_f).place(even_division(r_size, m))
+    return _Request(g, m, r_size, t_f).place()
 
 
 def naive_placement(g: DirectedGraph, m: int, r_size: int, t_f: float = 2.0) -> EdcpResult:
@@ -717,4 +722,4 @@ def naive_placement(g: DirectedGraph, m: int, r_size: int, t_f: float = 2.0) -> 
     even division avoids.  Surplus drivers and nodes are handled by the same
     reduce/trim steps as the main pipeline.
     """
-    return _Request(g, m, r_size, t_f).place([r_size] * m, longest_first_trim=False, refine=False)
+    return _Request(g, m, r_size, t_f).place(naive=True)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm, null_space
 
-from .edcp import CoverInfeasibleError, _Request, even_division
+from .edcp import CoverInfeasibleError, _Request
 from .graph import DirectedGraph
 from .lti import ControlPlacement, UncontrollableError, _Steering, _check_horizon
 
@@ -298,7 +298,7 @@ class _Problem:
     def edcp_start(self) -> tuple[list[int], list[int]] | None:
         """EDCP's placement on the same request, when it has one."""
         try:
-            placement = self.req.place(even_division(self.req.r_size, self.req.m)).placement
+            placement = self.req.place().placement
         except CoverInfeasibleError:
             return None
         drivers, controlled = list(placement.drivers), list(placement.controlled)

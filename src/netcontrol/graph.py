@@ -41,6 +41,8 @@ class DirectedGraph:
     id_map: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"n must be >= 0, got {self.n}")
         edges = tuple(sorted((int(s), int(d), float(w)) for s, d, w in self.edges))
         object.__setattr__(self, "edges", edges)
         if not self.id_map:
@@ -119,8 +121,11 @@ class DirectedGraph:
     def from_json(cls, text: str) -> "DirectedGraph":
         try:
             payload = json.loads(text)
+            n = payload["n"]
+            if type(n) is not int:  # int() would truncate 2.7 and read true as 1
+                raise ValueError(f"n must be a JSON integer, got {n!r}")
             return cls(
-                n=int(payload["n"]),
+                n=n,
                 edges=tuple((int(s), int(d), float(w)) for s, d, w in payload["edges"]),
                 id_map={int(k): int(v) for k, v in payload.get("id_map", {}).items()},
             )
@@ -325,28 +330,40 @@ def classical_driver_count(g: DirectedGraph) -> int:
     return max(g.n - maximum_matching(g), 1)
 
 
+def _walk_successors(successor: list[int | None], heads: list[int]) -> tuple[list[list[int]], list[list[int]]]:
+    """Decode a successor map into paths and cycles.
+
+    successor[v] is the node after v, -1 where a path ends, or None for a
+    node off the cover.  Paths are traced from `heads`, in the given order;
+    the nodes left on the cover form cycles, each traced from its lowest node.
+    """
+    seen = [False] * len(successor)
+
+    def trace(v: int) -> list[int]:
+        seq = []
+        while v != -1 and not seen[v]:
+            seen[v] = True
+            seq.append(v)
+            v = successor[v]
+        return seq
+
+    paths = [trace(v) for v in heads]
+    cycles = []
+    for v, nxt in enumerate(successor):
+        if nxt is not None and not seen[v]:
+            cycles.append(trace(v))
+    return paths, cycles
+
+
 def matching_path_cover(g: DirectedGraph) -> list[list[int]]:
     """Vertex-disjoint paths covering every node, built from a maximum matching.
 
-    Matched edges define a successor function; its cycles are broken at their
-    lowest-index node so the result is paths only.  Used as a cycle-free
+    Matched edges define a successor function.  Path heads (no matched
+    predecessor) come first, in index order; each cycle follows, broken at
+    its lowest-index node, so the result is paths only.  Used as a cycle-free
     fallback cover for placement heuristics.
     """
     _, match_out = _hopcroft_karp(g.n, g.successors())
-    has_pred = {v for v in match_out if v != -1}
-
-    # Path heads (no matched predecessor) come first, in index order; the
-    # nodes left after them sit on matching cycles, each broken at its
-    # lowest-index node.
-    paths = []
-    visited = set()
-    for start in sorted(range(g.n), key=has_pred.__contains__):
-        if start in visited:
-            continue
-        path = [start]
-        visited.add(start)
-        while match_out[path[-1]] != -1 and match_out[path[-1]] not in visited:
-            path.append(match_out[path[-1]])
-            visited.add(path[-1])
-        paths.append(path)
-    return paths
+    has_pred = set(match_out)
+    paths, cycles = _walk_successors(match_out, [v for v in range(g.n) if v not in has_pred])
+    return paths + cycles

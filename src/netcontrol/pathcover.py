@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .flow import Flow, SufficiencySolver, build_sufficiency_flow_network, validate_flow
-from .graph import DirectedGraph
+from .graph import DirectedGraph, _walk_successors
 
 
 @dataclass(frozen=True)
@@ -70,41 +70,18 @@ def extract_paths_cycles(g: DirectedGraph, f: Flow) -> PathCover:
     if fn is None or not validate_flow(fn, f):
         raise ValueError("flow is not a valid flow for this graph")
 
-    # successor[v] = next node after v, or -1 when the unit exits to t.
-    successor = [None] * n
+    # successor[v] = next node after v, -1 when the unit exits to t, None
+    # when v is not covered.
+    successor: list[int | None] = [None] * n
     for k, (s, d, _) in enumerate(g.edges):
         if f.values[3 * n + k] == 1:
             successor[s] = d
     for v in range(n):
         if f.values[2 * n + v] == 1:
             successor[v] = -1
+    paths, cycles = _walk_successors(successor, [v for v in range(n) if f.values[v] == 1])
 
-    inner = [f.values[n + v] == 1 for v in range(n)]
-    consumed = [False] * n
-
-    paths = []
-    for v in range(n):
-        if f.values[v] != 1:
-            continue
-        seq = [v]
-        consumed[v] = True
-        while successor[seq[-1]] != -1:
-            seq.append(successor[seq[-1]])
-            consumed[seq[-1]] = True
-        paths.append(tuple(seq))
-
-    cycles = []
-    for v in range(n):
-        if not inner[v] or consumed[v]:
-            continue
-        seq = [v]
-        consumed[v] = True
-        while successor[seq[-1]] != v:
-            seq.append(successor[seq[-1]])
-            consumed[seq[-1]] = True
-        cycles.append(tuple(seq))
-
-    cover = PathCover(paths=tuple(paths), cycles=tuple(cycles))
+    cover = PathCover(paths=tuple(map(tuple, paths)), cycles=tuple(map(tuple, cycles)))
     cover.validate(g)
     if len(cover.paths) != units:
         raise AssertionError("every supply unit must form one control path")

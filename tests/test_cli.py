@@ -252,6 +252,18 @@ class TestGraphJson:
         assert "id_map" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", [
+        '{"n": -1, "edges": []}', '{"n": 2.7, "edges": [[0, 1, 1.0]]}', '{"n": true, "edges": []}',
+    ], ids=["negative", "fractional", "boolean"])
+    def test_bad_n_is_usage_error(self, tmp_path, capsys, text):
+        # refused on reading, before any work
+        graph = tmp_path / "bad.json"
+        graph.write_text(text)
+        out = tmp_path / "curve.csv"
+        assert main(["curve", str(graph), "--out", str(out)]) == 1
+        assert "n must be" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBench:
     def test_small_grid(self, tmp_path):

@@ -65,7 +65,7 @@ class TestMergeCycles:
     def test_cycles_without_stems_get_synthetic_host(self):
         cover = PathCover(paths=(), cycles=((0, 1, 2),))
         stems = merge_cycles(cover)
-        assert stems[0].synthetic
+        assert stems[0].junctions == ()
         assert stems[0].nodes == (0, 1, 2)
 
 
@@ -257,7 +257,7 @@ class TestEdcpEndToEnd:
 
     @pytest.mark.parametrize("place", [edcp, naive_placement])
     def test_adjacency_lists_built_once_per_request(self, monkeypatch, place):
-        # the request runs six pipelines on one set of lists (edcp also a refine
+        # the request runs three pipelines on one set of lists (edcp also a refine
         # search); building them per step took 7 predecessor lists for edcp, 6 for naive
         calls = []
         real = DirectedGraph.predecessors
@@ -265,6 +265,23 @@ class TestEdcpEndToEnd:
         res = place(generate_er(13, 2.4535888044089837, 20), 1, 6)
         assert res.fallback == "matching-paths"
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("n, mu, seed, m, r, fallback", [
+        (13, 2.4535888044089837, 20, 1, 6, "matching-paths"),
+        (25, 2.5, 4, 4, 18, None),
+    ], ids=["merges-on-third-cover", "all-covers-stuck"])
+    def test_each_cover_runs_once(self, monkeypatch, n, mu, seed, m, r, fallback):
+        # the ladder is walked once: on the first request the flow and m-path
+        # covers need a stuck release and the matching paths do not; on the
+        # second all three covers need one and the first wins.  Replaying the
+        # covers with stuck releases allowed took 6 and 4 runs.
+        module = importlib.import_module("netcontrol.edcp")
+        calls = []
+        real = module.assign_drivers
+        monkeypatch.setattr(module, "assign_drivers", lambda *args, **kw: calls.append(1) or real(*args, **kw))
+        res = edcp(generate_er(n, mu, seed), m, r)
+        assert res.fallback == fallback
+        assert len(calls) == 3
 
     def test_infeasible_cover(self):
         g = parse_edge_list("0 1\n0 2\n2 3\n3 2")
@@ -389,7 +406,6 @@ class TestPinned:
         # costs; the digest was recorded before each request became one context
         calls = []
         for g, m, r, t_f, a in _wide_requests():
-            calls.append(lambda g=g, m=m, r=r, t_f=t_f, a=a:
-                         _Request(g, m, r, t_f, a).place(even_division(r, m)))
+            calls.append(lambda g=g, m=m, r=r, t_f=t_f, a=a: _Request(g, m, r, t_f, a).place())
             calls.append(lambda g=g, m=m, r=r, t_f=t_f: naive_placement(g, m, r, t_f))
         assert _digest(calls) == "1bd1276d11832bb8980b63843671b3edbd91cff00ac3056f208e0930e45cdae1"

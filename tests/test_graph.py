@@ -6,6 +6,7 @@ import pytest
 from netcontrol.graph import (
     DirectedGraph,
     GraphFormatError,
+    _walk_successors,
     classical_driver_count,
     generate_ba,
     generate_er,
@@ -87,6 +88,13 @@ class TestRoundTrip:
     def test_json_rejects_id_map_not_onto_nodes(self, n, id_map):
         with pytest.raises(GraphFormatError, match="id_map"):
             DirectedGraph.from_json(f'{{"n": {n}, "edges": [[0, 1, 1.0]], "id_map": {id_map}}}')
+
+    @pytest.mark.parametrize("text", [
+        '{"n": -1, "edges": []}', '{"n": 2.7, "edges": [[0, 1, 1.0]]}', '{"n": true, "edges": []}',
+    ], ids=["negative", "fractional", "boolean"])
+    def test_json_rejects_bad_n(self, text):
+        with pytest.raises(GraphFormatError, match="n must be"):
+            DirectedGraph.from_json(text)
 
 
 class TestInvariants:
@@ -187,6 +195,13 @@ class TestMatching:
         edge_set = random_digraph(n, 0.4, rng)
         g = DirectedGraph(n, tuple((s, d, 1.0) for s, d in edge_set))
         assert maximum_matching(g) == brute_maximum_matching(n, sorted(edge_set))
+
+    def test_walk_successors(self):
+        # path 4 -> 1 -> 7, singleton 6, cycles 5 -> 2 -> 8 and 3 -> 0, node 9 off the cover
+        successor = [3, 7, 8, 0, 1, 2, -1, -1, 5, None]
+        paths, cycles = _walk_successors(successor, [6, 4])
+        assert paths == [[6], [4, 1, 7]]  # in the order of the heads
+        assert cycles == [[0, 3], [2, 8, 5]]  # each from its lowest node
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matching_path_cover_properties(self, seed):
