@@ -27,11 +27,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, null_space
+from scipy.linalg import null_space
 
 from .edcp import CoverInfeasibleError, _Request
 from .graph import DirectedGraph
-from .lti import ControlPlacement, UncontrollableError, _Steering, _check_horizon
+from .lti import ControlPlacement, UncontrollableError, _Steering, _check_horizon, _van_loan
 
 _PROJECTION_RETRIES = 20
 _INIT_ATTEMPTS = 20
@@ -130,24 +130,21 @@ def _grad_b(s: _Steering) -> np.ndarray:
 
 
 def _exp_weighted_integral(a: np.ndarray, q: np.ndarray, t_f: float) -> np.ndarray:
-    """int_0^tf e^(A^T t) Q e^(A t) dt via one block matrix exponential.
+    """int_0^tf e^(A^T t) Q e^(A t) dt via one Van Loan block exponential.
 
-    Q is scaled to unit size first and the result scaled back, which is
-    exact because the integral is linear in Q.  Scaling-and-squaring is
-    accurate only relative to the block's norm, so an unscaled Q of size
-    1e11 (an ill-conditioned C W C^T) would swamp the A blocks and lose
-    about six digits once the result multiplies B.
+    With Z = exp(t_f [[-A^T, Q], [0, A]]) (`_van_loan` with X = -A^T), the
+    integral is Z22^T Z12.  Q is scaled to unit size first and the result
+    scaled back, which is exact because the integral is linear in Q.
+    Scaling-and-squaring is accurate only relative to the block's norm, so
+    an unscaled Q of size 1e11 (an ill-conditioned C W C^T) would swamp
+    the A blocks and lose about six digits once the result multiplies B.
     """
     n = a.shape[0]
     scale = float(np.abs(q).max())
     if scale == 0.0:
         return np.zeros((n, n))
-    block = np.zeros((2 * n, 2 * n))
-    block[:n, :n] = -a.T
-    block[:n, n:] = q / scale
-    block[n:, n:] = a
-    z = expm(block * t_f)
-    return scale * (z[n:, n:].T @ z[:n, n:])
+    _, z12, z22 = _van_loan(-a.T, q / scale, t_f)
+    return scale * (z22.T @ z12)
 
 
 def grad_c(a: np.ndarray, b: np.ndarray, c: np.ndarray, t_f: float) -> np.ndarray:

@@ -8,9 +8,11 @@ is kept on the graph so results can be reported in the caller's ids.
 from __future__ import annotations
 
 import json
+import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -23,6 +25,16 @@ DEFAULT_WEIGHT_SEED = 1729
 
 class GraphFormatError(ValueError):
     """An edge-list or graph-JSON document could not be parsed."""
+
+
+_BOOLEANS = frozenset((bool, np.bool_))  # weight types that float() reads as 0.0 or 1.0
+
+
+def _json_int(value, what: str) -> int:
+    """A JSON integer; int() would truncate 2.7 and read true as 1."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -43,6 +55,9 @@ class DirectedGraph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"n must be >= 0, got {self.n}")
+        if not _BOOLEANS.isdisjoint(map(type, map(itemgetter(2), self.edges))):
+            s, d, w = next(edge for edge in self.edges if type(edge[2]) in _BOOLEANS)
+            raise ValueError(f"edge ({s},{d}) weight {w!r} is not a number")
         edges = tuple(sorted((int(s), int(d), float(w)) for s, d, w in self.edges))
         object.__setattr__(self, "edges", edges)
         if not self.id_map:
@@ -55,6 +70,8 @@ class DirectedGraph:
                 raise ValueError(f"edge ({s},{d}) endpoint out of range [0,{self.n})")
             if w == 0.0:
                 raise ValueError(f"edge ({s},{d}) has zero weight")
+            if not math.isfinite(w):
+                raise ValueError(f"edge ({s},{d}) has non-finite weight {w}")
             if (s, d) in seen:
                 raise ValueError(f"duplicate edge ({s},{d})")
             seen.add((s, d))
@@ -121,13 +138,12 @@ class DirectedGraph:
     def from_json(cls, text: str) -> "DirectedGraph":
         try:
             payload = json.loads(text)
-            n = payload["n"]
-            if type(n) is not int:  # int() would truncate 2.7 and read true as 1
-                raise ValueError(f"n must be a JSON integer, got {n!r}")
             return cls(
-                n=n,
-                edges=tuple((int(s), int(d), float(w)) for s, d, w in payload["edges"]),
-                id_map={int(k): int(v) for k, v in payload.get("id_map", {}).items()},
+                n=_json_int(payload["n"], "n"),
+                edges=tuple((_json_int(s, "an edge endpoint"), _json_int(d, "an edge endpoint"), w)
+                            for s, d, w in payload["edges"]),
+                id_map={int(k): _json_int(v, "an id_map value")
+                        for k, v in payload.get("id_map", {}).items()},
             )
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             raise GraphFormatError(f"bad graph JSON: {exc}") from exc
@@ -173,7 +189,10 @@ def parse_edge_list(text: str) -> DirectedGraph:
 
     id_map = {ext: i for i, ext in enumerate(sorted(mentioned))}
     edges = tuple((id_map[s], id_map[d], w) for (s, d), w in raw_edges.items())
-    return DirectedGraph(n=len(id_map), edges=edges, id_map=id_map)
+    try:
+        return DirectedGraph(n=len(id_map), edges=edges, id_map=id_map)
+    except ValueError as exc:  # a non-finite weight
+        raise GraphFormatError(f"bad edge list: {exc}") from exc
 
 
 def serialize_edge_list(g: DirectedGraph) -> str:

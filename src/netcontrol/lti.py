@@ -9,6 +9,17 @@ expected steering cost over unit-variance random initial states is
 
 with W the controllability Gramian over [0, t_f]; the minimizing input is
 u(t) = -B^T e^{A^T (t_f - t)} C^T (C W C^T)^{-1} C e^{A t_f} x0.
+
+W and e^{A t_f} come from one Van Loan block exponential (Van Loan, IEEE
+TAC 23(3), 1978): Z = exp(t_f [[A, B B^T], [0, -A^T]]) gives W = Z12 Z11^T
+and e^{A t_f} = Z11.  `_van_loan` computes Z by Pade scaling and squaring
+on the block-triangular structure with n x n numpy products only, never
+the 2n x 2n block; ELPGM's gradient integral calls it too.  scipy's `expm`
+would run its Pade step on scipy's own OpenBLAS and its squarings through
+numpy's, a second copy: two thread pools that contend on a small host
+(with 2 BLAS threads on 2 vCPUs the 28 Gramians of the criterion-13 cost
+table took 0.96-1.64 s, against 0.21 s with one thread).  `mat_exp` and
+the input samples of `drive_to_origin` still call scipy's `expm`.
 """
 
 from __future__ import annotations
@@ -16,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, inf, isqrt, perm
+from math import ceil, comb, inf, isqrt, log2, perm
 from typing import Callable
 
 import numpy as np
@@ -108,11 +119,114 @@ def mat_exp(a: np.ndarray, t: float = 1.0) -> np.ndarray:
     return expm(a * t)
 
 
+def _pade_table():
+    """(degree m, theta_m, rows, identity) for the Pade degrees 3, 5, 7, 9 and 13.
+
+    theta_m is the 1-norm up to which degree m needs no scaling (Higham,
+    SIAM J. Matrix Anal. Appl. 26(4), 2005).  rows combines the even powers
+    M^2, M^4, ... into the Pade polynomials and identity adds their M^0
+    terms: for degree 13, W1, W2, Z1, Z2 of U = M (M^6 W1 + W2) and V =
+    M^6 Z1 + Z2; below it, the two sums of U = M sum_k b_(2k+1) M^2k and
+    V = sum_k b_2k M^2k.
+    """
+    coefficients = (
+        (3, 1.495585217958292e-2, (120, 60, 12, 1)),
+        (5, 2.539398330063230e-1, (30240, 15120, 3360, 420, 30, 1)),
+        (7, 9.504178996162932e-1, (17297280, 8648640, 1995840, 277200, 25200, 1512, 56, 1)),
+        (9, 2.097847961257068e0, (17643225600, 8821612800, 2075673600, 302702400, 30270240,
+                                  2162160, 110880, 3960, 90, 1)),
+        (13, 5.371920351148152e0, (64764752532480000, 32382376266240000, 7771770303897600,
+                                   1187353796428800, 129060195264000, 10559470521600,
+                                   670442572800, 33522128640, 1323241920, 40840800, 960960,
+                                   16380, 182, 1)),
+    )
+    table = []
+    for m, theta, b in coefficients:
+        if m == 13:
+            rows, identity = [b[9::2], b[3:8:2], b[8::2], b[2:7:2]], [0, b[1], 0, b[0]]
+        else:
+            rows, identity = [b[3::2], b[2::2]], [b[1], b[0]]
+        table.append((m, theta, np.array(rows, dtype=float), np.array(identity, dtype=float)[:, None]))
+    return tuple(table)
+
+
+_PADE = _pade_table()
+
+
+def _van_loan(x: np.ndarray, q: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Z11, Z12, Z22) of Z = exp(t [[X, Q], [0, -X^T]]), never forming the 2n x 2n block.
+
+    Pade scaling and squaring (Higham 2005) on the block-triangular
+    structure, with n x n numpy products only: the lowest Pade degree whose
+    theta bounds the block's 1-norm, else degree 13 after 2^-s scaling.
+    An even power or even polynomial of M = t [[X, Q], [0, -X^T]] is
+    [[P, R], [0, P^T]] (P is a polynomial in X, so its blocks commute),
+    held as its top row [P | R]: a product of two is P1 [P2 | R2] + [0 | R1
+    P2^T], and M times one is t X [P | R] + [0 | t Q P^T].  With U and V the
+    odd and even parts of the Pade numerator, N = V + U and D = V - U have
+    lower blocks D11^T and N11^T, so the Pade solve D Z = N takes two n x n
+    inverses, of matrices well conditioned up to theta_13: Z22 = (D11
+    N11^-1)^T, then [Z11 | Z12] = D11^-1 [N11 | N12 - D12 Z22].  (numpy's
+    solve with 2n right-hand sides took twice as long as inv and a
+    product.)  Each squaring is Z11 [Z11 | Z12] + [0 | Z12 Z22] and Z22^2.
+    """
+    n = x.shape[0]
+    top = np.hstack([x, q])  # [A | B] of M = [[A, B], [0, -A^T]], scaled below
+    sums = np.abs(top).sum(axis=0)
+    sums[n:] += np.abs(x).sum(axis=1)
+    norm = t * sums.max(initial=0.0)  # ||M||_1
+    degree, theta, rows, identity = next((entry for entry in _PADE if norm <= entry[1]), _PADE[-1])
+    squarings = ceil(log2(norm / theta)) if norm > theta else 0
+    top *= t * 2.0 ** -squarings
+    a, b = top[:, :n], top[:, n:]
+    powers = np.empty((rows.shape[1], n, 2 * n))  # M^2, M^4, ... as top rows
+    np.matmul(a, top, out=powers[0])
+    powers[0, :, n:] -= b @ a.T
+    a2 = powers[0, :, :n]
+    for k in range(1, rows.shape[1]):
+        np.matmul(powers[k - 1, :, :n], powers[0], out=powers[k])
+        powers[k, :, n:] += powers[k - 1, :, n:] @ a2.T
+    polys = rows @ powers.reshape(rows.shape[1], -1)
+    polys[:, ::2 * n + 1] += identity  # the diagonal of each P block
+    polys = polys.reshape(-1, n, 2 * n)
+    if degree == 13:
+        w1, w2, z1, z2 = polys
+        p6, r6 = powers[2, :, :n], powers[2, :, n:]
+        w = p6 @ w1 + w2
+        w[:, n:] += r6 @ w1[:, :n].T
+        v = p6 @ z1 + z2
+        v[:, n:] += r6 @ z1[:, :n].T
+    else:
+        w, v = polys
+    u = a @ w
+    u[:, n:] += b @ w[:, :n].T
+    num, den = v + u, v - u
+    z22 = (den[:, :n] @ np.linalg.inv(num[:, :n])).T
+    num[:, n:] -= den[:, n:] @ z22
+    top = np.linalg.inv(den[:, :n]) @ num
+    for _ in range(squarings):
+        squared = top[:, :n] @ top
+        squared[:, n:] += top[:, n:] @ z22
+        top, z22 = squared, z22 @ z22
+    return top[:, :n], top[:, n:], z22
+
+
+def _gramian(a: np.ndarray, b: np.ndarray, t_f: float) -> tuple[np.ndarray, np.ndarray]:
+    """(W, e^(A t_f)) from one `_van_loan` call on checked A, B."""
+    z11, z12, _ = _van_loan(a, b @ b.T, t_f)
+    w = z12 @ z11.T
+    return (w + w.T) / 2.0, z11
+
+
 def gramian(a: np.ndarray, b: np.ndarray, t_f: float) -> np.ndarray:
     """Controllability Gramian W = int_0^tf e^(At) B B^T e^(A^T t) dt.
 
-    Uses the block-exponential identity: with
-    Z = exp(t_f [[A, BB^T], [0, -A^T]]), W = Z12 Z11^T to machine precision.
+    Uses the block-exponential identity (Van Loan, IEEE TAC 23(3), 1978):
+    with Z = exp(t_f [[A, BB^T], [0, -A^T]]), W = Z12 Z11^T to machine
+    precision, and Z11 = e^(A t_f).  Z comes from `_van_loan`, which works
+    on the n x n blocks with numpy alone and never forms the 2n x 2n one;
+    scipy's `expm` of that block split its work between scipy's and numpy's
+    OpenBLAS copies, whose two thread pools contend (module docstring).
     """
     a = _as_matrix(a, "A")
     b = _as_matrix(b, "B")
@@ -120,13 +234,7 @@ def gramian(a: np.ndarray, b: np.ndarray, t_f: float) -> np.ndarray:
     if a.shape[1] != n or b.shape[0] != n:
         raise ValueError("A must be square and B must have matching rows")
     _check_horizon(t_f)
-    block = np.zeros((2 * n, 2 * n))
-    block[:n, :n] = a
-    block[:n, n:] = b @ b.T
-    block[n:, n:] = -a.T
-    z = expm(block * t_f)
-    w = z[:n, n:] @ z[:n, :n].T
-    return (w + w.T) / 2.0
+    return _gramian(a, b, t_f)[0]
 
 
 def reachable_basis(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -182,9 +290,9 @@ class _Steering:
     """The shared terms of one steering problem (A, B, C, t_f).
 
     Computed once each, in this order: the output-controllability test, the
-    Gramian W, G = C W C^T with its conditioning guard, e^(A t_f), and X_f
-    = e^(A t_f) e^(A^T t_f) on first use.  The cost, its gradients and the
-    minimum-energy input all derive from them.
+    Gramian W and e^(A t_f) from one `_van_loan` call, G = C W C^T with its
+    conditioning guard, and X_f = e^(A t_f) e^(A^T t_f) on first use.  The
+    cost, its gradients and the minimum-energy input all derive from them.
     Raises UncontrollableError where the cost is undefined; its condition
     is None for a rank failure.
     """
@@ -193,7 +301,7 @@ class _Steering:
         a, b, c = _as_matrix(a, "A"), _as_matrix(b, "B"), _as_matrix(c, "C")
         if not output_controllable(a, b, c):
             raise UncontrollableError("(A, B, C) is not output controllable")
-        w = gramian(a, b, t_f)
+        w, e_tf = _gramian(a, b, t_f)
         g = c @ w @ c.T
         condition = float(np.linalg.cond(g))
         if not np.isfinite(condition) or condition >= CONDITION_LIMIT:
@@ -201,8 +309,7 @@ class _Steering:
                 f"C W C^T condition {condition:.3e} exceeds {CONDITION_LIMIT:.0e}",
                 condition=condition,
             )
-        self.a, self.b, self.c, self.t_f, self.w, self.g = a, b, c, t_f, w, g
-        self.e_tf = expm(a * t_f)
+        self.a, self.b, self.c, self.t_f, self.w, self.g, self.e_tf = a, b, c, t_f, w, g, e_tf
 
     @cached_property
     def x_f(self) -> np.ndarray:
@@ -325,10 +432,11 @@ def drive_to_origin(
 
     The input is sampled once on the RK4 grid t_k = k t_f / m, m =
     2 max(steps, 1000) (step ends and midpoints), by the two-level split of
-    `_input_samples`: at steps=2000, 2 ceil(sqrt(4001)) - 1 = 127 expm calls,
-    129 per drive with the Gramian and e^(A t_f), where one expm per sample
-    would take 8,004.  Each sample is one power times one anchor, so no step
-    matrix is applied thousands of times and rounding does not accumulate:
+    `_input_samples`: at steps=2000, 2 ceil(sqrt(4001)) - 1 = 127 expm calls
+    per drive (the Gramian and e^(A t_f) come from `_van_loan`), where one
+    expm per sample would take 8,004.  Each sample is one power times one
+    anchor, so no step matrix is applied thousands of times and rounding
+    does not accumulate:
     the samples agree with `optimal_input_function` to about 1e-12
     relative.  The same samples feed `simulate` and the composite Simpson
     energy, so Simpson uses the RK4 grid: m panels also for steps < 1000.

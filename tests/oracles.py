@@ -173,6 +173,61 @@ def gauss_jordan_chain_cost(length: int, t_f: float) -> float:
     return float(sum(aug[i][length + i] for i in range(length)))
 
 
+def _mp_van_loan(x, q, t):
+    """(Z11, Z12, Z22) of exp(t [[X, Q], [0, -X^T]]) for mpmath matrices X, Q.
+
+    The 2n x 2n block is assembled entry by entry and exponentiated by
+    mpmath at the caller's working precision.
+    """
+    import mpmath
+
+    n = x.rows
+    block = mpmath.zeros(2 * n, 2 * n)
+    for i in range(n):
+        for j in range(n):
+            block[i, j] = x[i, j]
+            block[i, n + j] = q[i, j]
+            block[n + i, n + j] = -x[j, i]
+    z = mpmath.expm(block * t)
+    return z[:n, :n], z[:n, n:], z[n:, n:]
+
+
+def van_loan_reference(x, q, t: float, dps: int = 40) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Z11, Z12, Z22) of exp(t [[X, Q], [0, -X^T]]) computed at `dps` digits, rounded to float64."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        blocks = _mp_van_loan(mpmath.matrix(np.asarray(x, dtype=float).tolist()),
+                              mpmath.matrix(np.asarray(q, dtype=float).tolist()), mpmath.mpf(t))
+        return tuple(np.array(z.tolist(), dtype=float) for z in blocks)
+
+
+def reference_steering(a, placement: ControlPlacement, dps: int = 40) -> tuple[np.ndarray, np.ndarray, float]:
+    """(W, C W C^T, E) of a single-wire placement, computed at `dps` digits.
+
+    W = Z12 Z11^T from the Van Loan blocks of (A, B B^T), C W C^T is W's
+    controlled rows and columns, and E = tr((C W C^T)^-1 Y Y^T) with Y the
+    controlled rows of Z11 = e^(A t_f).  W and C W C^T are rounded to
+    float64 after the products; E is rounded last.
+    """
+    import mpmath
+
+    n = np.shape(a)[0]
+    rows = list(placement.controlled)
+    with mpmath.workdps(dps):
+        mp_a = mpmath.matrix(np.asarray(a, dtype=float).tolist())
+        bbt = mpmath.zeros(n, n)
+        for v in placement.drivers:
+            bbt[v, v] = 1
+        z11, z12, _ = _mp_van_loan(mp_a, bbt, mpmath.mpf(placement.t_f))
+        w = z12 * z11.T
+        g = mpmath.matrix([[w[i, j] for j in rows] for i in rows])
+        y = mpmath.matrix([[z11[i, j] for j in range(n)] for i in rows])
+        h = mpmath.inverse(g) * (y * y.T)
+        cost = mpmath.fsum(h[k, k] for k in range(len(rows)))
+        return np.array(w.tolist(), dtype=float), np.array(g.tolist(), dtype=float), float(cost)
+
+
 def central_difference_grad_b(a, b, c, t_f, step=1e-5) -> np.ndarray:
     g = np.zeros_like(b)
     for i in range(b.shape[0]):
@@ -223,16 +278,7 @@ def extended_precision_grads(a, b, c, t_f, dps=40, step=1e-12):
         xf = e_tf * e_tf.T
 
         def gram(bm):
-            block = mpmath.zeros(2 * n, 2 * n)
-            bbt = bm * bm.T
-            for i in range(n):
-                for j in range(n):
-                    block[i, j] = mp_a[i, j]
-                    block[i, n + j] = bbt[i, j]
-                    block[n + i, n + j] = -mp_a[j, i]
-            z = mpmath.expm(block * t_f)
-            z11 = z[:n, :n]
-            z12 = z[:n, n:]
+            z11, z12, _ = _mp_van_loan(mp_a, bm * bm.T, t_f)
             return z12 * z11.T
 
         def cost(w, cm):

@@ -195,7 +195,7 @@ class TestVerify:
 
         placement = tmp_path / "p.json"
         main(["place", fig8_file, "-M", "4", "-R", "12", "--out", str(placement)])
-        calls = {"output_controllable": 0, "gramian": 0, "expm": 0}
+        calls = {"output_controllable": 0, "_van_loan": 0, "expm": 0}
         for name in calls:
             def counted(*args, _name=name, _orig=getattr(lti, name), **kwargs):
                 calls[_name] += 1
@@ -203,9 +203,10 @@ class TestVerify:
 
             monkeypatch.setattr(lti, name, counted)
         assert main(["verify", fig8_file, str(placement)]) == 0
-        # one rank test and one Gramian serve both the cost and the drive
+        # one rank test and one Van Loan kernel call (the Gramian and
+        # e^(A t_f)) serve both the cost and the drive
         assert calls["output_controllable"] == 1
-        assert calls["gramian"] == 1
+        assert calls["_van_loan"] == 1
         assert calls["expm"] <= 130
         assert "controllable: true" in capsys.readouterr().out
 
@@ -262,6 +263,36 @@ class TestGraphJson:
         out = tmp_path / "curve.csv"
         assert main(["curve", str(graph), "--out", str(out)]) == 1
         assert "n must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        '{"n": 2, "edges": [[0.7, 1, 1.0]]}', '{"n": 2, "edges": [[0, true, 1.0]]}',
+        '{"n": 2, "edges": [[0, 1, 1.0]], "id_map": {"5": 0, "6": 1.0}}',
+    ], ids=["fractional-endpoint", "boolean-endpoint", "fractional-id-map-value"])
+    def test_non_integer_node_id_is_usage_error(self, tmp_path, capsys, text):
+        # 0.7 used to read as node 0, and place exited 0
+        graph = tmp_path / "bad.json"
+        graph.write_text(text)
+        out = tmp_path / "p.json"
+        assert main(["place", str(graph), "-M", "1", "-R", "2", "--out", str(out)]) == 1
+        assert "must be a JSON integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, text", [
+        ("nan.txt", "0 1 nan\n1 2\n"), ("inf.txt", "0 1\n1 2 -inf\n"),
+        ("nan.json", '{"n": 3, "edges": [[0, 1, NaN], [1, 2, 1.0]]}'),
+        ("inf.json", '{"n": 3, "edges": [[0, 1, 1.0], [1, 2, Infinity]]}'),
+        ("bool.json", '{"n": 3, "edges": [[0, 1, true], [1, 2, 1.0]]}'),
+    ])
+    @pytest.mark.parametrize("command", [["curve"], ["place", "-M", "1", "-R", "3"]])
+    def test_bad_weight_is_usage_error(self, tmp_path, capsys, name, text, command):
+        # refused on reading; place used to exit 2 after the flow had run,
+        # curve exited 0, and a weight true read as 1.0
+        graph = tmp_path / name
+        graph.write_text(text)
+        out = tmp_path / "out"
+        assert main([command[0], str(graph), *command[1:], "--out", str(out)]) == 1
+        assert "weight" in capsys.readouterr().err
         assert not out.exists()
 
 

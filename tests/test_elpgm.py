@@ -295,15 +295,16 @@ class TestOptimize:
     def test_one_controllability_check_per_support(self, monkeypatch):
         # the support cache is what lets the descent redraw 20 projections per
         # iterate cheaply: every support, start or draw, is evaluated once, and
-        # an evaluation makes one rank test and at most one Gramian
+        # an evaluation makes one rank test and at most one Gramian, counted as
+        # lti's calls of the Van Loan kernel (the gradient integral calls it
+        # through elpgm's own binding, after the evaluation)
         calls = {"output_controllable": 0, "gramian": 0, "edcp_gramian": 0}
-        for name in ("output_controllable", "gramian"):
-            def counted(*args, real=getattr(netcontrol.lti, name), name=name):
-                calls[name] += 1
+        for name, key in (("output_controllable", "output_controllable"), ("_van_loan", "gramian")):
+            def counted(*args, real=getattr(netcontrol.lti, name), key=key):
+                calls[key] += 1
                 return real(*args)
 
             monkeypatch.setattr(netcontrol.lti, name, counted)
-            monkeypatch.setattr(netcontrol.elpgm, name, counted, raising=False)
         evaluations = []
 
         def steering(a, b, c, t_f, real=netcontrol.elpgm._Steering):
@@ -401,17 +402,19 @@ class TestPinned:
     """
 
     def test_results_pinned_bit_for_bit(self):
-        # recorded when the projection became an exponential race drawing
-        # each iterate's retries in one call
+        # re-recorded when the Gramian and the gradient integral moved to the
+        # block-triangular Van Loan kernel: every placement is kept, costs
+        # move in their last bits
         digest = hashlib.sha256()
         for a, m, r, cfg, update_b, update_c in _pinned_runs():
             p, e = elpgm_optimize(a, m, r, cfg, update_b=update_b, update_c=update_c)
             digest.update(repr((p.drivers, p.controlled, float(e).hex())).encode())
-        assert digest.hexdigest() == "69198776e3192ef1491f393395407eae5e544a535b4e8963bbf46bdb750db2cd"
+        assert digest.hexdigest() == "f84bbd164998bf77333a9c76a26e47b3ab58bbb56db62f5e561e9133ae30d65b"
 
     def test_wide_results_pinned_bit_for_bit(self):
-        # recorded when the projection became an exponential race; 33 of the
-        # 150 calls refuse, as they did with the sequential sampler before it
+        # re-recorded when the Gramian and the gradient integral moved to the
+        # Van Loan kernel; 33 of the 150 calls refuse, as they did before it
+        # and with the sequential sampler before the exponential race
         digest, refusals = hashlib.sha256(), 0
         for a, m, r, cfg, update_b, update_c in _wide_runs():
             try:
@@ -421,7 +424,7 @@ class TestPinned:
                 item, refusals = str(exc), refusals + 1
             digest.update(repr(item).encode())
         assert refusals == 33
-        assert digest.hexdigest() == "410102ed7e25ed2e4cf2632ec41a818c2040ef486bca728dfe347194edfd5897"
+        assert digest.hexdigest() == "f56d9131137db306051a18c0a4c704f98823e7b8caf5b86cb1625b4ff6796c7f"
 
     def test_project_pinned_bit_for_bit(self):
         # recorded when the projection became an exponential race; every
@@ -446,7 +449,8 @@ class TestPinned:
 
     def test_steering_terms_pinned_bit_for_bit(self):
         # the cost, both gradients and the input share one evaluation of
-        # (A, B, C, t_f); the digest was recorded when each recomputed it
+        # (A, B, C, t_f); the digest was re-recorded when the Gramian, e^(A t_f)
+        # and the gradient integral moved to the block-triangular Van Loan kernel
         def hexes(x):
             return tuple(float(v).hex() for v in np.ravel(x))
 
@@ -470,4 +474,4 @@ class TestPinned:
                     term(a, b, c, 2.0)
                 condition = exc.value.condition
                 digest.update(repr(None if condition is None else condition.hex()).encode())
-        assert digest.hexdigest() == "7ff0e3a6575f4a14cb778a9b71fa0367b92fe1dd170eb3c395755224f44bb33f"
+        assert digest.hexdigest() == "b0bb2e6b2483bb20101037a01e7319969ed1c99fdc97f566014af40c14046efc"

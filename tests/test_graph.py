@@ -96,6 +96,30 @@ class TestRoundTrip:
         with pytest.raises(GraphFormatError, match="n must be"):
             DirectedGraph.from_json(text)
 
+    @pytest.mark.parametrize("text", [
+        '{"n": 2, "edges": [[0.7, 1, 1.0]]}', '{"n": 2, "edges": [[0, 1.0, 1.0]]}',
+        '{"n": 2, "edges": [[true, 1, 1.0]]}',
+        '{"n": 2, "edges": [[0, 1, 1.0]], "id_map": {"5": 0, "6": 1.0}}',
+        '{"n": 2, "edges": [[0, 1, 1.0]], "id_map": {"5": false, "6": true}}',
+    ], ids=["fractional-endpoint", "float-endpoint", "boolean-endpoint", "float-id-map-value",
+            "boolean-id-map-values"])
+    def test_json_rejects_non_integer_node_ids(self, text):
+        with pytest.raises(GraphFormatError, match="must be a JSON integer"):
+            DirectedGraph.from_json(text)
+
+    @pytest.mark.parametrize("weight, reason", [
+        ("NaN", "non-finite weight"), ("Infinity", "non-finite weight"), ("-Infinity", "non-finite weight"),
+        ("true", "not a number"), ("false", "not a number"),
+    ])
+    def test_json_rejects_bad_weight(self, weight, reason):
+        with pytest.raises(GraphFormatError, match=reason):
+            DirectedGraph.from_json(f'{{"n": 2, "edges": [[0, 1, {weight}]]}}')
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_edge_list_rejects_non_finite_weight(self, weight):
+        with pytest.raises(GraphFormatError, match="non-finite weight"):
+            parse_edge_list(f"0 1\n1 2 {weight}\n")
+
 
 class TestInvariants:
     def test_duplicate_edge_rejected(self):
@@ -109,6 +133,16 @@ class TestInvariants:
     def test_zero_weight(self):
         with pytest.raises(ValueError, match="zero weight"):
             DirectedGraph(2, ((0, 1, 0.0),))
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_weight(self, weight):
+        with pytest.raises(ValueError, match="non-finite weight"):
+            DirectedGraph(2, ((0, 1, weight),))
+
+    @pytest.mark.parametrize("weight", [True, np.True_])
+    def test_boolean_weight(self, weight):
+        with pytest.raises(ValueError, match="not a number"):
+            DirectedGraph(2, ((0, 1, weight),))
 
     def test_adjacency_orientation(self):
         g = DirectedGraph(2, ((0, 1, 3.0),))

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from netcontrol.graph import generate_er
+from netcontrol.graph import generate_ba, generate_er
 from netcontrol.lti import (
+    CONDITION_LIMIT,
     ControlPlacement,
     UncontrollableError,
     chain_control_cost,
@@ -17,7 +19,13 @@ from netcontrol.lti import (
     simulate,
 )
 from netcontrol.pathcover import max_controllable_subset
-from oracles import gauss_jordan_chain_cost, simpson_gramian, taylor_expm
+from oracles import (
+    gauss_jordan_chain_cost,
+    reference_steering,
+    simpson_gramian,
+    taylor_expm,
+    van_loan_reference,
+)
 
 CHAIN2 = np.array([[0.0, 0.0], [1.0, 0.0]])
 
@@ -87,6 +95,121 @@ class TestGramian:
     def test_nonfinite_horizon(self, t_f):
         with pytest.raises(ValueError, match="t_f"):
             gramian(np.zeros((2, 2)), np.zeros((2, 1)), t_f)
+
+
+HORIZONS = (0.5, 2.0, 3.5)
+
+
+def _kernel_placements():
+    """(name, A, placement drivers, placement controlled) of the kernel accuracy cases.
+
+    Unit chains of length 1-8 (nilpotent A) driven at the head, a 3-cycle
+    with a tail in and a tail out, and seeded weighted ER and BA graphs
+    with a seeded output-controllable placement.
+    """
+    cases = [(f"chain{n}", chain_matrix(n), (0,), tuple(range(n))) for n in range(1, 9)]
+    a = np.zeros((6, 6))
+    for s, d in ((0, 1), (1, 2), (2, 3), (3, 1), (3, 4), (4, 5)):
+        a[d, s] = 1.0
+    cases.append(("cycle-tail", a, (0,), (1, 2, 3, 4, 5)))
+    for seed, g in enumerate((generate_er(12, 3.0, 0), generate_er(10, 3.5, 1),
+                              generate_ba(12, 2, 2), generate_ba(10, 2, 3))):
+        a, rng = g.realized_adjacency(), np.random.default_rng(seed)
+        while True:
+            order = rng.permutation(g.n).tolist()
+            p = ControlPlacement(tuple(order[:3]), tuple(order[3:3 + g.n // 2]))
+            if output_controllable(a, p.b_matrix(g.n), p.c_matrix(g.n)):
+                break
+        cases.append((f"graph{seed}", a, p.drivers, p.controlled))
+    return cases
+
+
+def _dense_van_loan(x, q, t):
+    """The three blocks of scipy's expm of the assembled 2n x 2n block, for comparison."""
+    n = x.shape[0]
+    z = scipy.linalg.expm(t * np.block([[x, q], [np.zeros((n, n)), -x.T]]))
+    return z[:n, :n], z[:n, n:], z[n:, n:]
+
+
+def _relative(got, want):
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+class TestVanLoanKernel:
+    """`_van_loan`, `gramian` and `control_cost` against a 40-digit mpmath reference.
+
+    Each bound is stated below and checked to be no looser than 10x the
+    error of scipy's expm of the dense 2n x 2n block on the same cases.
+    """
+
+    # relative Frobenius error of each block and of W; scipy's dense block
+    # reaches about 4e-13 on these cases, the kernel about 2e-15
+    BLOCK_BOUND = 50 * np.finfo(float).eps
+    # relative error of E in units of eps cond(C W C^T): the residual error
+    # comes from conditioning, and scipy's dense block reaches about 1.8
+    COST_BOUND = 1.0
+
+    def test_blocks_match_extended_precision(self):
+        from netcontrol.lti import _van_loan
+
+        cases = [(a, np.diag(np.isin(np.arange(len(a)), drivers)).astype(float))
+                 for _, a, drivers, _ in _kernel_placements()]
+        # ELPGM's gradient integral: X = -A^T and a dense Q scaled to unit max
+        rng = np.random.default_rng(7)
+        h = rng.normal(size=(12, 12))
+        q = h @ h.T
+        cases.append((-generate_er(12, 3.0, 5).realized_adjacency().T, q / np.abs(q).max()))
+        kernel = dense = 0.0
+        for x, q in cases:
+            for t in HORIZONS:
+                want = van_loan_reference(x, q, t)
+                kernel = max(kernel, *map(_relative, _van_loan(x, q, t), want))
+                dense = max(dense, *map(_relative, _dense_van_loan(x, q, t), want))
+        assert kernel <= self.BLOCK_BOUND
+        assert self.BLOCK_BOUND <= 10 * dense
+
+    def test_gramian_and_cost_match_extended_precision(self):
+        eps = np.finfo(float).eps
+        gramian_error = dense_gramian_error = cost_error = dense_cost_error = 0.0
+        for _, a, drivers, controlled in _kernel_placements():
+            for t in HORIZONS:
+                p = ControlPlacement(drivers, controlled, t)
+                n = a.shape[0]
+                b, c = p.b_matrix(n), p.c_matrix(n)
+                w_ref, g_ref, e_ref = reference_steering(a, p)
+                gramian_error = max(gramian_error, _relative(gramian(a, b, t), w_ref))
+                z11, z12, _ = _dense_van_loan(a, b @ b.T, t)
+                w = z12 @ z11.T
+                w = (w + w.T) / 2
+                dense_gramian_error = max(dense_gramian_error, _relative(w, w_ref))
+                condition = np.linalg.cond(g_ref)
+                if condition >= CONDITION_LIMIT:  # chains of 6-8 at short horizons
+                    with pytest.raises(UncontrollableError):
+                        control_cost(a, p)
+                    continue
+                unit = eps * condition * e_ref
+                cost_error = max(cost_error, abs(control_cost(a, p) - e_ref) / unit)
+                y = c @ scipy.linalg.expm(a * t)
+                dense_cost = np.trace(np.linalg.solve(c @ w @ c.T, y @ y.T))
+                dense_cost_error = max(dense_cost_error, abs(dense_cost - e_ref) / unit)
+        assert gramian_error <= self.BLOCK_BOUND
+        assert self.BLOCK_BOUND <= 10 * dense_gramian_error
+        assert cost_error <= self.COST_BOUND
+        assert self.COST_BOUND <= 10 * dense_cost_error
+
+    def test_cost_and_gradient_make_no_expm_call(self, monkeypatch):
+        import netcontrol.lti as lti
+        from netcontrol.elpgm import grad_b
+
+        def refuse(*args):
+            raise AssertionError("scipy expm called")
+
+        monkeypatch.setattr(lti, "expm", refuse)
+        _, a, drivers, controlled = next(case for case in _kernel_placements() if case[0] == "graph0")
+        p = ControlPlacement(drivers, controlled)
+        n = a.shape[0]
+        assert control_cost(a, p) > 0
+        assert np.all(np.isfinite(grad_b(a, p.b_matrix(n), p.c_matrix(n), 2.0)))
 
 
 class TestOutputControllable:
@@ -248,7 +371,8 @@ class TestDriveToOrigin:
         expm_orig = lti.expm
         monkeypatch.setattr(lti, "expm", lambda m: calls.append(m.shape) or expm_orig(m))
         drive_to_origin(a, p, np.ones(8), steps=2000)
-        # two-level grid sampling: 2 ceil(sqrt(4001)) + 2 (8,004 pointwise)
+        # two-level grid sampling: 2 ceil(sqrt(4001)) - 1 = 127 (8,004
+        # pointwise); the Gramian and e^(A t_f) come from the Van Loan kernel
         assert len(calls) <= 130
 
 
