@@ -12,7 +12,6 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 import numpy as np
 
@@ -25,9 +24,6 @@ DEFAULT_WEIGHT_SEED = 1729
 
 class GraphFormatError(ValueError):
     """An edge-list or graph-JSON document could not be parsed."""
-
-
-_BOOLEANS = frozenset((bool, np.bool_))  # weight types that float() reads as 0.0 or 1.0
 
 
 def _json_int(value, what: str) -> int:
@@ -55,9 +51,9 @@ class DirectedGraph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"n must be >= 0, got {self.n}")
-        if not _BOOLEANS.isdisjoint(map(type, map(itemgetter(2), self.edges))):
-            s, d, w = next(edge for edge in self.edges if type(edge[2]) in _BOOLEANS)
-            raise ValueError(f"edge ({s},{d}) weight {w!r} is not a number")
+        for s, d, w in self.edges:
+            if type(w) in (bool, np.bool_):  # float() would read it as 0.0 or 1.0
+                raise ValueError(f"edge ({s},{d}) weight {w!r} is not a number")
         edges = tuple(sorted((int(s), int(d), float(w)) for s, d, w in self.edges))
         object.__setattr__(self, "edges", edges)
         if not self.id_map:
@@ -184,15 +180,14 @@ def parse_edge_list(text: str) -> DirectedGraph:
                 raise GraphFormatError(f"line {lineno}: bad weight {tokens[2]!r}") from exc
         if weight == 0.0:
             raise GraphFormatError(f"line {lineno}: zero edge weight is not allowed")
+        if not math.isfinite(weight):
+            raise GraphFormatError(f"line {lineno}: non-finite weight {tokens[2]}")
         mentioned.update(ids)
         raw_edges[(ids[0], ids[1])] = weight
 
     id_map = {ext: i for i, ext in enumerate(sorted(mentioned))}
     edges = tuple((id_map[s], id_map[d], w) for (s, d), w in raw_edges.items())
-    try:
-        return DirectedGraph(n=len(id_map), edges=edges, id_map=id_map)
-    except ValueError as exc:  # a non-finite weight
-        raise GraphFormatError(f"bad edge list: {exc}") from exc
+    return DirectedGraph(n=len(id_map), edges=edges, id_map=id_map)
 
 
 def serialize_edge_list(g: DirectedGraph) -> str:

@@ -223,10 +223,7 @@ def gramian(a: np.ndarray, b: np.ndarray, t_f: float) -> np.ndarray:
 
     Uses the block-exponential identity (Van Loan, IEEE TAC 23(3), 1978):
     with Z = exp(t_f [[A, BB^T], [0, -A^T]]), W = Z12 Z11^T to machine
-    precision, and Z11 = e^(A t_f).  Z comes from `_van_loan`, which works
-    on the n x n blocks with numpy alone and never forms the 2n x 2n one;
-    scipy's `expm` of that block split its work between scipy's and numpy's
-    OpenBLAS copies, whose two thread pools contend (module docstring).
+    precision, and Z11 = e^(A t_f).  Z comes from `_van_loan`.
     """
     a = _as_matrix(a, "A")
     b = _as_matrix(b, "B")
@@ -298,6 +295,7 @@ class _Steering:
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray, t_f: float):
+        _check_horizon(t_f)
         a, b, c = _as_matrix(a, "A"), _as_matrix(b, "B"), _as_matrix(c, "C")
         if not output_controllable(a, b, c):
             raise UncontrollableError("(A, B, C) is not output controllable")

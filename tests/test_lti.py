@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from netcontrol.graph import generate_ba, generate_er
 from netcontrol.lti import (
@@ -97,6 +96,18 @@ class TestGramian:
             gramian(np.zeros((2, 2)), np.zeros((2, 1)), t_f)
 
 
+class TestSteeringHorizon:
+    @pytest.mark.parametrize("t_f", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["control_cost_matrices", "grad_b", "grad_c"])
+    def test_bad_horizon_is_refused(self, name, t_f):
+        import netcontrol.elpgm as elpgm
+        import netcontrol.lti as lti
+
+        fn = getattr(lti, name, None) or getattr(elpgm, name)
+        with pytest.raises(ValueError, match="t_f"):
+            fn(CHAIN2, np.array([[1.0], [0.0]]), np.eye(2), t_f)
+
+
 HORIZONS = (0.5, 2.0, 3.5)
 
 
@@ -124,13 +135,6 @@ def _kernel_placements():
     return cases
 
 
-def _dense_van_loan(x, q, t):
-    """The three blocks of scipy's expm of the assembled 2n x 2n block, for comparison."""
-    n = x.shape[0]
-    z = scipy.linalg.expm(t * np.block([[x, q], [np.zeros((n, n)), -x.T]]))
-    return z[:n, :n], z[:n, n:], z[n:, n:]
-
-
 def _relative(got, want):
     return float(np.linalg.norm(got - want) / np.linalg.norm(want))
 
@@ -138,15 +142,17 @@ def _relative(got, want):
 class TestVanLoanKernel:
     """`_van_loan`, `gramian` and `control_cost` against a 40-digit mpmath reference.
 
-    Each bound is stated below and checked to be no looser than 10x the
-    error of scipy's expm of the dense 2n x 2n block on the same cases.
+    Each bound is stated below.  When they were set, scipy's expm of the
+    assembled 2n x 2n block was measured on the same cases, and each bound
+    is no looser than 10x that error; scipy is not asserted on, so a more
+    accurate scipy cannot fail these tests.
     """
 
-    # relative Frobenius error of each block and of W; scipy's dense block
-    # reaches about 4e-13 on these cases, the kernel about 2e-15
+    # relative Frobenius error of each block and of W; measured: the kernel
+    # about 1.6e-15, scipy's dense block 2.6e-13 (blocks) and 4.3e-13 (W)
     BLOCK_BOUND = 50 * np.finfo(float).eps
     # relative error of E in units of eps cond(C W C^T): the residual error
-    # comes from conditioning, and scipy's dense block reaches about 1.8
+    # comes from conditioning; measured: the kernel 0.26, scipy's dense block 1.75
     COST_BOUND = 1.0
 
     def test_blocks_match_extended_precision(self):
@@ -159,43 +165,29 @@ class TestVanLoanKernel:
         h = rng.normal(size=(12, 12))
         q = h @ h.T
         cases.append((-generate_er(12, 3.0, 5).realized_adjacency().T, q / np.abs(q).max()))
-        kernel = dense = 0.0
+        error = 0.0
         for x, q in cases:
             for t in HORIZONS:
-                want = van_loan_reference(x, q, t)
-                kernel = max(kernel, *map(_relative, _van_loan(x, q, t), want))
-                dense = max(dense, *map(_relative, _dense_van_loan(x, q, t), want))
-        assert kernel <= self.BLOCK_BOUND
-        assert self.BLOCK_BOUND <= 10 * dense
+                error = max(error, *map(_relative, _van_loan(x, q, t), van_loan_reference(x, q, t)))
+        assert error <= self.BLOCK_BOUND
 
     def test_gramian_and_cost_match_extended_precision(self):
         eps = np.finfo(float).eps
-        gramian_error = dense_gramian_error = cost_error = dense_cost_error = 0.0
+        gramian_error = cost_error = 0.0
         for _, a, drivers, controlled in _kernel_placements():
             for t in HORIZONS:
                 p = ControlPlacement(drivers, controlled, t)
                 n = a.shape[0]
-                b, c = p.b_matrix(n), p.c_matrix(n)
                 w_ref, g_ref, e_ref = reference_steering(a, p)
-                gramian_error = max(gramian_error, _relative(gramian(a, b, t), w_ref))
-                z11, z12, _ = _dense_van_loan(a, b @ b.T, t)
-                w = z12 @ z11.T
-                w = (w + w.T) / 2
-                dense_gramian_error = max(dense_gramian_error, _relative(w, w_ref))
+                gramian_error = max(gramian_error, _relative(gramian(a, p.b_matrix(n), t), w_ref))
                 condition = np.linalg.cond(g_ref)
                 if condition >= CONDITION_LIMIT:  # chains of 6-8 at short horizons
                     with pytest.raises(UncontrollableError):
                         control_cost(a, p)
                     continue
-                unit = eps * condition * e_ref
-                cost_error = max(cost_error, abs(control_cost(a, p) - e_ref) / unit)
-                y = c @ scipy.linalg.expm(a * t)
-                dense_cost = np.trace(np.linalg.solve(c @ w @ c.T, y @ y.T))
-                dense_cost_error = max(dense_cost_error, abs(dense_cost - e_ref) / unit)
+                cost_error = max(cost_error, abs(control_cost(a, p) - e_ref) / (eps * condition * e_ref))
         assert gramian_error <= self.BLOCK_BOUND
-        assert self.BLOCK_BOUND <= 10 * dense_gramian_error
         assert cost_error <= self.COST_BOUND
-        assert self.COST_BOUND <= 10 * dense_cost_error
 
     def test_cost_and_gradient_make_no_expm_call(self, monkeypatch):
         import netcontrol.lti as lti
