@@ -373,31 +373,53 @@ def simulate(
     """Fixed-step RK4 integration of x' = Ax + Bu(t) over [0, t_f].
 
     Returns x(t_f), or (times, states) when return_trajectory is set.
+
+    On a linear system an RK4 step is a linear map (Hairer & Wanner,
+    Solving ODEs II, IV.2).  With h = t_f / steps, H = hA and u_k the
+    input at t = k h / 2, step k is
+
+        x_(k+1) = Phi x_k + G_L u_(2k) + G_M u_(2k+1) + G_R u_(2k+2),
+
+    Phi = I + H + H^2/2 + H^3/6 + H^4/24, RK4's stability polynomial, and
+
+        G_L = h/6 (B + HB + H^2 B/2 + H^3 B/4),
+        G_M = h/6 (4B + 2HB + H^2 B/2),
+        G_R = h/6 B,
+
+    the same integrator with the same truncation error as its four stages,
+    at one matvec pair per step.  u is called once at each t = k h / 2,
+    k = 0..2 steps, in increasing order, and must return an array of shape
+    (M,) for the M columns of B.
     """
     a = _as_matrix(a, "A")
     b = _as_matrix(b, "B")
+    n, width = a.shape[0], b.shape[1]
+    if a.shape != (n, n) or b.shape[0] != n:
+        raise ValueError(f"A has shape {a.shape} and B {b.shape}: A must be square and B must have {n} rows")
     _check_horizon(t_f)
     steps = max(int(steps), _MIN_STEPS)
     h = t_f / steps
-    x = np.asarray(x0, dtype=float).reshape(a.shape[0]).copy()
-    times = [0.0]
-    states = [x.copy()]
-    u_left = np.asarray(u(0.0), dtype=float)
+    x = np.asarray(x0, dtype=float).reshape(n)
+    samples = np.empty((2 * steps + 1, width))
+    for k in range(2 * steps + 1):
+        value = np.asarray(u(k * h / 2), dtype=float)
+        if value.shape != (width,):  # samples[k] = value would broadcast it
+            raise ValueError(f"u({k * h / 2}) has shape {value.shape}, not ({width},) for B's {width} columns")
+        samples[k] = value
+    big_h = h * a
+    hb = big_h @ b
+    h2b = big_h @ hb
+    h3b = big_h @ h2b
+    gamma = h / 6 * np.hstack([b + hb + h2b / 2 + h3b / 4, 4 * b + 2 * hb + h2b / 2, b])
+    h2 = big_h @ big_h
+    phi = np.eye(n) + big_h + h2 / 2 + h2 @ big_h / 6 + h2 @ h2 / 24
+    states = [x] if return_trajectory else None
     for k in range(steps):
-        t = k * h
-        u_mid = np.asarray(u(t + h / 2), dtype=float)
-        u_right = np.asarray(u(t + h), dtype=float)
-        k1 = a @ x + b @ u_left
-        k2 = a @ (x + h / 2 * k1) + b @ u_mid
-        k3 = a @ (x + h / 2 * k2) + b @ u_mid
-        k4 = a @ (x + h * k3) + b @ u_right
-        x = x + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        u_left = u_right
+        x = phi @ x + gamma @ samples[2 * k:2 * k + 3].reshape(-1)
         if return_trajectory:
-            times.append((k + 1) * h)
-            states.append(x.copy())
+            states.append(x)
     if return_trajectory:
-        return np.array(times), np.array(states)
+        return np.arange(steps + 1) * h, np.array(states)
     return x
 
 
@@ -432,11 +454,12 @@ def drive_to_origin(
     2 max(steps, 1000) (step ends and midpoints), by the two-level split of
     `_input_samples`: at steps=2000, 2 ceil(sqrt(4001)) - 1 = 127 expm calls
     per drive (the Gramian and e^(A t_f) come from `_van_loan`), where one
-    expm per sample would take 8,004.  Each sample is one power times one
-    anchor, so no step matrix is applied thousands of times and rounding
-    does not accumulate:
-    the samples agree with `optimal_input_function` to about 1e-12
-    relative.  The same samples feed `simulate` and the composite Simpson
+    expm per sample would take 8,004.  Each input sample is one power times
+    one anchor, so no step matrix is applied thousands of times to the
+    input and its rounding does not accumulate: the samples agree with
+    `optimal_input_function` to about 1e-12 relative.  The state is stepped
+    by `simulate`'s RK4 step map, Phi x + Gamma u, as RK4's stages stepped
+    it.  The same samples feed `simulate` and the composite Simpson
     energy, so Simpson uses the RK4 grid: m panels also for steps < 1000.
 
     In float64 the residual cannot fall below about eps * cond(C W C^T):

@@ -142,6 +142,38 @@ def simpson_gramian(a: np.ndarray, b: np.ndarray, t_f: float, panels: int = 4096
     return total * h / 3
 
 
+def rk4_reference(a, b, u, x0, t_f: float, steps: int, return_trajectory: bool = False):
+    """Classical four-stage RK4 on x' = Ax + Bu(t) over [0, t_f], exactly `steps` steps.
+
+    Each step evaluates the stages k1..k4; u is called at the step's left
+    end, midpoint and right end, the left value reused from the step before.
+    Returns x(t_f), or (times, states) when return_trajectory is set.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    h = t_f / steps
+    x = np.asarray(x0, dtype=float).reshape(a.shape[0]).copy()
+    times = [0.0]
+    states = [x.copy()]
+    u_left = np.asarray(u(0.0), dtype=float)
+    for k in range(steps):
+        t = k * h
+        u_mid = np.asarray(u(t + h / 2), dtype=float)
+        u_right = np.asarray(u(t + h), dtype=float)
+        k1 = a @ x + b @ u_left
+        k2 = a @ (x + h / 2 * k1) + b @ u_mid
+        k3 = a @ (x + h / 2 * k2) + b @ u_mid
+        k4 = a @ (x + h * k3) + b @ u_right
+        x = x + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        u_left = u_right
+        if return_trajectory:
+            times.append((k + 1) * h)
+            states.append(x.copy())
+    if return_trajectory:
+        return np.array(times), np.array(states)
+    return x
+
+
 def gauss_jordan_chain_cost(length: int, t_f: float) -> float:
     """Single-driver cost of a unit-weight directed chain, by assembling the
     exact rational Gramian W and e^(A t_f) e^(A^T t_f) and solving
