@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .edcp import CoverInfeasibleError, _Request
 from .graph import DirectedGraph
@@ -162,7 +161,8 @@ def grad_c(a: np.ndarray, b: np.ndarray, c: np.ndarray, t_f: float) -> np.ndarra
 
 def _grad_c(s: _Steering) -> np.ndarray:
     c = s.c
-    null = null_space(c)
+    _, sigma, vt = np.linalg.svd(c)  # null(C): singular values below max(R, n) eps s_0
+    null = vt[np.sum(sigma > sigma.max(initial=0.0) * max(c.shape) * np.finfo(float).eps):].T
     if null.shape[1] == 0:
         return np.zeros((c.shape[1], c.shape[0]))
     ct_ginv = np.linalg.solve(s.g, c).T  # C^T G^-1, exploiting G symmetry

@@ -14,12 +14,12 @@ W and e^{A t_f} come from one Van Loan block exponential (Van Loan, IEEE
 TAC 23(3), 1978): Z = exp(t_f [[A, B B^T], [0, -A^T]]) gives W = Z12 Z11^T
 and e^{A t_f} = Z11.  `_van_loan` computes Z by Pade scaling and squaring
 on the block-triangular structure with n x n numpy products only, never
-the 2n x 2n block; ELPGM's gradient integral calls it too.  scipy's `expm`
-would run its Pade step on scipy's own OpenBLAS and its squarings through
-numpy's, a second copy: two thread pools that contend on a small host
-(with 2 BLAS threads on 2 vCPUs the 28 Gramians of the criterion-13 cost
-table took 0.96-1.64 s, against 0.21 s with one thread).  `mat_exp` and
-the input samples of `drive_to_origin` still call scipy's `expm`.
+the 2n x 2n block; ELPGM's gradient integral calls it too.  `expm` runs
+the same Pade table on n x n matrices, one matrix or a whole stack per
+call: `mat_exp`, the pointwise input and the input samples of
+`drive_to_origin` use it.  The module needs numpy alone; scipy would cost
+a CLI call more to import than its requests take, and its own OpenBLAS
+contended with numpy's on a small host.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from math import ceil, comb, inf, isqrt, log2, perm
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import expm
 
 # C W C^T beyond this condition number is refused.  Accepted placements are
 # still limited by float64: the steering residual of drive_to_origin cannot
@@ -41,6 +39,10 @@ from scipy.linalg import expm
 CONDITION_LIMIT = 1e12
 RANK_TOLERANCE = 1e-9
 _MIN_STEPS = 1000  # the fewest RK4 steps `simulate` takes
+# Floats in one stacked `expm` argument of `_input_samples` (2 MB): each of
+# its two groups of 64 exponentials is one call up to n = 64, and a larger
+# network's drive holds about 15 such arrays at a time, not 15 x 64 n^2.
+_STACK_FLOATS = 1 << 18
 
 
 def _check_horizon(t_f: float) -> None:
@@ -153,6 +155,40 @@ def _pade_table():
 _PADE = _pade_table()
 
 
+def expm(a: np.ndarray) -> np.ndarray:
+    """e^A of one square matrix, or of each matrix in a stack of shape (k, n, n).
+
+    Pade scaling and squaring (Higham 2005) on the `_PADE` table: the lowest
+    degree whose theta bounds every matrix's 1-norm, else degree 13 with
+    each matrix scaled by its own 2^-s to within theta_13.  With U and V
+    the odd and even parts of the Pade numerator, each Z solves
+    (V - U) Z = V + U and is squared s times.  A stack costs one batched
+    product per power and one batched solve, not one call per matrix.
+    """
+    n = a.shape[-1]
+    norms = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)  # 1-norm of each matrix
+    degree, theta, rows, identity = next((entry for entry in _PADE if norms.max() <= entry[1]), _PADE[-1])
+    squarings = np.ceil(np.log2(np.maximum(norms, theta) / theta)).astype(int)
+    m = a * np.ldexp(1.0, -squarings)[..., None, None]
+    powers = np.empty((rows.shape[1] + 1, *a.shape))  # I, M^2, M^4, ...
+    powers[0] = np.eye(n)
+    np.matmul(m, m, out=powers[1])
+    for k in range(2, len(powers)):
+        np.matmul(powers[k - 1], powers[1], out=powers[k])
+    polys = np.tensordot(np.hstack([identity, rows]), powers, axes=1)
+    if degree == 13:
+        w1, w2, z1, z2 = polys
+        u = m @ (powers[3] @ w1 + w2)
+        v = powers[3] @ z1 + z2
+    else:
+        w, v = polys
+        u = m @ w
+    z = np.linalg.solve(v - u, v + u)
+    for k in range(squarings.max(initial=0)):
+        z = np.where((squarings > k)[..., None, None], z @ z, z)
+    return z
+
+
 def _van_loan(x: np.ndarray, q: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(Z11, Z12, Z22) of Z = exp(t [[X, Q], [0, -X^T]]), never forming the 2n x 2n block.
 
@@ -239,7 +275,9 @@ def reachable_basis(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> np.ndar
 
     Grown one Krylov step at a time with re-orthonormalization, which keeps
     long chains well-scaled where the raw block matrix would underflow.
-    Column-pivoted QR makes the rank decision robust to zeroed-out columns.
+    Each step's new directions are the left singular vectors of its
+    projected block whose singular values exceed tol * max(1, s_0), so a
+    zeroed-out or repeated column adds nothing.
     """
     n = a.shape[0]
     basis = np.zeros((n, 0))
@@ -248,13 +286,11 @@ def reachable_basis(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> np.ndar
         if basis.shape[1]:
             new = new - basis @ (basis.T @ new)
             new = new - basis @ (basis.T @ new)  # second pass for stability
-        q, r, _ = scipy.linalg.qr(new, mode="economic", pivoting=True)
-        diag = np.abs(np.diag(r))
-        scale = max(1.0, float(diag[0])) if diag.size else 1.0
-        rank = int(np.sum(diag > tol * scale))
+        u, s, _ = np.linalg.svd(new, full_matrices=False)
+        rank = int(np.sum(s > tol * max(1.0, s[0]))) if s.size else 0
         if rank == 0:
             break
-        q = q[:, :rank]
+        q = u[:, :rank]
         basis = np.hstack([basis, q])
         new = a @ q
     return basis
@@ -389,7 +425,7 @@ def simulate(
     the same integrator with the same truncation error as its four stages,
     at one matvec pair per step.  u is called once at each t = k h / 2,
     k = 0..2 steps, in increasing order, and must return an array of shape
-    (M,) for the M columns of B.
+    (M,) for the M columns of B; the samples are then stepped by `_rk4`.
     """
     a = _as_matrix(a, "A")
     b = _as_matrix(b, "B")
@@ -399,13 +435,20 @@ def simulate(
     _check_horizon(t_f)
     steps = max(int(steps), _MIN_STEPS)
     h = t_f / steps
-    x = np.asarray(x0, dtype=float).reshape(n)
     samples = np.empty((2 * steps + 1, width))
     for k in range(2 * steps + 1):
         value = np.asarray(u(k * h / 2), dtype=float)
         if value.shape != (width,):  # samples[k] = value would broadcast it
             raise ValueError(f"u({k * h / 2}) has shape {value.shape}, not ({width},) for B's {width} columns")
         samples[k] = value
+    return _rk4(a, b, samples, np.asarray(x0, dtype=float).reshape(n), h, return_trajectory)
+
+
+def _rk4(a: np.ndarray, b: np.ndarray, samples: np.ndarray, x: np.ndarray, h: float,
+         return_trajectory: bool = False):
+    """`simulate`'s step map on checked A, B and x0, with the input already
+    sampled: row k of samples is u(k h / 2), k = 0..2 steps."""
+    n, steps = a.shape[0], (len(samples) - 1) // 2
     big_h = h * a
     hb = big_h @ b
     h2b = big_h @ hb
@@ -429,18 +472,25 @@ def _input_samples(s: _Steering, v: np.ndarray, m: int) -> np.ndarray:
     u(t_k) = -B^T e^(A^T j delta) v with j = m - k and delta = t_f / m.
     Splitting j = q K + i with K = ceil(sqrt(m + 1)) gives
     e^(A^T j delta) v = e^(A^T i delta) (e^(A^T q K delta) v): K powers and
-    floor(m / K) + 1 anchors, each its own expm, replace one expm per sample.
-    Only the (m + 1) x M samples are kept, never an (m + 1) x n trajectory.
+    floor(m / K) + 1 anchors replace one exponential per sample.  Each
+    group is computed stacked, in one `expm` call of at most _STACK_FLOATS
+    floats, or in several when n^2 times the group exceeds it.  Only the
+    (m + 1) x M samples are kept, never an (m + 1) x n trajectory.
     """
     delta = s.t_f / m
     block = isqrt(m) + 1  # ceil(sqrt(m + 1))
     at = s.a.T
-    anchors = np.column_stack([expm(at * (q * block * delta)) @ v for q in range(m // block + 1)])
-    bt_powers = np.vstack([s.b.T @ expm(at * (i * delta)) for i in range(block)])
+    chunk = max(1, _STACK_FLOATS // at.size)
+
+    def exponentials(times):
+        return (expm(at * times[i:i + chunk, None, None]) for i in range(0, len(times), chunk))
+
+    anchors = np.concatenate([e @ v for e in exponentials(np.arange(m // block + 1) * block * delta)])
+    bt_powers = np.concatenate([s.b.T @ e for e in exponentials(np.arange(block) * delta)])
     width = s.b.shape[1]
     # entry (i M + col, q) of the product is input col at j = q K + i
-    u = -(bt_powers @ anchors).reshape(block, width, -1).transpose(2, 0, 1).reshape(-1, width)
-    return u[m::-1]
+    u = -(bt_powers.reshape(-1, at.shape[0]) @ anchors.T).reshape(block, width, -1).transpose(2, 0, 1)
+    return u.reshape(-1, width)[m::-1]
 
 
 def drive_to_origin(
@@ -452,15 +502,16 @@ def drive_to_origin(
 
     The input is sampled once on the RK4 grid t_k = k t_f / m, m =
     2 max(steps, 1000) (step ends and midpoints), by the two-level split of
-    `_input_samples`: at steps=2000, 2 ceil(sqrt(4001)) - 1 = 127 expm calls
-    per drive (the Gramian and e^(A t_f) come from `_van_loan`), where one
-    expm per sample would take 8,004.  Each input sample is one power times
-    one anchor, so no step matrix is applied thousands of times to the
-    input and its rounding does not accumulate: the samples agree with
-    `optimal_input_function` to about 1e-12 relative.  The state is stepped
-    by `simulate`'s RK4 step map, Phi x + Gamma u, as RK4's stages stepped
-    it.  The same samples feed `simulate` and the composite Simpson
-    energy, so Simpson uses the RK4 grid: m panels also for steps < 1000.
+    `_input_samples`: at steps=2000, 2 ceil(sqrt(4001)) - 1 = 127
+    exponentials per drive in two stacked `expm` calls (the Gramian and
+    e^(A t_f) come from `_van_loan`), where one per sample would take
+    8,004.  Each input sample is one power times one anchor, so no step
+    matrix is applied thousands of times to the input and its rounding does
+    not accumulate: the samples agree with `optimal_input_function` to
+    about 1e-12 relative.  The state is stepped by `simulate`'s RK4 step
+    map, Phi x + Gamma u, as RK4's stages stepped it.  The same samples feed
+    the step map (`_rk4`, directly) and the composite Simpson energy, so
+    Simpson uses the RK4 grid: m panels also for steps < 1000.
 
     In float64 the residual cannot fall below about eps * cond(C W C^T):
     the input is built from a solve with C W C^T.  A residual contract of
@@ -479,7 +530,7 @@ def _drive(s: _Steering, x0: np.ndarray, steps: int = 2000) -> tuple[np.ndarray,
     m = 2 * steps
     delta = s.t_f / m
     samples = _input_samples(s, s.costate(x0), m)
-    x_f = simulate(s.a, s.b, lambda t: samples[round(t / delta)], x0, s.t_f, steps=steps)
+    x_f = _rk4(s.a, s.b, samples, x0, s.t_f / steps)
     y0 = float(np.linalg.norm(s.c @ x0))
     residual = float(np.linalg.norm(s.c @ x_f)) / y0 if y0 > 0 else 0.0
     weights = np.ones(m + 1)  # composite Simpson, m even

@@ -56,6 +56,26 @@ class TestMatExp:
         with pytest.raises(ValueError):
             mat_exp(np.zeros((2, 3)))
 
+    def test_every_pade_degree_matches_extended_precision(self):
+        # 1-norms from 0 to 30 reach Pade degrees 3, 5, 7, 9 and 13 and up to
+        # three squarings, one matrix per call and all in one stacked call
+        # (degree 13, each matrix scaled by its own power of 2); measured: at
+        # most 1.8e-15 relative, 8 eps
+        import mpmath
+
+        from netcontrol.lti import expm
+
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(6, 6))
+        a /= np.abs(a).sum(axis=0).max()
+        norms = np.array([0.0, 1e-3, 0.2, 0.9, 2.0, 5.0, 12.0, 30.0])
+        with mpmath.workdps(40):
+            want = [np.array(mpmath.expm(mpmath.matrix((a * s).tolist())).tolist(), dtype=float) for s in norms]
+        stacked = expm(a * norms[:, None, None])
+        for s, ref, got in zip(norms, want, stacked):
+            for value in (expm(a * s), got):
+                assert np.linalg.norm(value - ref) <= 50 * np.finfo(float).eps * np.linalg.norm(ref)
+
 
 class TestGramian:
     def test_scalar_constant_integrand(self):
@@ -191,13 +211,20 @@ class TestVanLoanKernel:
         assert cost_error <= self.COST_BOUND
 
     def test_cost_and_gradient_make_no_expm_call(self, monkeypatch):
+        import sys
+
         import netcontrol.lti as lti
         from netcontrol.elpgm import grad_b
 
         def refuse(*args):
-            raise AssertionError("scipy expm called")
+            raise AssertionError("n x n expm called")
 
-        monkeypatch.setattr(lti, "expm", refuse)
+        # every netcontrol module that holds the exponential, so an import of
+        # it elsewhere cannot slip past
+        for module in [m for name, m in sys.modules.items() if name.startswith("netcontrol")]:
+            for attr, value in list(vars(module).items()):
+                if value is lti.expm:
+                    monkeypatch.setattr(module, attr, refuse)
         _, a, drivers, controlled = next(case for case in _kernel_placements() if case[0] == "graph0")
         p = ControlPlacement(drivers, controlled)
         n = a.shape[0]
@@ -336,37 +363,54 @@ class TestDriveToOrigin:
 
         a, p = _path_placement(8, seed)
         x0 = np.random.default_rng(seed).normal(size=8)
-        seen = {}
-        simulate_orig = lti.simulate
+        seen = []
+        rk4_orig = lti._rk4
 
-        def recording(a_, b_, u, *args, **kwargs):
-            def wrapped(t):
-                seen[t] = np.array(u(t), dtype=float)
-                return seen[t]
+        def recording(a_, b_, samples, x, h, *args):
+            seen.append((samples.copy(), h))
+            return rk4_orig(a_, b_, samples, x, h, *args)
 
-            return simulate_orig(a_, b_, wrapped, *args, **kwargs)
-
-        monkeypatch.setattr(lti, "simulate", recording)
+        monkeypatch.setattr(lti, "_rk4", recording)
         _, residual, _ = drive_to_origin(a, p, x0, steps=2000)
         assert residual <= 1e-6
-        grid = 2.0 / 4000
-        assert sorted(round(t / grid) for t in seen) == list(range(4001))
+        [(samples, h)] = seen  # the step map is fed once, at h = t_f / steps
+        assert samples.shape == (4001, len(p.drivers)) and h == 2.0 / 2000
         u = optimal_input_function(a, p, x0)
-        want = {t: u(t) for t in seen}
-        scale = max(np.abs(v).max() for v in want.values())
-        assert max(np.abs(seen[t] - want[t]).max() for t in seen) <= 1e-10 * scale
+        want = np.array([u(k * h / 2) for k in range(4001)])  # every grid time, as simulate samples it
+        assert np.abs(samples - want).max() <= 1e-10 * np.abs(want).max()
 
     def test_expm_calls_per_drive(self, monkeypatch):
         import netcontrol.lti as lti
 
         a, p = _path_placement(8, 0)
-        calls = []
+        counts = []
         expm_orig = lti.expm
-        monkeypatch.setattr(lti, "expm", lambda m: calls.append(m.shape) or expm_orig(m))
+        # a stacked call counts each matrix of its stack
+        monkeypatch.setattr(lti, "expm", lambda m: counts.append(int(np.prod(m.shape[:-2]))) or expm_orig(m))
         drive_to_origin(a, p, np.ones(8), steps=2000)
-        # two-level grid sampling: 2 ceil(sqrt(4001)) - 1 = 127 (8,004
-        # pointwise); the Gramian and e^(A t_f) come from the Van Loan kernel
-        assert len(calls) <= 130
+        # two-level grid sampling: 64 powers and 63 anchors, 2 ceil(sqrt(4001))
+        # - 1 = 127 (8,004 pointwise), in one stacked call each; the Gramian
+        # and e^(A t_f) come from the Van Loan kernel
+        assert len(counts) == 2
+        assert sum(counts) == 127
+
+    def test_large_network_exponentiates_in_bounded_stacks(self, monkeypatch):
+        # a budget of 5 n^2 floats per stack, as a network of n = 228 has
+        # at the default budget: each group of 64 and 63 takes 13 calls
+        import netcontrol.lti as lti
+
+        a, p = _path_placement(8, 0)
+        s = lti._Steering(a, p.b_matrix(8), p.c_matrix(8), p.t_f)
+        v = s.costate(np.random.default_rng(0).normal(size=8))
+        one_stack = lti._input_samples(s, v, 4000)
+        sizes = []
+        expm_orig = lti.expm
+        monkeypatch.setattr(lti, "expm", lambda m: sizes.append(len(m)) or expm_orig(m))
+        monkeypatch.setattr(lti, "_STACK_FLOATS", 5 * 64)
+        samples = lti._input_samples(s, v, 4000)
+        assert len(sizes) == 26 and max(sizes) == 5 and sum(sizes) == 127
+        # each stack picks its Pade degree from its own largest norm
+        assert np.abs(samples - one_stack).max() <= 1e-12 * np.abs(one_stack).max()
 
 
 class TestSimulate:
