@@ -16,11 +16,12 @@ import json
 import math
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from .edcp import CoverInfeasibleError, EdcpResult, edcp, naive_placement
+from .edcp import CoverInfeasibleError, EdcpResult, _Request, edcp
 from .elpgm import ElpgmConfig, elpgm_optimize
 from .graph import (
     DirectedGraph,
@@ -97,7 +98,7 @@ def cmd_curve(args) -> int:
     return EXIT_OK
 
 
-def _r_from_fraction(fraction: float, n: int) -> int:
+def _r_from_fraction(fraction: Fraction, n: int) -> int:
     return max(1, math.ceil(fraction * n))
 
 
@@ -178,15 +179,16 @@ def cmd_bench(args) -> int:
         g = generate_ba(args.n, args.m_attach, args.seed)
         label = f"ba-n{args.n}-m{args.m_attach}"
     rows = ["network,n,edges,fraction,M,algorithm,E,wall_time_s"]
+    req = _Request(g, args.m, args.tf)  # one flow solve for every EDCP and naive cell
     for fraction in args.fractions:
         r_size = _r_from_fraction(fraction, g.n)
         for algo in args.algos:
             start = time.perf_counter()
-            cell = f"{label} fraction {fraction:g} {algo}"
+            cell = f"{label} fraction {float(fraction):g} {algo}"
             reason = _size_refusal(args.m, r_size, g.n)
             if reason is None:
                 try:
-                    cost = _bench_cost(g, algo, r_size, args, cell)
+                    cost = _bench_cost(req, algo, r_size, args, cell)
                 except (CoverInfeasibleError, UncontrollableError) as exc:
                     reason = str(exc)
             if reason is not None:
@@ -194,18 +196,18 @@ def cmd_bench(args) -> int:
                 cost = float("nan")
             elapsed = time.perf_counter() - start
             rows.append(
-                f"{label},{g.n},{g.edge_count},{fraction:g},{args.m},{algo},"
+                f"{label},{g.n},{g.edge_count},{float(fraction):g},{args.m},{algo},"
                 f"{_format_cost(float(cost))},{elapsed:.3f}"
             )
     _write_out("\n".join(rows) + "\n", args.out)
     return EXIT_OK
 
 
-def _bench_cost(g: DirectedGraph, algo: str, r_size: int, args, cell: str) -> float:
+def _bench_cost(req: _Request, algo: str, r_size: int, args, cell: str) -> float:
     """The cost bench cell `cell` reports for `algo` at R = r_size."""
     if algo == "elpgm":
-        return _elpgm(g, r_size, args)[1]
-    res = (edcp if algo == "edcp" else naive_placement)(g, args.m, r_size, args.tf)
+        return _elpgm(req.g, r_size, args)[1]
+    res = req.place(r_size, naive=algo == "naive")
     if res.e_exact is None:
         print(f"netcontrol: {cell}: E is the chain estimate, no exact cost", file=sys.stderr)
         return res.e_estimate
@@ -236,14 +238,17 @@ def _checked(convert, ok, noun: str, rule: str):
     return parse
 
 
-_fraction = _checked(float, lambda v: 0 < v <= 1, "fraction", "a number in (0, 1]")
+# the decimal as written, so that R = ceil(0.07 * 100) is 7; float() first
+# refuses "1/2" and reads an exponent too large to expand (1e-999999999) as 0
+_fraction = _checked(lambda t: Fraction(t) if 0 < abs(float(t)) < math.inf else None,
+                     lambda v: 0 < v <= 1, "fraction", "a number in (0, 1]")
 _count = _checked(int, lambda v: v >= 1, "count", "an integer >= 1")
 _seed = _checked(int, lambda v: v >= 0, "seed", "an integer >= 0")  # as numpy's SeedSequence
 _degree = _checked(float, lambda v: 0 <= v < math.inf, "degree", "a finite number >= 0")
 _horizon = _checked(float, lambda v: 0 < v < math.inf, "t_f", "a positive finite number")
 
 
-def _bench_fractions(text: str) -> list[float]:
+def _bench_fractions(text: str) -> list[Fraction]:
     """Comma-separated controlled fractions, each as for `place --fraction`."""
     return [_fraction(item) for item in text.split(",")]
 

@@ -20,11 +20,10 @@ the matching paths, on tiny graphs the exhaustive paths).  The first cover
 that sheds its surplus drivers without a stuck release (where no stem can
 merge) wins; failing that, the first that placed with one.
 
-Each `edcp`, `naive_placement` or `elpgm_optimize` call keeps its request
-in one context, `_Request`: the graph with its successor and predecessor
-lists, built once, m, r_size, t_f, the matrix of the exact evaluations and
-the best m-path cover with rmax(m).  The cover ladder, every pipeline run,
-the release step, the refine search and ELPGM's starts read them there.
+Each (graph, m, t_f, A) is one context, `_Request`: the graph's successor
+and predecessor lists, the exact evaluations' matrix, and one flow solve for
+rmax(m), the flow cover at M* and the m-path cover.  r_size is an argument of
+`place`, so one request serves every EDCP and naive cell of a `bench` grid.
 """
 
 from __future__ import annotations
@@ -37,9 +36,9 @@ from functools import cached_property
 import numpy as np
 
 from .flow import SufficiencySolver
-from .graph import DirectedGraph, matching_path_cover
+from .graph import DirectedGraph, _hopcroft_karp, matching_path_cover
 from .lti import ControlPlacement, UncontrollableError, _check_horizon, chain_control_cost, control_cost
-from .pathcover import PathCover, extract_paths_cycles, max_controllable_subset
+from .pathcover import PathCover, extract_paths_cycles
 
 EXACT_EVAL_THRESHOLD = 400  # dense cost evaluation above this is left out
 _EXACT_COVER_LIMIT = 12  # exhaustive path-cover fallback for tiny graphs
@@ -296,7 +295,7 @@ class _Release:
     grown: list[tuple[list[int], list[int]]]
 
 
-def _release_step(req: _Request, stems: list[Stem], bound: float) -> _Release | None:
+def _release_step(req: _Request, stems: list[Stem], r_size: int, bound: float) -> _Release | None:
     """Cheapest release of a single-driver segment, if cheaper than bound.
 
     A segment that is alone in its controlled block can lose its driver:
@@ -308,7 +307,7 @@ def _release_step(req: _Request, stems: list[Stem], bound: float) -> _Release | 
     coverage between stems, which is how a request that no stem can absorb
     by merging still finds m disjoint paths.
     """
-    succ, pred, r_size, t_f = req.succ, req.pred, req.r_size, req.t_f
+    succ, pred, t_f = req.succ, req.pred, req.t_f
     records = []  # (segment, may grow at tail, may grow at head)
     for stem in stems:
         for block in stem.controlled_blocks():
@@ -528,20 +527,14 @@ def _exact_path_cover(req: _Request) -> PathCover | None:
 
 
 class _Request:
-    """One `edcp`, `naive_placement` or `elpgm_optimize` call: the checked request.
+    """One (g, m, t_f, A) context; each `place(r_size)` checks and places one request.
 
-    It holds g's successor and predecessor lists, built once, and the
-    matrix the exact evaluations run on: ELPGM's A, whose nonzeros g holds,
-    when given, else g.realized_adjacency(), drawn on first use.
+    The exact evaluations run on ELPGM's A, whose nonzeros g holds, when
+    given, else on g.realized_adjacency(), drawn on first use.
     """
 
-    def __init__(self, g: DirectedGraph, m: int, r_size: int, t_f: float, a: np.ndarray | None = None):
-        if not (1 <= r_size <= g.n):
-            raise ValueError(f"r_size must be in [1, {g.n}], got {r_size}")
-        if not (1 <= m <= r_size):
-            raise ValueError(f"m must be in [1, r_size], got {m}")
-        _check_horizon(t_f)
-        self.g, self.m, self.r_size, self.t_f = g, m, r_size, t_f
+    def __init__(self, g: DirectedGraph, m: int, t_f: float, a: np.ndarray | None = None):
+        self.g, self.m, self.t_f = g, m, t_f
         self.succ, self.pred = g.successors(), g.predecessors()
         self._a = a
 
@@ -550,33 +543,43 @@ class _Request:
         return self.g.realized_adjacency() if self._a is None else self._a
 
     @cached_property
-    def path_cover(self) -> tuple[PathCover, int]:
-        """`max_controllable_subset(g, m)`: the best m-path cover and rmax(m)."""
-        return max_controllable_subset(self.g, self.m)
+    def covers(self) -> tuple[int, PathCover, PathCover]:
+        """rmax(m), the flow cover at M* = max(n - matching, 1) and the m-path cover.
 
-    def place(self, naive: bool = False) -> EdcpResult:
-        """Walk the cover ladder once; the first cover without a stuck release wins.
-
-        Failing that, the first cover that placed with one does.  naive gives
-        the no-division baseline: the [r_size] * m plan, the shortest-first
-        trim and no refine search.
+        One solver ships min(m, M*) units, then max(m, M*), reading a cover at each.
         """
-        g, m, r_size = self.g, self.m, self.r_size
+        g, m = self.g, self.m
+        mstar = max(g.n - _hopcroft_karp(g.n, self.succ)[0], 1)
         solver = SufficiencySolver(g)
-        mstar = solver.advance_until_coverage(g.n)
-        rmax = g.n if m >= mstar else solver.coverage_at(m)
+        covers = {}
+        for units in sorted({m, mstar}):
+            solver.advance_to(units)
+            covers[units] = extract_paths_cycles(g, solver.as_flow())
+        return solver.coverage_at(m), covers[mstar], covers[m]
+
+    def place(self, r_size: int, naive: bool = False) -> EdcpResult:
+        """Control r_size nodes, walking the cover ladder once.
+
+        The first cover without a stuck release wins; failing that, the first
+        cover that placed with one does.  naive gives the no-division baseline:
+        the [r_size] * m plan, the shortest-first trim and no refine search.
+        """
+        g, m = self.g, self.m
+        if not (1 <= r_size <= g.n):
+            raise ValueError(f"r_size must be in [1, {g.n}], got {r_size}")
+        if not (1 <= m <= r_size):
+            raise ValueError(f"m must be in [1, r_size], got {m}")
+        _check_horizon(self.t_f)
+        rmax, cover, path_cover = self.covers
         if rmax < r_size:
-            raise CoverInfeasibleError(
-                f"{m} controllers can cover at most {rmax} nodes, {r_size} requested"
-            )
-        cover = extract_paths_cycles(g, solver.as_flow())
+            raise CoverInfeasibleError(f"{m} controllers can cover at most {rmax} nodes, {r_size} requested")
 
         def candidates():
             yield cover, None
-            if m != mstar:
+            if path_cover is not cover:
                 # a cover with exactly m paths spreads quota drivers over fewer,
                 # reducible stems when the full-coverage cover fragments
-                yield self.path_cover[0], "m-unit-cover"
+                yield path_cover, "m-unit-cover"
             match_paths = matching_path_cover(g)
             if match_paths:
                 yield PathCover(paths=tuple(tuple(p) for p in match_paths), cycles=()), "matching-paths"
@@ -591,7 +594,7 @@ class _Request:
             if cand.size < r_size:
                 continue
             try:
-                stems, released_when_stuck = self.pipeline(cand, naive)
+                stems, released_when_stuck = self.pipeline(cand, r_size, naive)
             except CoverInfeasibleError as exc:
                 last_error = exc
                 continue
@@ -606,7 +609,7 @@ class _Request:
             f"no ({m}-driver, {r_size}-node) placement found" + (f": {last_error}" if last_error else "")
         )
 
-    def pipeline(self, cover: PathCover, naive: bool) -> tuple[list[Stem], bool]:
+    def pipeline(self, cover: PathCover, r_size: int, naive: bool) -> tuple[list[Stem], bool]:
         """Assign, reduce, split and trim one cover into m segments.
 
         Each surplus driver goes by the cheaper (in chain estimate) of a merge
@@ -614,13 +617,13 @@ class _Request:
         merge, a stuck release goes if one exists.  Returns the stems and
         whether one did; up to the first, the run is the one that refuses them.
         """
-        r_size, m = self.r_size, self.m
+        m = self.m
         stems = merge_cycles(cover)
         assign_drivers(stems, [r_size] * m if naive else even_division(r_size, m), r_size=r_size)
         released_when_stuck = False
         while (count := sum(stem.driver_count for stem in stems)) > m:
             merge = _merge_step(stems, self.t_f)
-            release = _release_step(self, stems, merge[0] if merge else math.inf)
+            release = _release_step(self, stems, r_size, merge[0] if merge else math.inf)
             if release is not None:
                 released_when_stuck = released_when_stuck or merge is None
                 _apply_release(stems, release)
@@ -711,7 +714,7 @@ def edcp(g: DirectedGraph, m: int, r_size: int, t_f: float = 2.0) -> EdcpResult:
     contract is exact up to _EXACT_COVER_LIMIT nodes (see
     CoverInfeasibleError).
     """
-    return _Request(g, m, r_size, t_f).place()
+    return _Request(g, m, t_f).place(r_size)
 
 
 def naive_placement(g: DirectedGraph, m: int, r_size: int, t_f: float = 2.0) -> EdcpResult:
@@ -722,4 +725,4 @@ def naive_placement(g: DirectedGraph, m: int, r_size: int, t_f: float = 2.0) -> 
     even division avoids.  Surplus drivers and nodes are handled by the same
     reduce/trim steps as the main pipeline.
     """
-    return _Request(g, m, r_size, t_f).place(naive=True)
+    return _Request(g, m, t_f).place(r_size, naive=True)

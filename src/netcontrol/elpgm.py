@@ -15,9 +15,9 @@ support not evaluated before.
 
 Each `elpgm_optimize` call holds its (A, t_f) problem in one context,
 `_Problem`: EDCP's request (`edcp._Request`) on the graph of A's nonzeros,
-whose one m-path cover seeds the starts and whose `place` gives the EDCP
-start, the reach memo, the support cache and the best placement, which
-the cache records as it evaluates each new support.
+whose one flow solve's m-path cover seeds the starts and whose `place`
+gives the EDCP start, the reach memo, the support cache and the best
+placement, which the cache records as it evaluates each new support.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ class ElpgmConfig:
     t_f: float = 2.0
 
     def __post_init__(self):
-        if self.eta_b <= 0 or self.eta_c <= 0:
-            raise ValueError("learning rates must be positive")
+        if not (0 < self.eta_b < math.inf and 0 < self.eta_c < math.inf):  # NaN fails both
+            raise ValueError(f"learning rates must be positive and finite, got {self.eta_b}, {self.eta_c}")
         if self.k_f < 1 or self.restarts < 1:
             raise ValueError("k_f and restarts must be >= 1")
         if self.m1 is not None and self.m1 < 1:
@@ -174,12 +174,12 @@ class _Problem:
     """One `elpgm_optimize` call's (A, t_f) problem, and what the call learns of it.
 
     req is EDCP's request on the graph of A's nonzeros (edges j -> i of
-    weight A[i, j]), evaluated on A; the graph, its successor lists, m,
-    r_size, t_f and the m-path cover are read from it.  Starts are seeded
-    from that cover: the canonical start puts drivers on the path heads and
-    controls path nodes first (head to tail), then cycle nodes; randomized
-    starts redraw the controlled set over the covered nodes and eventually
-    anything, so independent restarts explore genuinely different supports.
+    weight A[i, j]), evaluated on A; its graph, successor lists, m, t_f and
+    the one flow solve's rmax(m) and m-path cover are read from it.  Starts
+    are seeded from that cover: the canonical start puts drivers on the path
+    heads and controls path nodes first (head to tail), then cycle nodes;
+    randomized starts redraw the controlled set over the covered nodes and
+    eventually anything, so independent restarts explore genuinely different supports.
     Controlled nodes are always drawn from the nodes the drafted drivers
     reach (a node no driver reaches cannot be steered), and candidates
     whose support does not evaluate are skipped.
@@ -199,12 +199,12 @@ class _Problem:
         n = a.shape[0]
         rows, cols = np.nonzero(a)
         edges = tuple(zip(cols.tolist(), rows.tolist(), a[rows, cols].tolist()))
-        self.req = _Request(DirectedGraph(n=n, edges=edges), m, r_size, t_f, a)
-        self.eta_b, self.eta_c = eta_b, eta_c
+        self.req = _Request(DirectedGraph(n=n, edges=edges), m, t_f, a)
+        self.r_size, self.eta_b, self.eta_c = r_size, eta_b, eta_c
         self._reached: dict[tuple, frozenset[int]] = {}
         self.entries: dict[tuple, tuple[float, np.ndarray, np.ndarray] | None] = {}
         self.best, self.best_e = None, math.inf  # (drivers, controlled) and its cost
-        cover, rmax = self.req.path_cover
+        rmax, _, cover = self.req.covers
         if rmax < r_size:
             raise UncontrollableError(
                 f"{m} drivers cover at most {rmax} nodes; no {r_size}-output start exists"
@@ -265,7 +265,7 @@ class _Problem:
 
     def _candidate(self, attempt: int, kind: int, rng: np.random.Generator):
         """(drivers, controlled), or None when the drivers reach too few nodes."""
-        r_size = self.req.r_size
+        r_size = self.r_size
         if kind <= 1 and attempt < _INIT_ATTEMPTS // 2:
             if len(self.ordered) < r_size:
                 return None
@@ -295,7 +295,7 @@ class _Problem:
     def edcp_start(self) -> tuple[list[int], list[int]] | None:
         """EDCP's placement on the same request, when it has one."""
         try:
-            placement = self.req.place().placement
+            placement = self.req.place(self.r_size).placement
         except CoverInfeasibleError:
             return None
         drivers, controlled = list(placement.drivers), list(placement.controlled)

@@ -60,6 +60,8 @@ class DirectedGraph:
             object.__setattr__(self, "id_map", {i: i for i in range(self.n)})
         elif sorted(self.id_map.values()) != list(range(self.n)):
             raise ValueError(f"id_map must map {self.n} external ids one to one onto 0..{self.n - 1}")
+        elif min(self.id_map) < 0:  # parse_edge_list refuses them too
+            raise ValueError(f"node ids must be nonnegative, got {min(self.id_map)}")
         seen = set()
         for s, d, w in self.edges:
             if not (0 <= s < self.n and 0 <= d < self.n):

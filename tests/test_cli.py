@@ -103,11 +103,23 @@ class TestPlace:
         payload = json.loads(out.read_text())
         assert len(payload["controlled"]) == 12  # ceil(0.85 * 14)
 
+    def test_fraction_rounds_the_decimal_as_written(self, tmp_path):
+        # 0.07 * 100 is 7.000000000000001 in binary floats, which controlled 8 nodes
+        graph, out = tmp_path / "er.txt", tmp_path / "p.json"
+        assert main(["gen", "er", "--n", "100", "--mu", "6", "--seed", "0", "--out", str(graph)]) == 0
+        assert main(["place", str(graph), "-M", "2", "--fraction", "0.07", "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["controlled"]) == 7
+
     @pytest.mark.parametrize("size, message", [
         (["--fraction", "1.5"], "fraction '1.5' is not a number in (0, 1]"),
+        (["--fraction", "1/2"], "fraction '1/2' is not a number in (0, 1]"),
+        (["--fraction", "1e-999999999"], "fraction '1e-999999999' is not a number in (0, 1]"),
+        (["--fraction", "1.00000000000000000001"],
+         "fraction '1.00000000000000000001' is not a number in (0, 1]"),
         ([], "one of the arguments -R --fraction is required"),
         (["-R", "12", "--fraction", "0.5"], "not allowed with argument -R"),
-    ], ids=["fraction-1.5", "no-size", "both-sizes"])
+    ], ids=["fraction-1.5", "fraction-ratio", "fraction-underflow", "fraction-above-1", "no-size",
+            "both-sizes"])
     def test_size_options_are_usage_errors(self, fig8_file, tmp_path, capsys, size, message):
         out = tmp_path / "p.json"
         assert main(["place", fig8_file, "-M", "4", *size, "--out", str(out)]) == 1
@@ -256,6 +268,15 @@ class TestGraphJson:
         assert "id_map" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_external_id_is_usage_error(self, tmp_path, capsys):
+        # read as node -3, which serialize_edge_list wrote and parse_edge_list refused
+        graph = tmp_path / "bad.json"
+        graph.write_text('{"n": 2, "edges": [[0, 1, 1.0]], "id_map": {"-3": 0, "5": 1}}')
+        out = tmp_path / "curve.csv"
+        assert main(["curve", str(graph), "--out", str(out)]) == 1
+        assert "node ids must be nonnegative, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", [
         '{"n": -1, "edges": []}', '{"n": 2.7, "edges": [[0, 1, 1.0]]}', '{"n": true, "edges": []}',
     ], ids=["negative", "fractional", "boolean"])
@@ -377,7 +398,7 @@ class TestBench:
         import netcontrol.cli as cli
 
         ran = []
-        monkeypatch.setattr(cli, "edcp", lambda *args: ran.append(args))
+        monkeypatch.setattr(cli._Request, "place", lambda *args, **kwargs: ran.append(args))
         out = tmp_path / "bench.csv"
         code = main(["bench", "--network", "er", "--n", "40", "-M", "8", "--algos", "edcp,foo",
                      "--fractions", "0.5", "--out", str(out)])
@@ -390,14 +411,28 @@ class TestBench:
         import netcontrol.cli as cli
 
         ran = []
-        monkeypatch.setattr(cli, "edcp", lambda *args: ran.append(args))
-        monkeypatch.setattr(cli, "naive_placement", lambda *args: ran.append(args))
+        monkeypatch.setattr(cli._Request, "place", lambda *args, **kwargs: ran.append(args))
         out = tmp_path / "bench.csv"
         code = main(["bench", "--network", "er", "--n", "20", "-M", "2",
                      "--fractions", fractions, "--out", str(out)])
         assert code == 1
         assert ran == [] and not out.exists()
         assert f"fraction {bad!r} is not a number in (0, 1]" in capsys.readouterr().err
+
+    def test_one_solver_per_grid(self, tmp_path, monkeypatch):
+        # every EDCP and naive cell of a grid places on one request; a
+        # request per cell built 14 solvers for these 7 fractions
+        import netcontrol.flow
+
+        solvers = []
+        real = netcontrol.flow.SufficiencySolver.__init__
+        monkeypatch.setattr(netcontrol.flow.SufficiencySolver, "__init__",
+                            lambda self, g: solvers.append(g) or real(self, g))
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--network", "er", "--n", "40", "-M", "8", "--algos", "edcp,naive",
+                     "--fractions", "0.4,0.5,0.6,0.7,0.8,0.9,1.0", "--out", str(out)]) == 0
+        assert len(out.read_text().strip().splitlines()) == 15
+        assert len(solvers) == 1
 
     def test_edcp_beats_naive_in_rows(self, tmp_path):
         out = tmp_path / "bench.csv"

@@ -266,6 +266,30 @@ class TestEdcpEndToEnd:
         assert res.fallback == "matching-paths"
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("n, mu, seed, m, r", [
+        (13, 2.4535888044089837, 20, 1, 6), (25, 2.5, 4, 4, 18), (60, 4.0, 0, 20, 40), (60, 4.0, 0, 13, 60),
+    ], ids=["below-mstar", "all-covers-stuck", "above-mstar", "at-mstar"])
+    def test_one_solver_per_request(self, monkeypatch, n, mu, seed, m, r):
+        # one solver gives rmax(m), the flow cover at M* and the m-path cover;
+        # the first two requests reach the m-path cover, which the request
+        # used to solve with a second solver
+        solver = importlib.import_module("netcontrol.flow").SufficiencySolver
+        solvers = []
+        real = solver.__init__
+        monkeypatch.setattr(solver, "__init__", lambda self, g: solvers.append(g) or real(self, g))
+        for place in (edcp, naive_placement):
+            solvers.clear()
+            place(generate_er(n, mu, seed), m, r)
+            assert len(solvers) == 1
+
+    def test_one_request_serves_every_r_size(self):
+        # a request reused across r_size places as fresh calls do, bit for bit
+        g = generate_er(40, 3.0, 5)
+        req = _Request(g, 6, 2.0)
+        for r in (6, 20, 32):
+            for naive, place in ((False, edcp), (True, naive_placement)):
+                assert req.place(r, naive=naive) == place(g, 6, r)
+
     @pytest.mark.parametrize("n, mu, seed, m, r, fallback", [
         (13, 2.4535888044089837, 20, 1, 6, "matching-paths"),
         (25, 2.5, 4, 4, 18, None),
@@ -410,6 +434,6 @@ class TestPinned:
         # Van Loan kernel (exact costs' last bits only)
         calls = []
         for g, m, r, t_f, a in _wide_requests():
-            calls.append(lambda g=g, m=m, r=r, t_f=t_f, a=a: _Request(g, m, r, t_f, a).place())
+            calls.append(lambda g=g, m=m, r=r, t_f=t_f, a=a: _Request(g, m, t_f, a).place(r))
             calls.append(lambda g=g, m=m, r=r, t_f=t_f: naive_placement(g, m, r, t_f))
         assert _digest(calls) == "fe296b95576ba4587d811808b3efb8fb58ae713121ffe9f880e762ddf9b41518"

@@ -234,16 +234,17 @@ class TestOptimize:
             raise AssertionError("ran before the refusal")
 
         edcp_module = importlib.import_module("netcontrol.edcp")  # `netcontrol.edcp` is the function
-        monkeypatch.setattr(edcp_module, "max_controllable_subset", unreachable)
+        monkeypatch.setattr(edcp_module, "SufficiencySolver", unreachable)
         monkeypatch.setattr(netcontrol.elpgm, "_Steering", unreachable)
         with pytest.raises(ValueError, match="m <= r_size"):
             elpgm_optimize(generate_er(12, 3.0, 1).realized_adjacency(), 4, 3)
 
     def test_one_flow_and_successor_build_per_call(self, monkeypatch):
-        # ELPGM and its EDCP start share one request: the m-path cover is
-        # solved once and the successor lists are built once; when EDCP ran
-        # on a graph of its own, the BA call built 3 solvers and the descent
-        # instance built its successor lists twice
+        # ELPGM and its EDCP start share one request: one solver gives the
+        # m-path cover and EDCP's flow cover, and the successor lists are
+        # built once; when EDCP ran on a graph of its own, the BA call built
+        # 3 solvers and the descent instance built its successor lists twice,
+        # and while the request solved its m-path cover apart, it built 2
         counts = {"solvers": 0, "successors": 0}
         solver, graph = netcontrol.flow.SufficiencySolver, netcontrol.graph.DirectedGraph
 
@@ -259,7 +260,7 @@ class TestOptimize:
         monkeypatch.setattr(graph, "successors", successors)
         ba = generate_ba(24, 1, 6201).realized_adjacency()
         elpgm_optimize(ba, 1, 6, ElpgmConfig(k_f=10, restarts=2))
-        assert counts["solvers"] == 2
+        assert counts["solvers"] == 1
         counts.update(solvers=0, successors=0)
         elpgm_optimize(generate_er(20, 3.0, 11).realized_adjacency(), 3, 10, ElpgmConfig(seed=0))
         assert counts["successors"] == 1
@@ -286,6 +287,13 @@ class TestOptimize:
             ElpgmConfig(restarts=0)
         with pytest.raises(ValueError, match="seed"):
             ElpgmConfig(seed=-1)
+
+    @pytest.mark.parametrize("eta", [0.0, -0.01, float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["eta_b", "eta_c"])
+    def test_step_size_validation(self, name, eta):
+        # NaN passed the old `eta <= 0` test and the descent ran on NaN iterates
+        with pytest.raises(ValueError, match="learning rates must be positive and finite"):
+            ElpgmConfig(**{name: eta})
 
     @pytest.mark.parametrize("t_f", [0.0, float("nan"), float("inf")])
     def test_horizon_validation(self, t_f):
