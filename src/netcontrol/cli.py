@@ -65,9 +65,9 @@ def _load_graph(path: str) -> DirectedGraph:
 
 
 def _format_cost(value: float) -> str:
-    """Plain decimal below 1e4, compact scientific (2.35E04 style) above."""
-    if value != value:  # NaN
-        return "nan"
+    """Plain decimal below 1e4, compact scientific (2.35E04 style) above; nan and inf as such."""
+    if not math.isfinite(value):
+        return str(value)
     if abs(value) >= 1e4:
         mantissa, _, exponent = f"{value:.2E}".partition("E")
         return f"{mantissa}E{int(exponent):02d}"

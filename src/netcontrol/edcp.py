@@ -21,8 +21,9 @@ that sheds its surplus drivers without a stuck release (where no stem can
 merge) wins; failing that, the first that placed with one.
 
 Each (graph, m, t_f, A) is one context, `_Request`: the graph's successor
-and predecessor lists, the exact evaluations' matrix, and one flow solve for
-rmax(m), the flow cover at M* and the m-path cover.  r_size is an argument of
+and predecessor lists, the exact evaluations' matrix, one maximum matching
+for M* and the matching paths, and one flow solve for rmax(m), the flow
+cover at M* and the m-path cover.  r_size is an argument of
 `place`, so one request serves every EDCP and naive cell of a `bench` grid.
 """
 
@@ -36,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .flow import SufficiencySolver
-from .graph import DirectedGraph, _hopcroft_karp, matching_path_cover
+from .graph import DirectedGraph, _hopcroft_karp, _matching_paths
 from .lti import ControlPlacement, UncontrollableError, _check_horizon, chain_control_cost, control_cost
 from .pathcover import PathCover, extract_paths_cycles
 
@@ -156,6 +157,17 @@ def string_cost(q: int, d: int, t_f: float = 2.0) -> float:
     return sum(chain_control_cost(part, t_f) for part in even_division(q, d))
 
 
+def _plus(x: float, y: float) -> float:
+    """x + y, or inf where inf meets -inf.
+
+    A chain estimate past the float range is inf (`chain_control_cost`), so
+    the change between two such is unknown: EDCP prices it as an increase
+    past the range, never as NaN, and so never prefers it.
+    """
+    total = x + y
+    return math.inf if math.isnan(total) else total
+
+
 def _allocate_drivers(blocks: list[list[int]], d: int, t_f: float) -> dict[int, tuple[float, list[int]]]:
     """Cheapest ways to spread up to d drivers over contiguous blocks (>=1 each).
 
@@ -246,7 +258,7 @@ def _merge_step(stems: list[Stem], t_f: float) -> tuple[float, int, list[int]] |
             continue
         priced = _allocate_drivers(blocks, d, t_f)
         (cost_now, _), (cost_less, alloc) = priced[d], priced[d - 1]
-        delta = cost_less - cost_now
+        delta = _plus(cost_less, -cost_now)
         if best is None or delta <= best[0]:
             best = (delta, idx, alloc)
     return best
@@ -323,14 +335,15 @@ def _release_step(req: _Request, stems: list[Stem], r_size: int, bound: float) -
     base_heads = {seg[0]: j for j, (seg, _, head) in enumerate(records) if head}
 
     def increment(length: int) -> float:
-        return chain_control_cost(length + 1, t_f) - chain_control_cost(length, t_f)
+        return _plus(chain_control_cost(length + 1, t_f), -chain_control_cost(length, t_f))
 
     floor = increment(min(len(seg) for seg, tail, head in records if tail or head))
     options = []
     for k, (seg, _, alone) in enumerate(records):
         if alone:
             need = max(0, r_size - (len(controlled) - len(seg)))
-            options.append((need * floor - chain_control_cost(len(seg), t_f), k))
+            regrowth = need * floor if need else 0.0  # 0 * inf is NaN
+            options.append((_plus(regrowth, -chain_control_cost(len(seg), t_f)), k))
     options.sort()
 
     best: _Release | None = None
@@ -367,7 +380,7 @@ def _release_step(req: _Request, stems: list[Stem], r_size: int, bound: float) -
             grown[j] = nodes
             tails[nodes[-1]] = heads[nodes[0]] = j  # a grown segment becomes its own stem
             free.discard(v)
-            total += inc
+            total = _plus(total, inc)
         else:
             if total < (best.delta if best else bound):
                 best = _Release(total, released, [(records[j][0], nodes) for j, nodes in grown.items()])
@@ -449,7 +462,7 @@ class EdcpResult:
             "drivers": [conv(v) for v in self.placement.drivers],
             "controlled": [conv(v) for v in self.placement.controlled],
             "segments": None if self.segments is None else [[conv(v) for v in seg] for seg in self.segments],
-            "E_estimate": self.e_estimate,
+            "E_estimate": self.e_estimate if self.e_estimate is not None and math.isfinite(self.e_estimate) else None,
             "E_exact": self.e_exact,
         }
         return json.dumps(payload, indent=2)
@@ -543,13 +556,18 @@ class _Request:
         return self.g.realized_adjacency() if self._a is None else self._a
 
     @cached_property
+    def matching(self) -> tuple[int, list[int]]:
+        """The graph's maximum matching (`graph._hopcroft_karp` on succ): its size and match_out."""
+        return _hopcroft_karp(self.g.n, self.succ)
+
+    @cached_property
     def covers(self) -> tuple[int, PathCover, PathCover]:
         """rmax(m), the flow cover at M* = max(n - matching, 1) and the m-path cover.
 
         One solver ships min(m, M*) units, then max(m, M*), reading a cover at each.
         """
         g, m = self.g, self.m
-        mstar = max(g.n - _hopcroft_karp(g.n, self.succ)[0], 1)
+        mstar = max(g.n - self.matching[0], 1)
         solver = SufficiencySolver(g)
         covers = {}
         for units in sorted({m, mstar}):
@@ -580,7 +598,7 @@ class _Request:
                 # a cover with exactly m paths spreads quota drivers over fewer,
                 # reducible stems when the full-coverage cover fragments
                 yield path_cover, "m-unit-cover"
-            match_paths = matching_path_cover(g)
+            match_paths = _matching_paths(self.matching[1])
             if match_paths:
                 yield PathCover(paths=tuple(tuple(p) for p in match_paths), cycles=()), "matching-paths"
             if g.n <= _EXACT_COVER_LIMIT:

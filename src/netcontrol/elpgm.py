@@ -8,15 +8,20 @@ candidates, and samples m0 of them without replacement proportionally to
 that score, so the search can hop between supports while still descending.
 The sampling is an exponential race: each candidate draws one exponential
 key scaled by its score and the m0 smallest keys win, in order, so a whole
-support comes from one vectorised call.  Each iterate draws all its
-projection retries at once, one row of uniforms per retry, for B and for
-C; supports are keyed by node index, and B and C are built only for a
-support not evaluated before.
+support comes from one vectorised call.  Each iterate reads 20 rows of
+uniforms for B's retries, then 20 for C's, one row per retry, and a
+restart draws all its iterates' rows in one call.  An iterate that no
+retry moves keeps its support, and so its pools and weights: the descent
+therefore races and reach-filters a window of iterates in one array pass,
+one iterate at first and after an acceptance, twice as many after a window that
+accepts nothing, and only the rows that pass the reach test are looked up,
+in row order, up to the first accepted one.  Supports are keyed by node
+index, and B and C are built only for a support not evaluated before.
 
 Each `elpgm_optimize` call holds its (A, t_f) problem in one context,
 `_Problem`: EDCP's request (`edcp._Request`) on the graph of A's nonzeros,
 whose one flow solve's m-path cover seeds the starts and whose `place`
-gives the EDCP start, the reach memo, the support cache and the best
+gives the EDCP start, the reach closure, the support cache and the best
 placement, which the cache records as it evaluates each new support.
 """
 
@@ -80,24 +85,19 @@ def project(h: np.ndarray, m0: int, m1: int, rng: np.random.Generator) -> np.nda
     form the candidate pool; m0 of them are drawn without replacement with
     probability proportional to importance, renormalized after each pick.
     An all-zero pool draws uniformly.  Output column j carries the j-th
-    selected node.  The draw is an exponential race (`_draw`).
+    selected node.  The draw is an exponential race (`_draw`) on
+    rng.random(m0 + m1).
     """
-    selected = _draw(h, m0, m1, rng)
+    pool, w = _pool(h, m0, m1)
+    with np.errstate(divide="ignore"):  # u = 0 and w = 0 give infinite keys
+        selected = _draw(pool, w, m0, -np.log(rng.random(len(pool))))
     out = np.zeros((np.shape(h)[0], m0))
     out[selected, np.arange(m0)] = 1.0
     return out
 
 
-def _draw(h: np.ndarray, m0: int, m1: int, rng: np.random.Generator, size: tuple[int, ...] = ()):
-    """m0 pool nodes of `project` drawn without replacement, in draw order, per row of size.
-
-    Each candidate with importance w gets the key e / w, e = -log(u) a
-    standard exponential from one uniform u; the m0 smallest keys, in
-    ascending order, are a weighted draw without replacement (Efraimidis and
-    Spirakis, Inf. Process. Lett. 97(5), 2006).  Zero weights get infinite
-    keys and rank by e among themselves, so once the positive weights are
-    drawn the rest is uniform.  The uniforms are rng.random((*size, pool)).
-    """
+def _pool(h: np.ndarray, m0: int, m1: int) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate pool of `project`, in importance order, and its weights."""
     h = np.asarray(h, dtype=float)
     n = h.shape[0]
     if not (1 <= m0 <= n):
@@ -106,9 +106,23 @@ def _draw(h: np.ndarray, m0: int, m1: int, rng: np.random.Generator, size: tuple
         raise ValueError("need 0 <= m1 and m0 + m1 <= n")
     r = importance(h)
     pool = np.lexsort((np.arange(n), -r))[:m0 + m1]
-    with np.errstate(divide="ignore"):  # u = 0 and w = 0 give infinite keys
-        e = -np.log(rng.random((*size, len(pool))))
-        keys = e / r[pool]
+    return pool, r[pool]
+
+
+def _draw(pool: np.ndarray, w: np.ndarray, m0: int, e: np.ndarray) -> np.ndarray:
+    """m0 nodes of a `_pool` drawn without replacement, in draw order, per row of e.
+
+    e holds standard exponentials of shape (..., len(pool)), e = -log(u) of
+    one uniform u per pool node, in pool order.  Each candidate with
+    importance w gets the key e / w; the m0 smallest keys, in ascending
+    order, are a weighted draw without replacement (Efraimidis and Spirakis,
+    Inf. Process. Lett. 97(5), 2006).  Zero weights get infinite keys (the
+    caller silences numpy's divide warning) and rank by e among themselves,
+    so once the positive weights are drawn the rest is uniform.  Every row
+    is drawn on its own, so rows stacked into one call draw what they would
+    draw one call each.
+    """
+    keys = e / w
     return pool[np.lexsort((e, keys))[..., :m0]]
 
 
@@ -182,27 +196,32 @@ class _Problem:
     eventually anything, so independent restarts explore genuinely different supports.
     Controlled nodes are always drawn from the nodes the drafted drivers
     reach (a node no driver reaches cannot be steered), and candidates
-    whose support does not evaluate are skipped.
+    whose support does not evaluate are skipped.  What reaches what is read
+    from closure, the graph's boolean n x n reach closure, computed once.
 
     A placement's cost and raw gradient steps depend only on its support
     (column order permutes away), so each support, keyed by its sorted
-    driver and controlled nodes, is evaluated once, to (E, B - eta_b dE/dB,
-    C^T - eta_c dE/dC^T) with a frozen variable (eta None) left as it is, or
-    to None when it is not output controllable or fails the conditioning
-    test; one with a controlled node that no driver reaches is refused
-    without an entry.  best is the first cheapest support evaluated, as
-    first drawn.
+    driver and controlled nodes, is evaluated once, to (E, B's pool, C's
+    pool): the projection's candidates and weights (`_pool`) on
+    B - eta_b dE/dB and C^T - eta_c dE/dC^T, None for a frozen variable.
+    A support that is not output controllable or fails the conditioning
+    test evaluates to None.  One with a controlled node that no driver
+    reaches is never looked up, and has no entry: the starts draw only
+    reached nodes, EDCP's start is checked, and the descent drops such rows
+    of its draws unlooked-up.  best is the first cheapest support
+    evaluated, as first drawn.
     """
 
-    def __init__(self, a: np.ndarray, m: int, r_size: int, t_f: float,
-                 eta_b: float | None, eta_c: float | None):
+    def __init__(self, a: np.ndarray, m: int, r_size: int, cfg: ElpgmConfig, update_b: bool, update_c: bool):
         n = a.shape[0]
         rows, cols = np.nonzero(a)
         edges = tuple(zip(cols.tolist(), rows.tolist(), a[rows, cols].tolist()))
-        self.req = _Request(DirectedGraph(n=n, edges=edges), m, t_f, a)
-        self.r_size, self.eta_b, self.eta_c = r_size, eta_b, eta_c
-        self._reached: dict[tuple, frozenset[int]] = {}
-        self.entries: dict[tuple, tuple[float, np.ndarray, np.ndarray] | None] = {}
+        self.req = _Request(DirectedGraph(n=n, edges=edges), m, cfg.t_f, a)
+        self.r_size, self.eta_b, self.eta_c = r_size, cfg.eta_b, cfg.eta_c
+        self.m1_b = cfg.margin_for(m, n) if update_b else None  # None: the variable is frozen
+        self.m1_c = cfg.margin_for(r_size, n) if update_c else None
+        self.closure = self._reach_closure()
+        self.entries: dict[tuple, tuple[float, tuple | None, tuple | None] | None] = {}
         self.best, self.best_e = None, math.inf  # (drivers, controlled) and its cost
         rmax, _, cover = self.req.covers
         if rmax < r_size:
@@ -211,8 +230,8 @@ class _Problem:
             )
         self.head_drivers = [p[0] for p in cover.paths]
         ordered = [v for p in cover.paths for v in p] + [v for c in cover.cycles for v in c]
-        reached = self.reach(self.head_drivers)
-        self.ordered = [v for v in ordered if v in reached]
+        reached = self.reached(self.head_drivers)
+        self.ordered = [v for v in ordered if reached[v]]
         # On small instances sweep the driver supports round-robin instead of
         # hoping random draws cover them.
         self.driver_combos = (
@@ -220,24 +239,33 @@ class _Problem:
         )
         self._combo_cursor = 0
 
-    def reach(self, drivers) -> frozenset[int]:
-        """The nodes the drivers reach, themselves included; searched once per driver set."""
-        key = tuple(sorted(drivers))
-        if key not in self._reached:
-            seen = {int(v) for v in key}
-            stack = list(seen)
-            while stack:
-                for w in self.req.succ[stack.pop()]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            self._reached[key] = frozenset(seen)
-        return self._reached[key]
+    def _reach_closure(self) -> np.ndarray:
+        """Boolean n x n matrix whose row v marks the nodes v reaches, v included.
+
+        Squares the 0/1 matrix of I + adjacency until it is stable; a product
+        entry counts at most n terms, which float64 holds exactly.
+        """
+        n = self.req.g.n
+        closure = np.eye(n, dtype=bool)
+        for v, ws in enumerate(self.req.succ):
+            closure[v, ws] = True
+        while True:
+            wider = (closure.astype(float) @ closure) > 0
+            if np.array_equal(wider, closure):
+                return closure
+            closure = wider
+
+    def reached(self, drivers) -> np.ndarray:
+        """Boolean mask of the nodes the drivers reach."""
+        return self.closure[np.asarray(drivers, dtype=int)].any(axis=0)
+
+    def reaches(self, drivers: np.ndarray, controlled: np.ndarray) -> np.ndarray:
+        """Whether the drivers reach every controlled node, per row of (k, m) and (k, r) arrays."""
+        reached = self.closure[drivers].any(axis=1)
+        return reached[np.arange(len(reached))[:, None], controlled].all(axis=1)
 
     def support(self, drivers: list[int], controlled: list[int]):
-        """The support's entry, evaluated on first sight (see the class docstring)."""
-        if not set(controlled) <= self.reach(drivers):
-            return None  # a zero row of the output controllability matrix
+        """The entry of a support whose drivers reach its controlled nodes, evaluated on first sight."""
         key = (tuple(sorted(drivers)), tuple(sorted(controlled)))
         if key not in self.entries:
             entry = self.entries[key] = self._evaluate(drivers, controlled)
@@ -252,9 +280,10 @@ class _Problem:
             s = _Steering(req.a, placement.b_matrix(req.g.n), placement.c_matrix(req.g.n), req.t_f)
         except UncontrollableError:
             return None
-        b_raw = s.b if self.eta_b is None else s.b - self.eta_b * _grad_b(s)
-        ct_raw = s.c.T if self.eta_c is None else s.c.T - self.eta_c * _grad_c(s)
-        return s.cost(), b_raw, ct_raw
+        m = self.req.m
+        pool_b = None if self.m1_b is None else _pool(s.b - self.eta_b * _grad_b(s), m, self.m1_b)
+        pool_c = None if self.m1_c is None else _pool(s.c.T - self.eta_c * _grad_c(s), self.r_size, self.m1_c)
+        return s.cost(), pool_b, pool_c
 
     def _fresh_drivers(self, rng: np.random.Generator) -> list[int]:
         if self.driver_combos is not None:
@@ -273,7 +302,7 @@ class _Problem:
                 return self.head_drivers, self.ordered[:r_size]
             return self.head_drivers, list(rng.choice(self.ordered, size=r_size, replace=False))
         drivers = self._fresh_drivers(rng)
-        reached = sorted(self.reach(drivers))
+        reached = np.flatnonzero(self.reached(drivers))
         if len(reached) < r_size:
             return None
         return drivers, list(rng.choice(reached, size=r_size, replace=False))
@@ -299,6 +328,8 @@ class _Problem:
         except CoverInfeasibleError:
             return None
         drivers, controlled = list(placement.drivers), list(placement.controlled)
+        if not self.reaches(np.array([drivers]), np.array([controlled]))[0]:
+            return None  # a zero row of the output controllability matrix
         return (drivers, controlled) if self.support(drivers, controlled) is not None else None
 
 
@@ -324,14 +355,12 @@ def elpgm_optimize(
     if not (1 <= m <= r_size <= n):
         raise ValueError(f"need 1 <= m <= r_size <= n, got m = {m}, r_size = {r_size}, n = {n}")
     seed_seq = np.random.SeedSequence(cfg.seed)
-    problem = _Problem(a, m, r_size, cfg.t_f,
-                       cfg.eta_b if update_b else None, cfg.eta_c if update_c else None)
+    problem = _Problem(a, m, r_size, cfg, update_b, update_c)
     try:
         problem.draw(np.random.default_rng(seed_seq.spawn(1)[0]), 0)
     except UncontrollableError:
         pass  # the restarts draw again; EDCP may still provide a start
     edcp_start = problem.edcp_start()
-    m1_b, m1_c = cfg.margin_for(m, n), cfg.margin_for(r_size, n)
     for restart, child in enumerate(seed_seq.spawn(cfg.restarts)):
         rng = np.random.default_rng(child)
         if restart == 0 and edcp_start is not None:
@@ -345,19 +374,37 @@ def elpgm_optimize(
                     continue
                 drivers, controlled = problem.best
         state = problem.support(drivers, controlled)
-        for _ in range(cfg.k_f):
-            _, b_raw, ct_raw = state
-            # retry i takes row i of each draw, a frozen variable keeps its
-            # nodes, and when no retry is accepted the iterate stays
-            draws_b = (_draw(b_raw, m, m1_b, rng, (_PROJECTION_RETRIES,)).tolist() if update_b
-                       else [drivers] * _PROJECTION_RETRIES)
-            draws_c = (_draw(ct_raw, r_size, m1_c, rng, (_PROJECTION_RETRIES,)).tolist() if update_c
-                       else [controlled] * _PROJECTION_RETRIES)
-            for new_drivers, new_controlled in zip(draws_b, draws_c):
+        # an iterate reads 20 rows of B uniforms, then 20 of C, whether or not
+        # a retry is accepted, so the restart draws all k_f iterates' at once
+        size_b = 0 if problem.m1_b is None else m + problem.m1_b
+        size_c = 0 if problem.m1_c is None else r_size + problem.m1_c
+        e = rng.random((cfg.k_f, _PROJECTION_RETRIES * (size_b + size_c)))
+        with np.errstate(divide="ignore"):  # u = 0 gives an infinite exponential
+            np.negative(np.log(e, out=e), out=e)  # in place: the restart holds one array
+        e_b = e[:, :_PROJECTION_RETRIES * size_b].reshape(cfg.k_f, _PROJECTION_RETRIES, size_b)
+        e_c = e[:, _PROJECTION_RETRIES * size_b:].reshape(cfg.k_f, _PROJECTION_RETRIES, size_c)
+        k, window = 0, 1
+        while k < cfg.k_f:
+            # the iterate stays until a retry is accepted, so one pool serves
+            # the window's iterates; retry i of each takes row i of each draw,
+            # and a frozen variable keeps its nodes
+            stop = min(k + window, cfg.k_f)
+            _, pool_b, pool_c = state
+            rows = (stop - k) * _PROJECTION_RETRIES
+            with np.errstate(divide="ignore"):  # zero weights give infinite keys
+                draws_b = (np.broadcast_to(drivers, (rows, m)) if pool_b is None
+                           else _draw(*pool_b, m, e_b[k:stop]).reshape(rows, m))
+                draws_c = (np.broadcast_to(controlled, (rows, r_size)) if pool_c is None
+                           else _draw(*pool_c, r_size, e_c[k:stop]).reshape(rows, r_size))
+            for row in problem.reaches(draws_b, draws_c).nonzero()[0].tolist():
+                new_drivers, new_controlled = draws_b[row].tolist(), draws_c[row].tolist()
                 accepted = problem.support(new_drivers, new_controlled)
                 if accepted is not None:
                     drivers, controlled, state = new_drivers, new_controlled, accepted
+                    k, window = k + row // _PROJECTION_RETRIES + 1, 1
                     break
+            else:
+                k, window = stop, 2 * window
 
     if problem.best is None:
         raise UncontrollableError("no controllable initialization found")

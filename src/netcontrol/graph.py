@@ -379,7 +379,11 @@ def matching_path_cover(g: DirectedGraph) -> list[list[int]]:
     its lowest-index node, so the result is paths only.  Used as a cycle-free
     fallback cover for placement heuristics.
     """
-    _, match_out = _hopcroft_karp(g.n, g.successors())
+    return _matching_paths(_hopcroft_karp(g.n, g.successors())[1])
+
+
+def _matching_paths(match_out: list[int]) -> list[list[int]]:
+    """`matching_path_cover` of the matching `_hopcroft_karp` returned as match_out."""
     has_pred = set(match_out)
-    paths, cycles = _walk_successors(match_out, [v for v in range(g.n) if v not in has_pred])
+    paths, cycles = _walk_successors(match_out, [v for v in range(len(match_out)) if v not in has_pred])
     return paths + cycles

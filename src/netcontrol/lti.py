@@ -557,7 +557,9 @@ def chain_control_cost(length: int, t_f: float = 2.0) -> float:
         (H^-1)_ij = (-1)^(i+j) (i+j+1) C(L+i, L-j-1) C(L+j, L-i-1) C(i+j, i)^2.
 
     This stays accurate far past the point where the floating-point Gramian
-    becomes numerically singular (costs grow like 1e16 by length 10).
+    becomes numerically singular (costs grow like 1e16 by length 10).  A
+    cost past the float range (length 87 and up at t_f = 2) is returned as
+    inf.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
@@ -572,4 +574,7 @@ def chain_control_cost(length: int, t_f: float = 2.0) -> float:
     for k in range(n):
         p = [perm(i, k) for i in range(n)]
         total += sum(pi * sum(h * pj for h, pj in zip(row, p)) for pi, row in zip(p, h_inv)) / tf ** (2 * k + 1)
-    return float(total)
+    try:
+        return float(total)
+    except OverflowError:
+        return inf

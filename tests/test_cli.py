@@ -97,6 +97,18 @@ class TestPlace:
         assert main(["place", fig8_file, "--algo", algo, "-M", "4", "-R", "12", "--tf", tf]) == 1
         assert "t_f" in capsys.readouterr().err
 
+    def test_chain_past_float_range(self, tmp_path):
+        # a 90-node segment's chain estimate overflows a float: the estimate
+        # is written as null (strict JSON has no Infinity), where the command
+        # used to die of an OverflowError
+        graph, out = tmp_path / "chain100.txt", tmp_path / "p.json"
+        graph.write_text("".join(f"{i} {i + 1}\n" for i in range(99)))
+        assert main(["place", str(graph), "-M", "1", "-R", "90", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text(), parse_constant=lambda name: pytest.fail(f"{name} in JSON"))
+        assert len(payload["drivers"]) == 1
+        assert len(set(payload["controlled"])) == 90
+        assert payload["E_estimate"] is None
+
     def test_fraction_resolution(self, fig8_file, tmp_path):
         out = tmp_path / "p.json"
         assert main(["place", fig8_file, "-M", "4", "--fraction", "0.85", "--out", str(out)]) == 0
@@ -492,6 +504,7 @@ class TestScientificFormat:
         assert _format_cost(23500.0) == "2.35E04"
         assert _format_cost(0.5) == "0.5"
         assert _format_cost(1.1e7) == "1.10E07"
+        assert (_format_cost(math.inf), _format_cost(math.nan)) == ("inf", "nan")
 
 
 def test_cli_import_loads_no_scipy():

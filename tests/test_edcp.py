@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import json
+import math
 import random
 from collections import Counter
 
@@ -161,6 +162,16 @@ class TestReduce:
         reduce_drivers(stems, 2, 2.0)
         assert stems[0].segments == [[0, 1, 2], [3, 4, 5]]
 
+    def test_merge_past_float_range_priced_inf(self):
+        # at t_f = 0.05 chain estimates are inf from 50 nodes on: merging two
+        # 50-node segments into one 100-node segment costs inf - inf, which
+        # was NaN and lost every later `delta <= best` comparison
+        module = importlib.import_module("netcontrol.edcp")
+        stems = [Stem(nodes=tuple(range(100)), segments=[list(range(50)), list(range(50, 100))])]
+        assert module._merge_step(stems, 0.05)[0] == math.inf
+        assert module._plus(math.inf, -math.inf) == math.inf
+        assert module._plus(1.5, -0.5) == 1.0
+
     def test_junction_blocks_removal(self):
         stems = [Stem(nodes=(0, 1, 2, 3), junctions=(2,), segments=[[0, 1], [2, 3]])]
         with pytest.raises(CoverInfeasibleError):
@@ -209,6 +220,35 @@ class TestEdcpEndToEnd:
         assert sorted(payload["drivers"]) == [1, 4, 6, 11]
         assert len(payload["controlled"]) == 12
         assert payload["E_estimate"] == pytest.approx(res.e_estimate)
+
+    def test_estimates_past_float_range_price_without_nan(self, monkeypatch):
+        # a 30-node chain joins a 100-node one at its node 50; segments of 87
+        # nodes and more have an infinite chain estimate, and a merge or
+        # release between two of them is priced inf, never inf - inf = NaN
+        module = importlib.import_module("netcontrol.edcp")
+        prices = []
+        real_merge, real_release = module._merge_step, module._release_step
+
+        def merge(*args):
+            step = real_merge(*args)
+            prices.append(None if step is None else step[0])
+            return step
+
+        def release(*args):
+            step = real_release(*args)
+            prices.append(None if step is None else step.delta)
+            return step
+
+        monkeypatch.setattr(module, "_merge_step", merge)
+        monkeypatch.setattr(module, "_release_step", release)
+        edges = [(i, i + 1) for i in range(99)] + [(100 + i, 101 + i) for i in range(29)] + [(129, 50)]
+        g = DirectedGraph(130, tuple((s, d, 1.0) for s, d in edges))
+        res = edcp(g, 2, 125)
+        assert len(res.placement.drivers) == 2 and len(set(res.placement.controlled)) == 125
+        assert res.e_estimate == math.inf
+        assert json.loads(res.to_json(g))["E_estimate"] is None
+        assert math.inf in prices
+        assert not any(p is not None and math.isnan(p) for p in prices)
 
     def test_estimate_is_sum_of_segment_costs(self):
         res = edcp(fig8_graph(), 4, 12, 2.0)
@@ -265,6 +305,28 @@ class TestEdcpEndToEnd:
         res = place(generate_er(13, 2.4535888044089837, 20), 1, 6)
         assert res.fallback == "matching-paths"
         assert len(calls) == 1
+
+    def test_one_matching_per_request(self, monkeypatch):
+        # the matching that gives M* also gives the matching paths; the
+        # matching-paths rung used to match again on successor lists of its own
+        graph_module, module = importlib.import_module("netcontrol.graph"), importlib.import_module("netcontrol.edcp")
+        calls = {"matchings": 0, "successors": 0}
+        real_match, real_succ = graph_module._hopcroft_karp, DirectedGraph.successors
+
+        def matching(*args):
+            calls["matchings"] += 1
+            return real_match(*args)
+
+        def successors(g):
+            calls["successors"] += 1
+            return real_succ(g)
+
+        for target in (graph_module, module):
+            monkeypatch.setattr(target, "_hopcroft_karp", matching)
+        monkeypatch.setattr(DirectedGraph, "successors", successors)
+        res = edcp(generate_er(13, 2.4535888044089837, 20), 1, 6)
+        assert res.fallback == "matching-paths"
+        assert calls == {"matchings": 1, "successors": 1}
 
     @pytest.mark.parametrize("n, mu, seed, m, r", [
         (13, 2.4535888044089837, 20, 1, 6), (25, 2.5, 4, 4, 18), (60, 4.0, 0, 20, 40), (60, 4.0, 0, 13, 60),

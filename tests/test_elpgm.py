@@ -6,7 +6,7 @@ import pytest
 
 import netcontrol.elpgm
 from netcontrol.elpgm import ElpgmConfig, elpgm_optimize, grad_b, grad_c, importance, project
-from netcontrol.graph import generate_ba, generate_er
+from netcontrol.graph import DirectedGraph, generate_ba, generate_er
 from netcontrol.lti import (
     ControlPlacement,
     UncontrollableError,
@@ -173,7 +173,7 @@ class TestOptimize:
         a = g.randomized_adjacency(4)
         from netcontrol.elpgm import _Problem
 
-        drivers, controlled = _Problem(a, 2, 5, 2.0, None, None).draw(np.random.default_rng(0), 0)
+        drivers, controlled = _Problem(a, 2, 5, ElpgmConfig(), False, False).draw(np.random.default_rng(0), 0)
         start = ControlPlacement(drivers=tuple(drivers), controlled=tuple(controlled))
         e0 = control_cost_matrices(a, start.b_matrix(8), start.c_matrix(8), 2.0)
         _, e = elpgm_optimize(a, 2, 5, ElpgmConfig(k_f=15, restarts=3, seed=0))
@@ -187,7 +187,7 @@ class TestOptimize:
                       [1.0, -0.0, 3.0, 0.0]])
         from netcontrol.elpgm import _Problem
 
-        graph = _Problem(a, 1, 1, 2.0, None, None).req.g
+        graph = _Problem(a, 1, 1, ElpgmConfig(), False, False).req.g
         assert graph.n == 4
         assert graph.edges == ((0, 1, -2.5), (0, 3, 1.0), (1, 0, 1.0), (2, 3, 3.0), (3, 1, 1.0))
 
@@ -402,6 +402,20 @@ def _wide_runs():
     return runs
 
 
+def _four_node_runs():
+    """(a, m, r, cfg, update_b, update_c) of three ELPGM calls with criterion 12's config.
+
+    On 4-node graphs nearly every iterate accepts one of its first retries.
+    """
+    runs = []
+    for seed, edges, m, r in ((1, ((0, 1), (1, 2), (2, 3), (3, 0)), 1, 3),
+                              (2, ((0, 1), (0, 2), (2, 1), (1, 3), (3, 2)), 2, 3),
+                              (3, ((0, 1), (1, 0), (1, 2), (3, 2), (2, 3)), 2, 4)):
+        a = DirectedGraph(4, tuple((s, d, 1.0) for s, d in edges)).randomized_adjacency(7)
+        runs.append((a, m, r, ElpgmConfig(k_f=25, restarts=16, m1=3, seed=seed), True, True))
+    return runs
+
+
 class TestPinned:
     """Digests of ELPGM results, projections and steering terms.
 
@@ -433,6 +447,25 @@ class TestPinned:
             digest.update(repr(item).encode())
         assert refusals == 33
         assert digest.hexdigest() == "f56d9131137db306051a18c0a4c704f98823e7b8caf5b86cb1625b4ff6796c7f"
+
+    def test_evaluation_order_pinned(self, monkeypatch):
+        # every support the calls evaluate, in the order they evaluate them,
+        # as draw-order lists: a change in which uniforms a retry reads shows
+        # here even where the results keep their bits
+        supports = []
+        real = netcontrol.elpgm._Problem._evaluate
+
+        def evaluate(self, drivers, controlled):
+            supports.append(([int(v) for v in drivers], [int(v) for v in controlled]))
+            return real(self, drivers, controlled)
+
+        monkeypatch.setattr(netcontrol.elpgm._Problem, "_evaluate", evaluate)
+        digest = hashlib.sha256()
+        for a, m, r, cfg, update_b, update_c in _pinned_runs() + _four_node_runs():
+            supports.clear()
+            elpgm_optimize(a, m, r, cfg, update_b=update_b, update_c=update_c)
+            digest.update(repr(supports).encode())
+        assert digest.hexdigest() == "5cdace4f8b5f6ece51f2e350342a6b3f680669dda2ca256858ec013bd8a68907"
 
     def test_project_pinned_bit_for_bit(self):
         # recorded when the projection became an exponential race; every

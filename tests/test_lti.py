@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -546,6 +548,11 @@ class TestChainCost:
 
     def test_scalar_any_horizon(self):
         assert chain_control_cost(1, 0.5) == pytest.approx(2.0)
+
+    def test_past_float_range_is_inf(self):
+        # float() of the exact cost raised OverflowError from length 87 on
+        assert 1e307 < chain_control_cost(86, 2.0) < math.inf
+        assert chain_control_cost(87, 2.0) == chain_control_cost(120, 2.0) == math.inf
 
     @pytest.mark.parametrize("t_f, lengths", [
         (2.0, [*range(1, 25), 40]),
