@@ -25,6 +25,13 @@ and predecessor lists, the exact evaluations' matrix, one maximum matching
 for M* and the matching paths, and one flow solve for rmax(m), the flow
 cover at M* and the m-path cover.  r_size is an argument of
 `place`, so one request serves every EDCP and naive cell of a `bench` grid.
+
+Each pipeline run keeps its reduction loop's facts in one `_Reduction`:
+every stem's release records and merge price, and every simulated release.
+A step recomputes only what it changed: a merge re-prices the one stem it
+rewrites, a release the stems it touches, and a release is simulated again
+only when an entry it reads has changed.  The choices are the ones
+re-pricing everything at every step makes, bit for bit.
 """
 
 from __future__ import annotations
@@ -241,26 +248,38 @@ def assign_drivers(stems: list[Stem], plan: list[int], r_size: int | None = None
     return stems
 
 
-def _merge_step(stems: list[Stem], t_f: float) -> tuple[float, int, list[int]] | None:
+def _merge_price(stem: Stem, blocks: list[list[int]], t_f: float) -> tuple[float, list[int]] | None:
+    """What giving up one of stem's drivers costs, and the per-block allocation that does it.
+
+    blocks are the stem's controlled blocks.  None when no block has a
+    driver to spare.
+    """
+    d = stem.driver_count
+    if d < 2 or d - 1 < len(blocks):
+        return None
+    priced = _allocate_drivers(blocks, d, t_f)
+    (cost_now, _), (cost_less, alloc) = priced[d], priced[d - 1]
+    return _plus(cost_less, -cost_now), alloc
+
+
+def _merge_step(
+    stems: list[Stem], t_f: float, prices: list[tuple[float, list[int]] | None] | None = None
+) -> tuple[float, int, list[int]] | None:
     """Cheapest way to give up one driver by merging inside a stem.
 
     Returns (cost increase, stem index, per-block driver allocation), or
     None when no stem has a block with a driver to spare.  Ties on the cost
-    increase resolve to the later stem.
+    increase resolve to the later stem.  prices[i], when given, is
+    `_merge_price` of stems[i] as it stands: the reduction loop keeps them
+    in `_Reduction` and re-prices a stem only when a step rewrites it.
+    Without them every stem is priced here.
     """
+    if prices is None:
+        prices = [_merge_price(stem, stem.controlled_blocks(), t_f) for stem in stems]
     best = None
-    for idx, stem in enumerate(stems):
-        d = stem.driver_count
-        if d < 2:
-            continue
-        blocks = stem.controlled_blocks()
-        if d - 1 < len(blocks):
-            continue
-        priced = _allocate_drivers(blocks, d, t_f)
-        (cost_now, _), (cost_less, alloc) = priced[d], priced[d - 1]
-        delta = _plus(cost_less, -cost_now)
-        if best is None or delta <= best[0]:
-            best = (delta, idx, alloc)
+    for idx, price in enumerate(prices):
+        if price is not None and (best is None or price[0] <= best[0]):
+            best = (price[0], idx, price[1])
     return best
 
 
@@ -307,7 +326,181 @@ class _Release:
     grown: list[tuple[list[int], list[int]]]
 
 
-def _release_step(req: _Request, stems: list[Stem], r_size: int, bound: float) -> _Release | None:
+class _Reduction:
+    """What the reduction loop knows about one pipeline's stems, kept step by step.
+
+    Per stem i: records[i], each segment of a controlled block with whether
+    it may grow at its tail (it ends its block) and at its head (it is alone
+    in its block), and prices[i], its `_merge_price`.  Over all stems: tails
+    and heads map a node to the segment that may grow there (at its last
+    and at its first node), order gives each segment its place in the
+    stems' record order (the tie rule of a regrowth), and free holds the
+    nodes no segment controls.
+
+    A merge rewrites one stem, and a release the released stem and those
+    that lose a grown segment, and adds a stem per grown segment; `refresh`
+    recomputes only those.  outcomes keeps each simulated release
+    (`_simulate_release`).  A release reads only its free set (free and the
+    released nodes), its need (which free and the segment fix), and the
+    tails and heads entries at the nodes next to that free set, with their
+    segments; segments that no step rewrote keep their relative order.  So
+    an outcome is dropped when its segment goes, when free changes, or when
+    an entry changes at a node next to free or next to its segment
+    (readers).  A merge leaves free alone.
+    """
+
+    def __init__(self, req: _Request, stems: list[Stem], r_size: int):
+        self.succ, self.pred, self.t_f = req.succ, req.pred, req.t_f
+        self.stems, self.r_size = stems, r_size
+        self.records: list[list[tuple[list[int], bool, bool]]] = []
+        self.prices: list[tuple[float, list[int]] | None] = []
+        self.tails: dict[int, list[int]] = {}
+        self.heads: dict[int, list[int]] = {}
+        self.order: dict[int, tuple[int, int]] = {}  # id(segment) -> (stem, record)
+        self.outcomes: dict[int, tuple[list[int], _Release | None]] = {}  # id(segment) -> outcome
+        self.readers: dict[int, set[int]] = {}  # node -> ids of the outcomes that read it
+        self.free: set[int] = set()
+        self.near: set[int] = set()  # the nodes next to free
+        self.refresh(range(len(stems)))
+        controlled = {v for records in self.records for seg, _, _ in records for v in seg}
+        self.update_free({v for v in range(len(self.succ)) if v not in controlled})
+
+    def refresh(self, indices) -> None:
+        """Recompute the records and prices of stems[i] for i in indices (new stems too)."""
+        tails, heads, order = self.tails, self.heads, self.order
+        before: dict[int, tuple[list[int] | None, list[int] | None]] = {}
+        dropped = []
+        for i in indices:
+            if i == len(self.records):
+                self.records.append([])
+                self.prices.append(None)
+            for seg, tail, head in self.records[i]:
+                dropped.append(seg)
+                del order[id(seg)]
+                for x in (seg[-1], seg[0]):
+                    before.setdefault(x, (tails.get(x), heads.get(x)))
+                if tail:
+                    del tails[seg[-1]]
+                if head:
+                    del heads[seg[0]]
+            stem = self.stems[i]
+            blocks = stem.controlled_blocks()
+            records = []
+            for block in blocks:
+                first = set(block)
+                in_block = [seg for seg in stem.segments if seg and seg[0] in first]
+                for k, seg in enumerate(in_block):
+                    records.append((seg, k == len(in_block) - 1, len(in_block) == 1))
+            for k, (seg, tail, head) in enumerate(records):
+                order[id(seg)] = (i, k)
+                for x in (seg[-1], seg[0]):
+                    before.setdefault(x, (tails.get(x), heads.get(x)))
+                if tail:
+                    tails[seg[-1]] = seg
+                if head:
+                    heads[seg[0]] = seg
+            self.records[i] = records
+            self.prices[i] = _merge_price(stem, blocks, self.t_f)
+        for seg in dropped:  # still referenced, so its id is not reused yet
+            if id(seg) not in order:
+                self.outcomes.pop(id(seg), None)
+        changed = [x for x, (t, h) in before.items() if tails.get(x) is not t or heads.get(x) is not h]
+        if self.near.intersection(changed):
+            self.outcomes.clear()
+            self.readers.clear()
+        for x in changed:
+            for key in self.readers.pop(x, ()):
+                self.outcomes.pop(key, None)
+
+    def update_free(self, free: set[int]) -> None:
+        """Take free as the uncontrolled nodes; a change drops every outcome."""
+        if free != self.free:
+            self.free = free
+            self.near = {u for v in free for u in (*self.pred[v], *self.succ[v])}
+            self.outcomes.clear()
+            self.readers.clear()
+
+    def apply_release(self, release: _Release) -> None:
+        """`_apply_release`, then refresh the stems it touched and the free set."""
+        order = self.order
+        touched = {order[id(release.released)][0], *(order[id(old)][0] for old, _ in release.grown)}
+        start = len(self.stems)
+        _apply_release(self.stems, release)
+        self.refresh([*sorted(touched), *range(start, len(self.stems))])
+        grown = {v for _, nodes in release.grown for v in nodes}
+        self.update_free({v for v in (*self.free, *release.released) if v not in grown})
+
+    def need(self, seg: list[int]) -> int:
+        """The nodes to regrow when seg is released."""
+        return max(0, self.r_size - (len(self.succ) - len(self.free) - len(seg)))
+
+    def release(self, seg: list[int]) -> _Release | None:
+        """The outcome of releasing seg, simulated once while it is valid."""
+        kept = self.outcomes.get(id(seg))
+        if kept is None:
+            kept = self.outcomes[id(seg)] = (seg, _simulate_release(self, seg, self.need(seg)))
+            for v in seg:
+                for x in (*self.pred[v], *self.succ[v]):
+                    self.readers.setdefault(x, set()).add(id(seg))
+        return kept[1]
+
+
+def _increment(length: int, t_f: float) -> float:
+    """Change of the chain estimate when a segment of `length` nodes grows by one."""
+    return _plus(chain_control_cost(length + 1, t_f), -chain_control_cost(length, t_f))
+
+
+def _simulate_release(red: _Reduction, released: list[int], need: int) -> _Release | None:
+    """Release `released` and regrow `need` nodes one at a time (`_release_step`).
+
+    Each node goes to the segment whose chain estimate grows least; ties go
+    to the lowest node, then to the segment first in record order, then to
+    growth at the tail.  None when the regrowth finds no real edge into a
+    free node before it is done.
+    """
+    succ, pred, t_f, order = red.succ, red.pred, red.t_f, red.order
+    free = red.free.union(released)
+    # the entries next to the free set are all a regrowth can reach
+    segs: dict[tuple[int, int], list[int]] = {}
+    tails: dict[int, tuple[int, int]] = {}
+    heads: dict[int, tuple[int, int]] = {}
+    for v in free:
+        for entries, local, nodes in ((red.tails, tails, pred[v]), (red.heads, heads, succ[v])):
+            for x in nodes:
+                seg = entries.get(x)
+                if seg is not None and seg is not released:
+                    j = local[x] = order[id(seg)]
+                    segs[j] = seg
+    grown: dict[tuple[int, int], list[int]] = {}
+    total = -chain_control_cost(len(released), t_f)
+    for _ in range(need):
+        pick = None
+        for v in sorted(free):
+            for u in pred[v]:
+                j = tails.get(u)
+                if j is not None:
+                    cand = (_increment(len(grown.get(j, segs[j])), t_f), v, j, False)
+                    pick = cand if pick is None or cand < pick else pick
+            for w in succ[v]:
+                j = heads.get(w)
+                if j is not None:
+                    cand = (_increment(len(grown.get(j, segs[j])), t_f), v, j, True)
+                    pick = cand if pick is None or cand < pick else pick
+        if pick is None:
+            return None
+        inc, v, j, at_head = pick
+        nodes = grown.get(j, segs[j])
+        tails.pop(nodes[-1], None)
+        heads.pop(nodes[0], None)
+        nodes = [v, *nodes] if at_head else [*nodes, v]
+        grown[j] = nodes
+        tails[nodes[-1]] = heads[nodes[0]] = j  # a grown segment becomes its own stem
+        free.discard(v)
+        total = _plus(total, inc)
+    return _Release(total, released, [(segs[j], nodes) for j, nodes in grown.items()])
+
+
+def _release_step(red: _Reduction, bound: float) -> _Release | None:
     """Cheapest release of a single-driver segment, if cheaper than bound.
 
     A segment that is alone in its controlled block can lose its driver:
@@ -318,72 +511,33 @@ def _release_step(req: _Request, stems: list[Stem], r_size: int, bound: float) -
     its head when it is alone in its block.  Unlike a merge this can move
     coverage between stems, which is how a request that no stem can absorb
     by merging still finds m disjoint paths.
+
+    The releases are tried in order of a lower bound on their price, until
+    the bound reaches the best found.  Each one's outcome comes from
+    `_Reduction.release`, which simulates it again only when a step has
+    changed what it reads.
     """
-    succ, pred, t_f = req.succ, req.pred, req.t_f
-    records = []  # (segment, may grow at tail, may grow at head)
-    for stem in stems:
-        for block in stem.controlled_blocks():
-            first = set(block)
-            in_block = [seg for seg in stem.segments if seg and seg[0] in first]
-            for k, seg in enumerate(in_block):
-                records.append((seg, k == len(in_block) - 1, len(in_block) == 1))
-    if not any(tail or head for _, tail, head in records):
+    if not red.tails:  # every controlled block ends in a segment that may grow at its tail
         return None
-    controlled = {v for seg, _, _ in records for v in seg}
-    base_free = [v for v in range(len(succ)) if v not in controlled]
-    base_tails = {seg[-1]: j for j, (seg, tail, _) in enumerate(records) if tail}
-    base_heads = {seg[0]: j for j, (seg, _, head) in enumerate(records) if head}
-
-    def increment(length: int) -> float:
-        return _plus(chain_control_cost(length + 1, t_f), -chain_control_cost(length, t_f))
-
-    floor = increment(min(len(seg) for seg, tail, head in records if tail or head))
+    t_f = red.t_f
+    floor = _increment(min(len(seg) for seg in red.tails.values()), t_f)
     options = []
-    for k, (seg, _, alone) in enumerate(records):
-        if alone:
-            need = max(0, r_size - (len(controlled) - len(seg)))
-            regrowth = need * floor if need else 0.0  # 0 * inf is NaN
-            options.append((_plus(regrowth, -chain_control_cost(len(seg), t_f)), k))
-    options.sort()
+    for seg in red.heads.values():
+        kept = red.outcomes.get(id(seg))
+        if kept is not None and kept[1] is None:
+            continue  # it finds nowhere to regrow, so it cannot be the best
+        need = red.need(seg)
+        regrowth = need * floor if need else 0.0  # 0 * inf is NaN
+        options.append((_plus(regrowth, -chain_control_cost(len(seg), t_f)), red.order[id(seg)], seg))
+    options.sort()  # the record order is unique, so no two options compare further
 
     best: _Release | None = None
-    for lower, k in options:
+    for lower, _, seg in options:
         if lower >= (best.delta if best else bound):
             break
-        released = records[k][0]
-        free = {*base_free, *released}
-        need = max(0, r_size - (len(controlled) - len(released)))
-        tails, heads = dict(base_tails), dict(base_heads)
-        del tails[released[-1]], heads[released[0]]  # segments are disjoint: its only ends
-        grown: dict[int, list[int]] = {}
-        total = -chain_control_cost(len(released), t_f)
-        for _ in range(need):
-            pick = None
-            for v in sorted(free):
-                for u in pred[v]:
-                    j = tails.get(u)
-                    if j is not None:
-                        cand = (increment(len(grown.get(j, records[j][0]))), v, j, False)
-                        pick = cand if pick is None or cand < pick else pick
-                for w in succ[v]:
-                    j = heads.get(w)
-                    if j is not None:
-                        cand = (increment(len(grown.get(j, records[j][0]))), v, j, True)
-                        pick = cand if pick is None or cand < pick else pick
-            if pick is None:
-                break
-            inc, v, j, at_head = pick
-            nodes = grown.get(j, records[j][0])
-            tails.pop(nodes[-1], None)
-            heads.pop(nodes[0], None)
-            nodes = [v, *nodes] if at_head else [*nodes, v]
-            grown[j] = nodes
-            tails[nodes[-1]] = heads[nodes[0]] = j  # a grown segment becomes its own stem
-            free.discard(v)
-            total = _plus(total, inc)
-        else:
-            if total < (best.delta if best else bound):
-                best = _Release(total, released, [(records[j][0], nodes) for j, nodes in grown.items()])
+        release = red.release(seg)
+        if release is not None and release.delta < (best.delta if best else bound):
+            best = release
     return best
 
 
@@ -543,7 +697,11 @@ class _Request:
     """One (g, m, t_f, A) context; each `place(r_size)` checks and places one request.
 
     The exact evaluations run on ELPGM's A, whose nonzeros g holds, when
-    given, else on g.realized_adjacency(), drawn on first use.
+    given, else on g.realized_adjacency(), drawn on first use.  The
+    adjacency lists, A, the matching and the covers are computed once and
+    kept for the request's life, since g, m, t_f and A never change; each
+    `pipeline` run keeps its reduction loop's facts in a `_Reduction` of
+    its own, which lives as long as the run.
     """
 
     def __init__(self, g: DirectedGraph, m: int, t_f: float, a: np.ndarray | None = None):
@@ -639,14 +797,16 @@ class _Request:
         stems = merge_cycles(cover)
         assign_drivers(stems, [r_size] * m if naive else even_division(r_size, m), r_size=r_size)
         released_when_stuck = False
+        red = _Reduction(self, stems, r_size)
         while (count := sum(stem.driver_count for stem in stems)) > m:
-            merge = _merge_step(stems, self.t_f)
-            release = _release_step(self, stems, r_size, merge[0] if merge else math.inf)
+            merge = _merge_step(stems, self.t_f, red.prices)
+            release = _release_step(red, merge[0] if merge else math.inf)
             if release is not None:
                 released_when_stuck = released_when_stuck or merge is None
-                _apply_release(stems, release)
+                red.apply_release(release)
             else:
                 reduce_drivers(stems, count - 1, self.t_f, step=merge)
+                red.refresh([merge[1]])
         if sum(stem.driver_count for stem in stems) < m:
             _split_for_extra_drivers(stems, m)
         trim_to_r(stems, r_size, longest_first=not naive)

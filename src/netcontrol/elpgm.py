@@ -120,10 +120,17 @@ def _draw(pool: np.ndarray, w: np.ndarray, m0: int, e: np.ndarray) -> np.ndarray
     caller silences numpy's divide warning) and rank by e among themselves,
     so once the positive weights are drawn the rest is uniform.  Every row
     is drawn on its own, so rows stacked into one call draw what they would
-    draw one call each.
+    draw one call each.  Rows are sorted on their keys alone, and only a row
+    whose m0 + 1 smallest keys hold a tie is sorted again on (keys, e); the
+    others' first m0 places are the same either way.
     """
     keys = e / w
-    return pool[np.lexsort((e, keys))[..., :m0]]
+    order = np.argsort(keys, axis=-1)[..., :m0 + 1]
+    head = np.take_along_axis(keys, order, axis=-1)
+    tied = (head[..., 1:] == head[..., :-1]).any(axis=-1)
+    if tied.any():
+        order[tied] = np.lexsort((e[tied], keys[tied]))[..., :m0 + 1]
+    return pool[order[..., :m0]]
 
 
 def grad_b(a: np.ndarray, b: np.ndarray, c: np.ndarray, t_f: float) -> np.ndarray:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import ceil, comb, inf, isqrt, log2, perm
+from math import ceil, inf, isqrt, log2
 from typing import Callable
 
 import numpy as np
@@ -544,37 +544,52 @@ def _drive(s: _Steering, x0: np.ndarray, steps: int = 2000) -> tuple[np.ndarray,
 def chain_control_cost(length: int, t_f: float = 2.0) -> float:
     """Single-driver cost of a unit-weight directed chain of `length` nodes.
 
-    Exact, in integer and rational arithmetic.  The chain's A is nilpotent,
-    so its Gramian is W = t_f D H D with D = diag(t_f^i / i!) and H the
-    L x L Hilbert matrix, and column k of e^(A t_f) is t_f^-k D p_k with
-    p_k[i] = i! / (i - k)! (0 for i < k).  Hence
+    Exact, in integer and rational arithmetic, and correctly rounded.  The
+    chain's A is nilpotent, so its Gramian is W = t_f D H D with
+    D = diag(t_f^i / i!) and H the L x L Hilbert matrix, and column k of
+    e^(A t_f) is t_f^-k D p_k with p_k[i] = i! / (i - k)! (0 for i < k).
+    Hence
 
-        E = tr(W^-1 e^(A t_f) e^(A^T t_f)) = sum_k p_k^T H^-1 p_k / t_f^(2k+1),
+        E = tr(W^-1 e^(A t_f) e^(A^T t_f)) = sum_k p_k^T H^-1 p_k / t_f^(2k+1).
 
-    where H^-1 has the integer entries (M.-D. Choi, "Tricks or Treats with
-    the Hilbert Matrix", Amer. Math. Monthly 90(5), 1983)
+    H is the Gram matrix of the monomials on [0, 1], so
+    H^-1 = sum_m (2m+1) l_m l_m^T over the coefficient vectors l_m of the
+    shifted Legendre polynomials P~_m, m < L, which are orthogonal with
+    norm^2 1/(2m+1).  And p_k^T l_m is the k-th derivative of P~_m at 1,
+    (m+k)! / (k! (m-k)!).  So E = sum_k q_k / t_f^(2k+1) with the integers
 
-        (H^-1)_ij = (-1)^(i+j) (i+j+1) C(L+i, L-j-1) C(L+j, L-i-1) C(i+j, i)^2.
+        q_k = sum_{m=k}^{L-1} (2m+1) (C(m+k, k) m! / (m-k)!)^2,
 
-    This stays accurate far past the point where the floating-point Gramian
-    becomes numerically singular (costs grow like 1e16 by length 10).  A
-    cost past the float range (length 87 and up at t_f = 2) is returned as
-    inf.
+    the same rational as the sum over Choi's integer entries of H^-1
+    (M.-D. Choi, "Tricks or Treats with the Hilbert Matrix", Amer. Math.
+    Monthly 90(5), 1983), in O(L^2) integer products.
+    This stays accurate far past the point where the floating-point
+    Gramian becomes numerically singular (costs grow like 1e16 by length
+    10).  A cost past the float range (length 87 and up at t_f = 2) is
+    returned as inf.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    n = length
-    h_inv = [
-        [(-1) ** (i + j) * (i + j + 1) * comb(n + i, n - j - 1) * comb(n + j, n - i - 1) * comb(i + j, i) ** 2
-         for j in range(n)]
-        for i in range(n)
-    ]
-    tf = Fraction(t_f)
-    total = Fraction(0)
-    for k in range(n):
-        p = [perm(i, k) for i in range(n)]
-        total += sum(pi * sum(h * pj for h, pj in zip(row, p)) for pi, row in zip(p, h_inv)) / tf ** (2 * k + 1)
+    _check_horizon(t_f)
     try:
-        return float(total)
+        return float(_chain_cost_exact(length, t_f))
     except OverflowError:
         return inf
+
+
+def _chain_cost_exact(length: int, t_f: float) -> Fraction:
+    """`chain_control_cost` as an exact rational."""
+    q = [0] * length
+    for m in range(length):
+        v = 1  # the k-th derivative of P~_m at 1, from k = 0
+        for k in range(m + 1):
+            q[k] += (2 * m + 1) * v * v
+            v = v * (m + k + 1) * (m - k) // (k + 1)
+    tf = Fraction(t_f)
+    a, b = tf.numerator, tf.denominator
+    # sum_k q_k (b/a)^(2k+1) over the common denominator a^(2L-1), by Horner
+    acc, b_pow = 0, 1
+    for qk in q:
+        acc = acc * a * a + qk * b_pow
+        b_pow *= b * b
+    return Fraction(b * acc, a ** (2 * length - 1))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, perm
 
 import numpy as np
 
@@ -203,6 +204,27 @@ def gauss_jordan_chain_cost(length: int, t_f: float) -> float:
                 factor = aug[r][col]
                 aug[r] = [v - factor * p for v, p in zip(aug[r], aug[col])]
     return float(sum(aug[i][length + i] for i in range(length)))
+
+
+def hilbert_chain_cost(length: int, t_f: float) -> Fraction:
+    """Single-driver cost of a unit-weight directed chain, exactly, as the
+    sum over k of p_k^T H^-1 p_k / t_f^(2k+1) with p_k[i] = i! / (i - k)!
+    and Choi's integer entries of the inverse Hilbert matrix,
+
+        (H^-1)_ij = (-1)^(i+j) (i+j+1) C(L+i, L-j-1) C(L+j, L-i-1) C(i+j, i)^2.
+    """
+    n = length
+    h_inv = [
+        [(-1) ** (i + j) * (i + j + 1) * comb(n + i, n - j - 1) * comb(n + j, n - i - 1) * comb(i + j, i) ** 2
+         for j in range(n)]
+        for i in range(n)
+    ]
+    tf = Fraction(t_f)
+    total = Fraction(0)
+    for k in range(n):
+        p = [perm(i, k) for i in range(n)]
+        total += sum(pi * sum(h * pj for h, pj in zip(row, p)) for pi, row in zip(p, h_inv)) / tf ** (2 * k + 1)
+    return total
 
 
 def _mp_van_loan(x, q, t):

@@ -295,6 +295,70 @@ class TestEdcpEndToEnd:
         edcp(generate_er(60, 4.0, 0), 13, 60)
         assert 0 < len(calls) <= 24
 
+    def test_release_simulations_reused(self, monkeypatch):
+        # 68 reduction steps (65 merges, 3 releases) that each simulate every
+        # release they try make 7,339 simulations; a tenth of that is the bound
+        module = importlib.import_module("netcontrol.edcp")
+        calls = []
+        real = module._simulate_release
+        monkeypatch.setattr(module, "_simulate_release", lambda *args: calls.append(1) or real(*args))
+        res = edcp(generate_er(600, 4.0, 0), 130, 600)
+        assert len(res.placement.drivers) == 130 and len(set(res.placement.controlled)) == 600
+        assert 0 < len(calls) <= 733
+
+    @pytest.mark.parametrize("case", [*range(8), "er-29", "ba-34", "er-33", "er-37", "er-600"])
+    def test_kept_releases_match_fresh_simulations(self, monkeypatch, case):
+        # at every step each kept release outcome, dead ends included, is
+        # what simulating it again on the stems as they stand gives; the kept
+        # records, prices and free set are what a fresh reduction state
+        # builds, and the step chooses what it chooses from that fresh state
+        module = importlib.import_module("netcontrol.edcp")
+        real = module._release_step
+        steps, checked = [], []
+
+        def facts(release):
+            return None if release is None else (release.delta, release.released, release.grown)
+
+        def release_step(red, bound):
+            steps.append(1)
+            for seg, kept in list(red.outcomes.values()):
+                assert id(seg) in red.order  # its segment still exists
+                assert facts(kept) == facts(module._simulate_release(red, seg, red.need(seg)))
+                checked.append(kept)
+            fresh = module._Reduction(red, red.stems, red.r_size)  # red has the request's succ, pred and t_f
+            assert (fresh.records, fresh.prices, fresh.free) == (red.records, red.prices, red.free)
+            step = real(red, bound)
+            assert facts(step) == facts(real(fresh, bound))
+            return step
+
+        monkeypatch.setattr(module, "_release_step", release_step)
+        named = {
+            "er-29": lambda: [(generate_er(29, 3.1, 43), 4, 22)],  # an entry next to the free nodes changes
+            "ba-34": lambda: [(generate_ba(34, 3, 1), 6, 34)],  # merges change entries next to kept releases
+            "er-33": lambda: [(generate_er(33, 4.7, 16), 8, 33)],
+            "er-37": lambda: [(generate_er(37, 1.8, 61), 6, 24)],  # a release changes the free set
+            "er-600": lambda: [(generate_er(600, 4.0, 0), 130, 600)],  # 65 merges and 3 releases
+        }
+        if case in named:
+            requests = named[case]()
+        else:
+            # at M* with R = n the steps are mostly merges; at M*/2 and
+            # R = 2n/3 mostly releases, each into free nodes
+            rnd = random.Random(4000 + case)
+            n = rnd.randint(60, 160)
+            g = generate_er(n, rnd.uniform(2.0, 4.0), case) if case % 2 else generate_ba(n, rnd.randint(1, 2), case)
+            mstar = max(n - _Request(g, 1, 2.0).matching[0], 1)
+            requests = [(g, mstar, n), (g, max(mstar // 2, 1), 2 * n // 3)]
+        for g, m, r in requests:
+            for naive in (False, True):
+                try:
+                    _Request(g, m, 2.0).place(r, naive)
+                except CoverInfeasibleError:
+                    pass
+        assert steps and (checked or case == "er-29")  # there every step drops what it kept
+        if case == "er-600":
+            assert len(checked) > 1000
+
     @pytest.mark.parametrize("place", [edcp, naive_placement])
     def test_adjacency_lists_built_once_per_request(self, monkeypatch, place):
         # the request runs three pipelines on one set of lists (edcp also a refine
@@ -499,3 +563,10 @@ class TestPinned:
             calls.append(lambda g=g, m=m, r=r, t_f=t_f, a=a: _Request(g, m, t_f, a).place(r))
             calls.append(lambda g=g, m=m, r=r, t_f=t_f: naive_placement(g, m, r, t_f))
         assert _digest(calls) == "fe296b95576ba4587d811808b3efb8fb58ae713121ffe9f880e762ddf9b41518"
+
+    def test_large_request_pinned_bit_for_bit(self):
+        # ER n=3000 at M* with R = n: 350 reduction steps, all merges; the
+        # digest was recorded before the loop kept its prices and releases
+        g = generate_er(3000, 4.0, 0)
+        assert _digest([lambda: edcp(g, 647, 3000)]) == (
+            "b4daa7e5d4f99cb80428f9ee4b2907e2cffeba9ecca683a6f297cd214e626c3a")

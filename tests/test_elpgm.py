@@ -132,6 +132,29 @@ class TestProjection:
         assert np.nonzero(out)[0][0] in (0, 1)  # candidate pool is rows 0 and 1
 
 
+    def test_draw_equals_lexsort_with_zero_weights_and_ties(self):
+        # the draw sorts on the keys alone and re-sorts on (keys, e) only the
+        # rows tied among their m0 + 1 smallest keys: zero weights (infinite
+        # keys), repeated weights and repeated uniforms, u = 0 among them
+        draw = netcontrol.elpgm._draw
+        rng = np.random.default_rng(23)
+        resorted = 0
+        for trial in range(600):
+            size = int(rng.integers(1, 16))
+            m0 = int(rng.integers(1, size + 1))
+            pool = rng.permutation(40)[:size]
+            w = np.round(rng.random(size) * 3) / 3  # zeros and repeats
+            u = np.floor(rng.random(((7, 20), (20,), ())[trial % 3] + (size,)) * 4) / 4  # in [0, 1)
+            with np.errstate(divide="ignore"):
+                e = -np.log(u)
+                keys = e / w
+                want = pool[np.lexsort((e, keys))[..., :m0]]
+                got = draw(pool, w, m0, e)
+            assert np.array_equal(got, want)
+            head = np.sort(keys, axis=-1)[..., :m0 + 1]
+            resorted += int((head[..., 1:] == head[..., :-1]).any(axis=-1).sum())
+        assert resorted > 1000  # the tie path ran
+
     @pytest.mark.parametrize("n, m0, m1, zero_rows", [
         (4, 1, 3, ()), (5, 2, 3, ()), (6, 3, 0, ()),
         (6, 3, 1, (0, 2, 4, 5)), (4, 3, 1, (1, 2)), (5, 2, 3, (1, 3)),

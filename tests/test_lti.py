@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from netcontrol.edcp import string_cost
 from netcontrol.graph import generate_ba, generate_er
 from netcontrol.lti import (
     CONDITION_LIMIT,
     ControlPlacement,
     UncontrollableError,
+    _chain_cost_exact,
     chain_control_cost,
     control_cost,
     control_cost_matrices,
@@ -22,6 +24,7 @@ from netcontrol.lti import (
 from netcontrol.pathcover import max_controllable_subset
 from oracles import (
     gauss_jordan_chain_cost,
+    hilbert_chain_cost,
     reference_steering,
     rk4_reference,
     simpson_gramian,
@@ -553,6 +556,22 @@ class TestChainCost:
         # float() of the exact cost raised OverflowError from length 87 on
         assert 1e307 < chain_control_cost(86, 2.0) < math.inf
         assert chain_control_cost(87, 2.0) == chain_control_cost(120, 2.0) == math.inf
+
+    @pytest.mark.parametrize("t_f", [2.0, 0.5, 3.5, 0.3])
+    def test_closed_form_is_the_hilbert_inverse_sum(self, t_f):
+        # the Legendre sum and the sum over Choi's H^-1 entries are the same
+        # rational, not just the same float
+        lengths = range(1, 61) if t_f == 2.0 else [*range(1, 21), 33, 47, 60]
+        for length in lengths:
+            assert _chain_cost_exact(length, t_f) == hilbert_chain_cost(length, t_f)
+
+    @pytest.mark.parametrize("t_f", [-2.0, 0.0, math.inf, math.nan])
+    def test_bad_horizon_refused(self, t_f):
+        # -2 returned -110547.5, 0 raised ZeroDivisionError, inf OverflowError
+        with pytest.raises(ValueError, match="t_f"):
+            chain_control_cost(5, t_f)
+        with pytest.raises(ValueError, match="t_f"):
+            string_cost(12, 3, t_f)
 
     @pytest.mark.parametrize("t_f, lengths", [
         (2.0, [*range(1, 25), 40]),
