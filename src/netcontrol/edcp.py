@@ -26,9 +26,11 @@ for M* and the matching paths, and one flow solve for rmax(m), the flow
 cover at M* and the m-path cover.  r_size is an argument of
 `place`, so one request serves every EDCP and naive cell of a `bench` grid.
 
-Each pipeline run keeps its reduction loop's facts in one `_Reduction`:
+The reduction is one loop, `reduce_drivers`, over one state, `_Reduction`:
 every stem's release records and merge price, and every simulated release.
-A step recomputes only what it changed: a merge re-prices the one stem it
+Each step takes the cheapest merge from the kept prices, weighs it against
+the cheapest release, applies the cheaper and gives up one driver.  A step
+recomputes only what it changed: a merge re-prices the one stem it
 rewrites, a release the stems it touches, and a release is simulated again
 only when an entry it reads has changed.  The choices are the ones
 re-pricing everything at every step makes, bit for bit.
@@ -36,6 +38,7 @@ re-pricing everything at every step makes, bit for bit.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass, field
@@ -202,19 +205,26 @@ def assign_drivers(stems: list[Stem], plan: list[int], r_size: int | None = None
     """Walk the division plan over the stems, placing one driver per quota.
 
     Each quota goes to the stem with the longest undivided part (ties: lowest
-    stem index).  A quota consumes nodes from the front of the undivided part
-    but never across a junction; a junction-terminated run shorter than the
-    quota is skipped outright (its nodes go uncontrolled) when the remaining
-    material still reaches r_size, otherwise it is kept as a short segment.
+    stem index), the top of a heap.  A quota consumes nodes from the front of
+    the undivided part but never across a junction; a junction-terminated run
+    shorter than the quota is skipped outright (its nodes go uncontrolled)
+    when the remaining material still reaches r_size, otherwise it is kept as
+    a short segment.
     After the plan, whole runs are consumed until r_size nodes are covered.
     """
     if r_size is None:
         r_size = sum(plan)
     nc = sum(len(seg) for stem in stems for seg in stem.segments)
     capacity = sum(stem.undivided_len for stem in stems)
+    # (-undivided length, index): the top is the stem each quota goes to, and
+    # only that stem changes, so only it goes back in
+    heap = [(-stem.undivided_len, i) for i, stem in enumerate(stems)]
+    heapq.heapify(heap)
 
-    def place(stem: Stem, budget: int) -> int:
+    def place(budget: int) -> None:
         nonlocal nc, capacity
+        i = heap[0][1]
+        stem = stems[i]
         while stem.undivided_len > 0:
             start = stem.undivided_start
             end = stem.run_end(start)
@@ -229,22 +239,19 @@ def assign_drivers(stems: list[Stem], plan: list[int], r_size: int | None = None
             stem.undivided_start = start + take
             nc += take
             capacity -= take
-            return take
-        return 0
+            break
+        heapq.heapreplace(heap, (-stem.undivided_len, i))
 
     for quota in plan:
-        pick = max(range(len(stems)), key=lambda i: (stems[i].undivided_len, -i))
-        if stems[pick].undivided_len == 0:
+        if heap[0][0] == 0:
             break
-        place(stems[pick], quota)
+        place(quota)
     # leftover rounds keep consuming one quota's worth at a time
     tail_quota = min(plan) if plan else 1
     while nc < r_size:
-        pick = max(range(len(stems)), key=lambda i: (stems[i].undivided_len, -i))
-        stem = stems[pick]
-        if stem.undivided_len == 0:
+        if heap[0][0] == 0:
             raise CoverInfeasibleError(f"cover exhausted at {nc} < {r_size} controlled nodes")
-        place(stem, tail_quota)
+        place(tail_quota)
     return stems
 
 
@@ -262,53 +269,31 @@ def _merge_price(stem: Stem, blocks: list[list[int]], t_f: float) -> tuple[float
     return _plus(cost_less, -cost_now), alloc
 
 
-def _merge_step(
-    stems: list[Stem], t_f: float, prices: list[tuple[float, list[int]] | None] | None = None
-) -> tuple[float, int, list[int]] | None:
-    """Cheapest way to give up one driver by merging inside a stem.
-
-    Returns (cost increase, stem index, per-block driver allocation), or
-    None when no stem has a block with a driver to spare.  Ties on the cost
-    increase resolve to the later stem.  prices[i], when given, is
-    `_merge_price` of stems[i] as it stands: the reduction loop keeps them
-    in `_Reduction` and re-prices a stem only when a step rewrites it.
-    Without them every stem is priced here.
-    """
-    if prices is None:
-        prices = [_merge_price(stem, stem.controlled_blocks(), t_f) for stem in stems]
-    best = None
-    for idx, price in enumerate(prices):
-        if price is not None and (best is None or price[0] <= best[0]):
-            best = (price[0], idx, price[1])
-    return best
-
-
 def reduce_drivers(
-    stems: list[Stem], m: int, t_f: float = 2.0, *, step: tuple[float, int, list[int]] | None = None
+    stems: list[Stem], m: int, t_f: float = 2.0, *, red: _Reduction | None = None
 ) -> list[Stem]:
-    """Release surplus drivers where the cost increase is least.
+    """Give up surplus drivers one at a time, each where the chain estimate grows least.
 
-    Removing a driver from a stem re-spreads its remaining drivers evenly
-    over that stem's controlled blocks (never across junctions).  Ties on
-    the cost increase resolve to the later stem.  `step`, if given, is
-    `_merge_step(stems, t_f)` for the stems as they stand; the first merge
-    applies it instead of pricing it again.
+    A merge re-spreads a stem's remaining drivers evenly over its controlled
+    blocks (never across junctions); the cheapest goes, ties to the later
+    stem.  red, when given, is the pipeline's state over the graph: there a
+    release (`_release_step`) goes instead when it is cheaper, or when no
+    stem can merge, which sets red.released_when_stuck.  Without it the
+    stems are reduced alone, by merges at horizon t_f.  Each step gives up
+    exactly one driver.
     """
-    while sum(stem.driver_count for stem in stems) > m:
-        if step is None:
-            step = _merge_step(stems, t_f)
-        if step is None:
+    if red is None:
+        red = _Reduction(None, stems, t_f=t_f)
+    for _ in range(sum(stem.driver_count for stem in stems) - m):
+        merge = red.merge()
+        release = _release_step(red, merge[0] if merge else math.inf) if red.succ else None  # no graph, no release
+        if release is not None:
+            red.released_when_stuck = red.released_when_stuck or merge is None
+            red.apply_release(release)
+        elif merge is None:
             raise CoverInfeasibleError("no stem can give up a driver")
-        _, idx, alloc = step
-        stem = stems[idx]
-        blocks = stem.controlled_blocks()
-        stem.segments = []
-        for block, d_block in zip(blocks, alloc):
-            pos = 0
-            for part in even_division(len(block), d_block):
-                stem.segments.append(block[pos:pos + part])
-                pos += part
-        step = None
+        else:
+            red.apply_merge(merge[1])
     return stems
 
 
@@ -327,15 +312,15 @@ class _Release:
 
 
 class _Reduction:
-    """What the reduction loop knows about one pipeline's stems, kept step by step.
+    """The state of one reduction (`reduce_drivers`), kept step by step.
 
     Per stem i: records[i], each segment of a controlled block with whether
     it may grow at its tail (it ends its block) and at its head (it is alone
     in its block), and prices[i], its `_merge_price`.  Over all stems: tails
     and heads map a node to the segment that may grow there (at its last
-    and at its first node), order gives each segment its place in the
-    stems' record order (the tie rule of a regrowth), and free holds the
-    nodes no segment controls.
+    and at its first node), order gives each segment its stem and its place
+    in the stems' record order (the tie rule of a regrowth), and free holds
+    the nodes no segment controls.
 
     A merge rewrites one stem, and a release the released stem and those
     that lose a grown segment, and adds a stem per grown segment; `refresh`
@@ -347,11 +332,15 @@ class _Reduction:
     an outcome is dropped when its segment goes, when free changes, or when
     an entry changes at a node next to free or next to its segment
     (readers).  A merge leaves free alone.
+
+    req gives the graph a release regrows through, and the horizon; without
+    it the state has no graph (succ is empty) and prices merges alone, at t_f.
     """
 
-    def __init__(self, req: _Request, stems: list[Stem], r_size: int):
-        self.succ, self.pred, self.t_f = req.succ, req.pred, req.t_f
+    def __init__(self, req: _Request | None, stems: list[Stem], r_size: int = 0, t_f: float = 2.0):
+        self.succ, self.pred, self.t_f = (req.succ, req.pred, req.t_f) if req is not None else ([], [], t_f)
         self.stems, self.r_size = stems, r_size
+        self.released_when_stuck = False  # a release went where no stem could merge
         self.records: list[list[tuple[list[int], bool, bool]]] = []
         self.prices: list[tuple[float, list[int]] | None] = []
         self.tails: dict[int, list[int]] = {}
@@ -420,13 +409,38 @@ class _Reduction:
             self.outcomes.clear()
             self.readers.clear()
 
+    def merge(self) -> tuple[float, int] | None:
+        """The cheapest merge, (price, stem index), ties to the later stem; None when no stem can merge."""
+        best = None
+        for i, price in enumerate(self.prices):
+            if price is not None and (best is None or price[0] <= best[0]):
+                best = (price[0], i)
+        return best
+
+    def apply_merge(self, i: int) -> None:
+        """Re-spread stems[i]'s drivers, one fewer, as its price allocates them."""
+        stem = self.stems[i]
+        blocks = stem.controlled_blocks()
+        stem.segments = []
+        for block, d_block in zip(blocks, self.prices[i][1]):
+            pos = 0
+            for part in even_division(len(block), d_block):
+                stem.segments.append(block[pos:pos + part])
+                pos += part
+        self.refresh([i])
+
     def apply_release(self, release: _Release) -> None:
-        """`_apply_release`, then refresh the stems it touched and the free set."""
-        order = self.order
-        touched = {order[id(release.released)][0], *(order[id(old)][0] for old, _ in release.grown)}
-        start = len(self.stems)
-        _apply_release(self.stems, release)
-        self.refresh([*sorted(touched), *range(start, len(self.stems))])
+        """Drop the released segment, move every grown segment to a stem of its own, and refresh."""
+        stems = self.stems
+        touched = set()
+        for seg in (release.released, *(old for old, _ in release.grown)):
+            i = self.order[id(seg)][0]
+            stems[i].segments = [other for other in stems[i].segments if other is not seg]
+            touched.add(i)
+        start = len(stems)
+        stems.extend(Stem(nodes=tuple(nodes), undivided_start=len(nodes), segments=[list(nodes)])
+                     for _, nodes in release.grown)
+        self.refresh([*sorted(touched), *range(start, len(stems))])
         grown = {v for _, nodes in release.grown for v in nodes}
         self.update_free({v for v in (*self.free, *release.released) if v not in grown})
 
@@ -541,24 +555,9 @@ def _release_step(red: _Reduction, bound: float) -> _Release | None:
     return best
 
 
-def _apply_release(stems: list[Stem], release: _Release) -> None:
-    """Drop the released segment; move every grown segment to its own stem."""
-    def detach(seg: list[int]) -> None:
-        for stem in stems:
-            for k, other in enumerate(stem.segments):
-                if other is seg:
-                    del stem.segments[k]
-                    return
-
-    detach(release.released)
-    for old, nodes in release.grown:
-        detach(old)
-        stems.append(Stem(nodes=tuple(nodes), undivided_start=len(nodes), segments=[list(nodes)]))
-
-
 def _split_for_extra_drivers(stems: list[Stem], m: int) -> list[Stem]:
     """Add drivers by halving the longest segments until m drivers exist."""
-    while sum(stem.driver_count for stem in stems) < m:
+    for _ in range(m - sum(stem.driver_count for stem in stems)):
         best = None
         for stem in stems:
             for k, seg in enumerate(stem.segments):
@@ -581,11 +580,8 @@ def trim_to_r(stems: list[Stem], r_size: int, longest_first: bool = True) -> lis
     longest_first=False the shortest multi-node segments shed nodes instead
     (used by the no-division baseline, which keeps its long paths).
     """
-    def nc() -> int:
-        return sum(len(seg) for stem in stems for seg in stem.segments)
-
     sign = -1 if longest_first else 1
-    while nc() > r_size:
+    for _ in range(sum(len(seg) for stem in stems for seg in stem.segments) - r_size):
         best = None
         for stem in stems:
             for seg in stem.segments:
@@ -788,29 +784,21 @@ class _Request:
     def pipeline(self, cover: PathCover, r_size: int, naive: bool) -> tuple[list[Stem], bool]:
         """Assign, reduce, split and trim one cover into m segments.
 
-        Each surplus driver goes by the cheaper (in chain estimate) of a merge
-        inside a stem and a release with regrowth elsewhere; where no stem can
-        merge, a stuck release goes if one exists.  Returns the stems and
-        whether one did; up to the first, the run is the one that refuses them.
+        The reduction (`reduce_drivers` on a `_Reduction` over the graph)
+        gives up each surplus driver by the cheaper (in chain estimate) of a
+        merge inside a stem and a release with regrowth elsewhere; where no
+        stem can merge, a stuck release goes if one exists.  Returns the stems
+        and whether one did; up to the first, the run is the one that refuses
+        them.
         """
         m = self.m
         stems = merge_cycles(cover)
         assign_drivers(stems, [r_size] * m if naive else even_division(r_size, m), r_size=r_size)
-        released_when_stuck = False
         red = _Reduction(self, stems, r_size)
-        while (count := sum(stem.driver_count for stem in stems)) > m:
-            merge = _merge_step(stems, self.t_f, red.prices)
-            release = _release_step(red, merge[0] if merge else math.inf)
-            if release is not None:
-                released_when_stuck = released_when_stuck or merge is None
-                red.apply_release(release)
-            else:
-                reduce_drivers(stems, count - 1, self.t_f, step=merge)
-                red.refresh([merge[1]])
-        if sum(stem.driver_count for stem in stems) < m:
-            _split_for_extra_drivers(stems, m)
+        reduce_drivers(stems, m, self.t_f, red=red)
+        _split_for_extra_drivers(stems, m)
         trim_to_r(stems, r_size, longest_first=not naive)
-        return stems, released_when_stuck
+        return stems, red.released_when_stuck
 
     def result(self, segments: list[tuple[int, ...]], fallback: str | None, refine: bool) -> EdcpResult:
         e_exact = None

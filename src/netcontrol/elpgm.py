@@ -35,7 +35,7 @@ import numpy as np
 
 from .edcp import CoverInfeasibleError, _Request
 from .graph import DirectedGraph
-from .lti import ControlPlacement, UncontrollableError, _Steering, _check_horizon, _van_loan
+from .lti import ControlPlacement, UncontrollableError, _as_matrix, _Steering, _check_horizon, _van_loan
 
 _PROJECTION_RETRIES = 20
 _INIT_ATTEMPTS = 20
@@ -357,8 +357,10 @@ def elpgm_optimize(
     Freezing update_b or update_c recovers the single-variable variants.
     """
     cfg = cfg or ElpgmConfig()
-    a = np.asarray(a, dtype=float)
+    a = _as_matrix(a, "A")
     n = a.shape[0]
+    if a.shape[1] != n:
+        raise ValueError("A must be square")
     if not (1 <= m <= r_size <= n):
         raise ValueError(f"need 1 <= m <= r_size <= n, got m = {m}, r_size = {r_size}, n = {n}")
     seed_seq = np.random.SeedSequence(cfg.seed)

@@ -114,11 +114,17 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def mat_exp(a: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """e^(A t) by scaling-and-squaring with Pade approximants."""
+    """e^(A t) by scaling-and-squaring with Pade approximants; t and A t must be finite."""
     a = _as_matrix(a, "A")
     if a.shape[0] != a.shape[1]:
         raise ValueError("A must be square")
-    return expm(a * t)
+    if not -inf < t < inf:  # NaN fails both comparisons
+        raise ValueError(f"t must be finite, got {t}")
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        at = a * t
+    if not np.all(np.isfinite(at)):
+        raise ValueError("A t has non-finite entries")
+    return expm(at)
 
 
 def _pade_table():

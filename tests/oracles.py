@@ -17,9 +17,11 @@ import numpy as np
 from netcontrol.lti import ControlPlacement, UncontrollableError, control_cost_matrices
 
 
-def best_cover_size(n: int, edge_set: set[tuple[int, int]], m: int) -> int:
-    """Maximum nodes covered by exactly m vertex-disjoint paths plus any
-    number of vertex-disjoint cycles, by exhaustive search (n <= 6)."""
+def best_cover_sizes(n: int, edge_set: set[tuple[int, int]]) -> list[int]:
+    """best[m] for m = 0..n: maximum nodes covered by exactly m vertex-disjoint
+    paths plus any number of vertex-disjoint cycles, by one exhaustive search
+    (n <= 6).  Each set of paths, taken in order of their heads, is visited
+    once, and counts for its number of paths."""
     adj = [[] for _ in range(n)]
     for s, d in edge_set:
         adj[s].append(d)
@@ -44,21 +46,16 @@ def best_cover_size(n: int, edge_set: set[tuple[int, int]], m: int) -> int:
         dfs(v, frozenset({v}))
         return best
 
-    best = -1
+    best = [-1] * (n + 1)
 
     def paths(avail: frozenset[int], k: int, covered: int, min_head: int):
-        nonlocal best
-        if k == 0:
-            best = max(best, covered + cycle_max(tuple(sorted(avail))))
-            return
-        if len(avail) < k:
-            return
+        best[k] = max(best[k], covered + cycle_max(tuple(sorted(avail))))
         for head in sorted(avail):
             if head < min_head:
                 continue
 
             def extend(path: list[int]):
-                paths(avail - set(path), k - 1, covered + len(path), head + 1)
+                paths(avail - set(path), k + 1, covered + len(path), head + 1)
                 for w in adj[path[-1]]:
                     if w in avail and w not in path:
                         path.append(w)
@@ -67,7 +64,7 @@ def best_cover_size(n: int, edge_set: set[tuple[int, int]], m: int) -> int:
 
             extend([head])
 
-    paths(frozenset(range(n)), m, 0, 0)
+    paths(frozenset(range(n)), 0, 0, 0)
     return best
 
 
@@ -429,16 +426,21 @@ def residual_has_negative_cycle(fn, flow) -> bool:
 
 def all_digraphs_up_to_iso(n: int) -> list[set[tuple[int, int]]]:
     """Representatives of all non-isomorphic digraphs on n nodes (loops
-    excluded), by vectorized canonical-form deduplication."""
+    excluded), by vectorized canonical-form deduplication.  A relabelling
+    moves each arc bit on its own, so a code's image is the OR of the images
+    of its 10-bit chunks, each read from a table of that chunk's values."""
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     pos = {pq: k for k, pq in enumerate(pairs)}
     codes = np.arange(1 << len(pairs), dtype=np.int64)
+    chunks = [(lo, min(lo + 10, len(pairs))) for lo in range(0, len(pairs), 10)]
+    values = [(codes >> lo) & ((1 << (hi - lo)) - 1) for lo, hi in chunks]
     canon = codes.copy()
     for perm in itertools.permutations(range(n)):
+        image = np.array([1 << pos[(perm[i], perm[j])] for i, j in pairs], dtype=np.int64)
         mapped = np.zeros_like(codes)
-        for k, (i, j) in enumerate(pairs):
-            bit = (codes >> k) & 1
-            mapped |= bit << pos[(perm[i], perm[j])]
+        for (lo, hi), value in zip(chunks, values):
+            chunk_bits = (np.arange(1 << (hi - lo))[:, None] >> np.arange(hi - lo)) & 1
+            mapped |= (chunk_bits @ image[lo:hi])[value]
         np.minimum(canon, mapped, out=canon)
     reps = np.nonzero(canon == codes)[0]
     out = []

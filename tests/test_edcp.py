@@ -167,8 +167,8 @@ class TestReduce:
         # 50-node segments into one 100-node segment costs inf - inf, which
         # was NaN and lost every later `delta <= best` comparison
         module = importlib.import_module("netcontrol.edcp")
-        stems = [Stem(nodes=tuple(range(100)), segments=[list(range(50)), list(range(50, 100))])]
-        assert module._merge_step(stems, 0.05)[0] == math.inf
+        stem = Stem(nodes=tuple(range(100)), segments=[list(range(50)), list(range(50, 100))])
+        assert module._merge_price(stem, stem.controlled_blocks(), 0.05)[0] == math.inf
         assert module._plus(math.inf, -math.inf) == math.inf
         assert module._plus(1.5, -0.5) == 1.0
 
@@ -227,19 +227,19 @@ class TestEdcpEndToEnd:
         # release between two of them is priced inf, never inf - inf = NaN
         module = importlib.import_module("netcontrol.edcp")
         prices = []
-        real_merge, real_release = module._merge_step, module._release_step
+        real_merge, real_release = module._merge_price, module._release_step
 
         def merge(*args):
-            step = real_merge(*args)
-            prices.append(None if step is None else step[0])
-            return step
+            price = real_merge(*args)
+            prices.append(None if price is None else price[0])
+            return price
 
         def release(*args):
             step = real_release(*args)
             prices.append(None if step is None else step.delta)
             return step
 
-        monkeypatch.setattr(module, "_merge_step", merge)
+        monkeypatch.setattr(module, "_merge_price", merge)
         monkeypatch.setattr(module, "_release_step", release)
         edges = [(i, i + 1) for i in range(99)] + [(100 + i, 101 + i) for i in range(29)] + [(129, 50)]
         g = DirectedGraph(130, tuple((s, d, 1.0) for s, d in edges))
@@ -271,19 +271,39 @@ class TestEdcpEndToEnd:
                 place(fig8_graph(), 4, 12, t_f)
 
     def test_each_merge_step_evaluated_once(self, monkeypatch):
-        # every pass of the reduction loop prices the merges once and then
-        # applies either that merge (through reduce_drivers) or a release
+        # every step of the reduction loop looks up the cheapest merge once
+        # and then applies either that merge or a release
         module = importlib.import_module("netcontrol.edcp")  # `netcontrol.edcp` is the function
         calls = Counter()
-        for name in ("_merge_step", "reduce_drivers", "_apply_release"):
-            def counted(*args, _name=name, _orig=getattr(module, name), **kwargs):
+        for name in ("merge", "apply_merge", "apply_release"):
+            def counted(*args, _name=name, _orig=getattr(module._Reduction, name)):
                 calls[_name] += 1
-                return _orig(*args, **kwargs)
+                return _orig(*args)
 
-            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(module._Reduction, name, counted)
         edcp(generate_er(60, 4.0, 0), 13, 60)
-        assert calls["reduce_drivers"] > 0 and calls["_apply_release"] > 0
-        assert calls["_merge_step"] == calls["reduce_drivers"] + calls["_apply_release"]
+        assert calls["apply_merge"] > 0 and calls["apply_release"] > 0
+        assert calls["merge"] == calls["apply_merge"] + calls["apply_release"]
+
+    def test_stuck_reduction_prices_no_stem_again(self, monkeypatch):
+        # ER n=25 seed 9 at M=8, R=25 is refused: two covers end in "no stem
+        # can give up a driver" after merges and releases.  The loop refuses
+        # on the prices it keeps, which it computed when steps rewrote a stem;
+        # it used to price every stem once more before refusing.
+        module = importlib.import_module("netcontrol.edcp")
+        priced, refreshed = [], []
+        real_price, real_refresh = module._merge_price, module._Reduction.refresh
+
+        def refresh(red, indices):
+            indices = list(indices)
+            refreshed.extend(indices)
+            real_refresh(red, indices)
+
+        monkeypatch.setattr(module, "_merge_price", lambda *args: priced.append(1) or real_price(*args))
+        monkeypatch.setattr(module._Reduction, "refresh", refresh)
+        with pytest.raises(CoverInfeasibleError, match="no stem can give up a driver"):
+            edcp(generate_er(25, 2.5, 9), 8, 25)
+        assert refreshed and len(priced) == len(refreshed)
 
     def test_each_stem_priced_by_one_allocation(self, monkeypatch):
         # one allocation run for d drivers also prices the stem at d - 1;

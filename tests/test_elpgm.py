@@ -301,6 +301,17 @@ class TestOptimize:
         assert matrices
         assert all(np.array_equal(m, a) for m in matrices)
 
+    @pytest.mark.parametrize("a, message", [
+        (np.ones(4), "A must be 2-D"),
+        (np.ones((3, 4)), "A must be square"),
+        (np.array([[0.0, 1.0], [np.nan, 0.0]]), "A has non-finite entries"),
+    ], ids=["1-d", "3x4", "nan"])
+    def test_bad_a_refused(self, a, message):
+        # refused as `gramian` refuses it, before the graph is built; a 1-D A
+        # raised "not enough values to unpack", a 3x4 one an edge endpoint out of range
+        with pytest.raises(ValueError, match=message):
+            elpgm_optimize(a, 1, 2)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ElpgmConfig(eta_b=0.0)

@@ -61,6 +61,16 @@ class TestMatExp:
         with pytest.raises(ValueError):
             mat_exp(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_refused(self, t):
+        # a NaN t gave an all-NaN matrix and a cast warning from the squaring count
+        with pytest.raises(ValueError, match="t must be finite"):
+            mat_exp(CHAIN2, t)
+
+    def test_overflowing_product_refused(self):
+        with pytest.raises(ValueError, match="A t has non-finite entries"):
+            mat_exp(np.array([[1e200, 0.0], [0.0, 1.0]]), 1e200)
+
     def test_every_pade_degree_matches_extended_precision(self):
         # 1-norms from 0 to 30 reach Pade degrees 3, 5, 7, 9 and 13 and up to
         # three squarings, one matrix per call and all in one stacked call
