@@ -245,6 +245,9 @@ class _Problem:
             list(itertools.combinations(range(n), m)) if math.comb(n, m) <= 64 else None
         )
         self._combo_cursor = 0
+        # the supports that can have an entry: per driver set, the r-sets of what it reaches
+        self.supports = math.inf if self.driver_combos is None else sum(
+            math.comb(int(self.reached(combo).sum()), r_size) for combo in self.driver_combos)
 
     def _reach_closure(self) -> np.ndarray:
         """Boolean n x n matrix whose row v marks the nodes v reaches, v included.
@@ -371,6 +374,8 @@ def elpgm_optimize(
         pass  # the restarts draw again; EDCP may still provide a start
     edcp_start = problem.edcp_start()
     for restart, child in enumerate(seed_seq.spawn(cfg.restarts)):
+        if len(problem.entries) == problem.supports:
+            break  # every support has its entry, so the best can no longer change
         rng = np.random.default_rng(child)
         if restart == 0 and edcp_start is not None:
             drivers, controlled = edcp_start  # one descent starts from EDCP's placement
@@ -393,7 +398,7 @@ def elpgm_optimize(
         e_b = e[:, :_PROJECTION_RETRIES * size_b].reshape(cfg.k_f, _PROJECTION_RETRIES, size_b)
         e_c = e[:, _PROJECTION_RETRIES * size_b:].reshape(cfg.k_f, _PROJECTION_RETRIES, size_c)
         k, window = 0, 1
-        while k < cfg.k_f:
+        while k < cfg.k_f and len(problem.entries) < problem.supports:
             # the iterate stays until a retry is accepted, so one pool serves
             # the window's iterates; retry i of each takes row i of each draw,
             # and a frozen variable keeps its nodes

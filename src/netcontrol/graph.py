@@ -218,8 +218,8 @@ def generate_er(n: int, mu: float, seed: int) -> DirectedGraph:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if mu < 0:
-        raise ValueError("mu must be >= 0")
+    if not 0 <= mu < math.inf:  # NaN fails both comparisons
+        raise ValueError("mu must be finite and >= 0")
     m = round(mu * n / 2)
     if m > n * (n - 1):
         raise ValueError(f"cannot place {m} directed edges on {n} nodes")

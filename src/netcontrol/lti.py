@@ -15,9 +15,9 @@ TAC 23(3), 1978): Z = exp(t_f [[A, B B^T], [0, -A^T]]) gives W = Z12 Z11^T
 and e^{A t_f} = Z11.  `_van_loan` computes Z by Pade scaling and squaring
 on the block-triangular structure with n x n numpy products only, never
 the 2n x 2n block; ELPGM's gradient integral calls it too.  `expm` runs
-the same Pade table on n x n matrices, one matrix or a whole stack per
-call: `mat_exp`, the pointwise input and the input samples of
-`drive_to_origin` use it.  The module needs numpy alone; scipy would cost
+the same Pade table on one n x n matrix: `mat_exp`, the pointwise input
+and the input samples of `drive_to_origin` use it, the last seven times
+per drive.  The module needs numpy alone; scipy would cost
 a CLI call more to import than its requests take, and its own OpenBLAS
 contended with numpy's on a small host.
 """
@@ -39,10 +39,6 @@ import numpy as np
 CONDITION_LIMIT = 1e12
 RANK_TOLERANCE = 1e-9
 _MIN_STEPS = 1000  # the fewest RK4 steps `simulate` takes
-# Floats in one stacked `expm` argument of `_input_samples` (2 MB): each of
-# its two groups of 64 exponentials is one call up to n = 64, and a larger
-# network's drive holds about 15 such arrays at a time, not 15 x 64 n^2.
-_STACK_FLOATS = 1 << 18
 
 
 def _check_horizon(t_f: float) -> None:
@@ -113,6 +109,11 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _as_state(x0, n: int) -> np.ndarray:
+    """x0 as n finite floats: a NaN start would report residual 0."""
+    return _as_matrix(np.reshape(x0, (1, n)), "x0")[0]
+
+
 def mat_exp(a: np.ndarray, t: float = 1.0) -> np.ndarray:
     """e^(A t) by scaling-and-squaring with Pade approximants; t and A t must be finite."""
     a = _as_matrix(a, "A")
@@ -162,22 +163,19 @@ _PADE = _pade_table()
 
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """e^A of one square matrix, or of each matrix in a stack of shape (k, n, n).
+    """e^A of one square matrix.
 
     Pade scaling and squaring (Higham 2005) on the `_PADE` table: the lowest
-    degree whose theta bounds every matrix's 1-norm, else degree 13 with
-    each matrix scaled by its own 2^-s to within theta_13.  With U and V
-    the odd and even parts of the Pade numerator, each Z solves
-    (V - U) Z = V + U and is squared s times.  A stack costs one batched
-    product per power and one batched solve, not one call per matrix.
+    degree whose theta bounds the 1-norm, else degree 13 with the matrix
+    scaled by 2^-s to within theta_13.  With U and V the odd and even parts
+    of the Pade numerator, Z solves (V - U) Z = V + U and is squared s times.
     """
-    n = a.shape[-1]
-    norms = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)  # 1-norm of each matrix
-    degree, theta, rows, identity = next((entry for entry in _PADE if norms.max() <= entry[1]), _PADE[-1])
-    squarings = np.ceil(np.log2(np.maximum(norms, theta) / theta)).astype(int)
-    m = a * np.ldexp(1.0, -squarings)[..., None, None]
+    norm = np.abs(a).sum(axis=0).max(initial=0.0)
+    degree, theta, rows, identity = next((entry for entry in _PADE if norm <= entry[1]), _PADE[-1])
+    squarings = int(np.ceil(np.log2(max(norm, theta) / theta)))
+    m = a * 2.0 ** -squarings
     powers = np.empty((rows.shape[1] + 1, *a.shape))  # I, M^2, M^4, ...
-    powers[0] = np.eye(n)
+    powers[0] = np.eye(a.shape[0])
     np.matmul(m, m, out=powers[1])
     for k in range(2, len(powers)):
         np.matmul(powers[k - 1], powers[1], out=powers[k])
@@ -190,8 +188,8 @@ def expm(a: np.ndarray) -> np.ndarray:
         w, v = polys
         u = m @ w
     z = np.linalg.solve(v - u, v + u)
-    for k in range(squarings.max(initial=0)):
-        z = np.where((squarings > k)[..., None, None], z @ z, z)
+    for _ in range(squarings):
+        z = z @ z
     return z
 
 
@@ -386,7 +384,7 @@ def optimal_input_function(
     b = placement.b_matrix(n)
     c = placement.c_matrix(n)
     t_f = placement.t_f
-    x0 = np.asarray(x0, dtype=float).reshape(n)
+    x0 = _as_state(x0, n)
     v = _Steering(a, b, c, t_f).costate(x0)
     at = a.T
 
@@ -439,6 +437,7 @@ def simulate(
     if a.shape != (n, n) or b.shape[0] != n:
         raise ValueError(f"A has shape {a.shape} and B {b.shape}: A must be square and B must have {n} rows")
     _check_horizon(t_f)
+    x0 = _as_state(x0, n)
     steps = max(int(steps), _MIN_STEPS)
     h = t_f / steps
     samples = np.empty((2 * steps + 1, width))
@@ -447,7 +446,7 @@ def simulate(
         if value.shape != (width,):  # samples[k] = value would broadcast it
             raise ValueError(f"u({k * h / 2}) has shape {value.shape}, not ({width},) for B's {width} columns")
         samples[k] = value
-    return _rk4(a, b, samples, np.asarray(x0, dtype=float).reshape(n), h, return_trajectory)
+    return _rk4(a, b, samples, x0, h, return_trajectory)
 
 
 def _rk4(a: np.ndarray, b: np.ndarray, samples: np.ndarray, x: np.ndarray, h: float,
@@ -477,25 +476,26 @@ def _input_samples(s: _Steering, v: np.ndarray, m: int) -> np.ndarray:
 
     u(t_k) = -B^T e^(A^T j delta) v with j = m - k and delta = t_f / m.
     Splitting j = q K + i with K = ceil(sqrt(m + 1)) gives
-    e^(A^T j delta) v = e^(A^T i delta) (e^(A^T q K delta) v): K powers and
-    floor(m / K) + 1 anchors replace one exponential per sample.  Each
-    group is computed stacked, in one `expm` call of at most _STACK_FLOATS
-    floats, or in several when n^2 times the group exceeds it.  Only the
-    (m + 1) x M samples are kept, never an (m + 1) x n trajectory.
+    e^(A^T j delta) v = e^(A^T i delta) (e^(A^T q K delta) v).  The K powers
+    come by recurrence from e^(A^T delta), and each anchor applies to v the
+    binary powers e^(A^T 2^b K delta) of q's bits b, lowest bit first:
+    1 + bit_length(floor(m / K)) exponentials in all.  Only the (m + 1) x M
+    samples are kept, never an (m + 1) x n trajectory.
     """
     delta = s.t_f / m
     block = isqrt(m) + 1  # ceil(sqrt(m + 1))
-    at = s.a.T
-    chunk = max(1, _STACK_FLOATS // at.size)
-
-    def exponentials(times):
-        return (expm(at * times[i:i + chunk, None, None]) for i in range(0, len(times), chunk))
-
-    anchors = np.concatenate([e @ v for e in exponentials(np.arange(m // block + 1) * block * delta)])
-    bt_powers = np.concatenate([s.b.T @ e for e in exponentials(np.arange(block) * delta)])
-    width = s.b.shape[1]
+    at, width = s.a.T, s.b.shape[1]
+    step = expm(at * delta)
+    bt_powers = [s.b.T]  # B^T e^(A^T i delta), i = 0..K-1
+    for _ in range(1, block):
+        bt_powers.append(bt_powers[-1] @ step)
+    q = np.arange(m // block + 1)
+    anchors = np.repeat(v[:, None], len(q), axis=1)  # column q becomes e^(A^T q K delta) v
+    for bit in range((m // block).bit_length()):
+        cols = np.flatnonzero(q >> bit & 1)
+        anchors[:, cols] = expm(at * ((1 << bit) * block * delta)) @ anchors[:, cols]
     # entry (i M + col, q) of the product is input col at j = q K + i
-    u = -(bt_powers.reshape(-1, at.shape[0]) @ anchors.T).reshape(block, width, -1).transpose(2, 0, 1)
+    u = -(np.vstack(bt_powers) @ anchors).reshape(block, width, -1).transpose(2, 0, 1)
     return u.reshape(-1, width)[m::-1]
 
 
@@ -507,17 +507,16 @@ def drive_to_origin(
     residual = ||C x(t_f)|| / ||C x0||, energy = int_0^tf u^T u dt.
 
     The input is sampled once on the RK4 grid t_k = k t_f / m, m =
-    2 max(steps, 1000) (step ends and midpoints), by the two-level split of
-    `_input_samples`: at steps=2000, 2 ceil(sqrt(4001)) - 1 = 127
-    exponentials per drive in two stacked `expm` calls (the Gramian and
-    e^(A t_f) come from `_van_loan`), where one per sample would take
-    8,004.  Each input sample is one power times one anchor, so no step
-    matrix is applied thousands of times to the input and its rounding does
-    not accumulate: the samples agree with `optimal_input_function` to
-    about 1e-12 relative.  The state is stepped by `simulate`'s RK4 step
-    map, Phi x + Gamma u, as RK4's stages stepped it.  The same samples feed
-    the step map (`_rk4`, directly) and the composite Simpson energy, so
-    Simpson uses the RK4 grid: m panels also for steps < 1000.
+    2 max(steps, 1000) (step ends and midpoints), by `_input_samples`: at
+    steps=2000, 7 `expm` calls per drive (the Gramian and e^(A t_f) come
+    from `_van_loan`), where one per sample would take 8,004.  Each sample
+    is a power of at most 63 recurrence steps times an anchor of at most
+    six products, so rounding does not accumulate over the grid: the
+    samples agree with `optimal_input_function` to about 1e-11 relative.
+    The state is stepped by `simulate`'s RK4 step map, Phi x + Gamma u, as
+    RK4's stages stepped it.  The same samples feed the step map (`_rk4`,
+    directly) and the composite Simpson energy, so Simpson uses the RK4
+    grid: m panels also for steps < 1000.
 
     In float64 the residual cannot fall below about eps * cond(C W C^T):
     the input is built from a solve with C W C^T.  A residual contract of
@@ -531,7 +530,7 @@ def drive_to_origin(
 
 def _drive(s: _Steering, x0: np.ndarray, steps: int = 2000) -> tuple[np.ndarray, float, float]:
     """drive_to_origin on an evaluated steering problem."""
-    x0 = np.asarray(x0, dtype=float).reshape(s.a.shape[0])
+    x0 = _as_state(x0, s.a.shape[0])
     steps = max(int(steps), _MIN_STEPS)
     m = 2 * steps
     delta = s.t_f / m

@@ -288,6 +288,27 @@ class TestOptimize:
         elpgm_optimize(generate_er(20, 3.0, 11).realized_adjacency(), 3, 10, ElpgmConfig(seed=0))
         assert counts["successors"] == 1
 
+    def test_descent_stops_once_every_support_has_an_entry(self, monkeypatch):
+        # on a directed 4-cycle each driver reaches every node, so (m, r) =
+        # (1, 2) has 4 C(4, 2) = 24 supports; once each has its entry the best
+        # can no longer change, and no further window is drawn
+        problems, seen = [], []
+        real_init, real_draw = netcontrol.elpgm._Problem.__init__, netcontrol.elpgm._draw
+
+        def init(self, *args):
+            real_init(self, *args)
+            problems.append(self)
+
+        monkeypatch.setattr(netcontrol.elpgm._Problem, "__init__", init)
+        monkeypatch.setattr(netcontrol.elpgm, "_draw",
+                            lambda *args: seen.append(len(problems[0].entries)) or real_draw(*args))
+        a = DirectedGraph(4, ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0))).randomized_adjacency(7)
+        _, cost = elpgm_optimize(a, 1, 2, ElpgmConfig(k_f=25, restarts=16, m1=3))
+        [problem] = problems
+        assert problem.supports == len(problem.entries) == 24
+        assert seen and max(seen) < 24
+        assert cost == brute_best_placement(a, 1, 2)[0]
+
     def test_edcp_start_evaluated_on_a(self, monkeypatch):
         # every nonzero of A is 1.0, so the graph ELPGM hands EDCP reads as
         # structural: EDCP's exact evaluations must still run on A itself

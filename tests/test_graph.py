@@ -184,6 +184,12 @@ class TestGenerateEr:
         with pytest.raises(ValueError):
             generate_er(0, 1, seed=0)
 
+    @pytest.mark.parametrize("mu", [-1.0, float("inf"), float("nan")])
+    def test_bad_mu(self, mu):
+        # inf raised OverflowError from round() and NaN a cast error
+        with pytest.raises(ValueError, match="mu must be finite and >= 0"):
+            generate_er(10, mu, seed=0)
+
 
 class TestGenerateBa:
     def test_edge_count_in_reference_band(self):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from netcontrol.edcp import string_cost
+from netcontrol.edcp import edcp, string_cost
 from netcontrol.graph import generate_ba, generate_er
 from netcontrol.lti import (
     CONDITION_LIMIT,
@@ -73,9 +73,8 @@ class TestMatExp:
 
     def test_every_pade_degree_matches_extended_precision(self):
         # 1-norms from 0 to 30 reach Pade degrees 3, 5, 7, 9 and 13 and up to
-        # three squarings, one matrix per call and all in one stacked call
-        # (degree 13, each matrix scaled by its own power of 2); measured: at
-        # most 1.8e-15 relative, 8 eps
+        # three squarings, one matrix per call; measured: at most 1.8e-15
+        # relative, 8 eps
         import mpmath
 
         from netcontrol.lti import expm
@@ -86,10 +85,9 @@ class TestMatExp:
         norms = np.array([0.0, 1e-3, 0.2, 0.9, 2.0, 5.0, 12.0, 30.0])
         with mpmath.workdps(40):
             want = [np.array(mpmath.expm(mpmath.matrix((a * s).tolist())).tolist(), dtype=float) for s in norms]
-        stacked = expm(a * norms[:, None, None])
-        for s, ref, got in zip(norms, want, stacked):
-            for value in (expm(a * s), got):
-                assert np.linalg.norm(value - ref) <= 50 * np.finfo(float).eps * np.linalg.norm(ref)
+        for s, ref in zip(norms, want):
+            got = expm(a * s)
+            assert np.linalg.norm(got - ref) <= 50 * np.finfo(float).eps * np.linalg.norm(ref)
 
 
 class TestGramian:
@@ -372,12 +370,19 @@ class TestOptimalInput:
 
 
 class TestDriveToOrigin:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_samples_match_pointwise_input(self, seed, monkeypatch):
+    @pytest.mark.parametrize("case", [0, 1, 2, 3, "er40-edcp"])
+    def test_samples_match_pointwise_input(self, case, monkeypatch):
+        # the path placements, by seed, and EDCP's (4, 20) placement on ER
+        # n=40 mu=4 seed 0, a network with cycles, as `verify` drives it
         import netcontrol.lti as lti
 
-        a, p = _path_placement(8, seed)
-        x0 = np.random.default_rng(seed).normal(size=8)
+        if case == "er40-edcp":
+            g = generate_er(40, 4, 0)
+            a, p = g.realized_adjacency(), edcp(g, 4, 20).placement
+            x0 = np.random.default_rng(0).normal(size=40)
+        else:
+            a, p = _path_placement(8, case)
+            x0 = np.random.default_rng(case).normal(size=8)
         seen = []
         rk4_orig = lti._rk4
 
@@ -394,38 +399,29 @@ class TestDriveToOrigin:
         want = np.array([u(k * h / 2) for k in range(4001)])  # every grid time, as simulate samples it
         assert np.abs(samples - want).max() <= 1e-10 * np.abs(want).max()
 
+    @pytest.mark.parametrize("x0", [[math.nan, 1.0], [1.0, math.inf]], ids=["nan", "inf"])
+    @pytest.mark.parametrize("call", [
+        lambda x0: drive_to_origin(CHAIN2, ControlPlacement((0,), (1,)), x0),
+        lambda x0: simulate(CHAIN2, np.array([[1.0], [0.0]]), lambda t: np.zeros(1), x0, 2.0),
+        lambda x0: optimal_input_function(CHAIN2, ControlPlacement((0,), (1,)), x0),
+    ], ids=["drive_to_origin", "simulate", "optimal_input_function"])
+    def test_non_finite_start_refused(self, call, x0):
+        # a NaN start drove to residual 0.0 with energy NaN: y0 > 0 is False for NaN
+        with pytest.raises(ValueError, match="x0 has non-finite entries"):
+            call(x0)
+
     def test_expm_calls_per_drive(self, monkeypatch):
         import netcontrol.lti as lti
 
         a, p = _path_placement(8, 0)
-        counts = []
+        shapes = []
         expm_orig = lti.expm
-        # a stacked call counts each matrix of its stack
-        monkeypatch.setattr(lti, "expm", lambda m: counts.append(int(np.prod(m.shape[:-2]))) or expm_orig(m))
+        monkeypatch.setattr(lti, "expm", lambda m: shapes.append(m.shape) or expm_orig(m))
         drive_to_origin(a, p, np.ones(8), steps=2000)
-        # two-level grid sampling: 64 powers and 63 anchors, 2 ceil(sqrt(4001))
-        # - 1 = 127 (8,004 pointwise), in one stacked call each; the Gramian
-        # and e^(A t_f) come from the Van Loan kernel
-        assert len(counts) == 2
-        assert sum(counts) == 127
-
-    def test_large_network_exponentiates_in_bounded_stacks(self, monkeypatch):
-        # a budget of 5 n^2 floats per stack, as a network of n = 228 has
-        # at the default budget: each group of 64 and 63 takes 13 calls
-        import netcontrol.lti as lti
-
-        a, p = _path_placement(8, 0)
-        s = lti._Steering(a, p.b_matrix(8), p.c_matrix(8), p.t_f)
-        v = s.costate(np.random.default_rng(0).normal(size=8))
-        one_stack = lti._input_samples(s, v, 4000)
-        sizes = []
-        expm_orig = lti.expm
-        monkeypatch.setattr(lti, "expm", lambda m: sizes.append(len(m)) or expm_orig(m))
-        monkeypatch.setattr(lti, "_STACK_FLOATS", 5 * 64)
-        samples = lti._input_samples(s, v, 4000)
-        assert len(sizes) == 26 and max(sizes) == 5 and sum(sizes) == 127
-        # each stack picks its Pade degree from its own largest norm
-        assert np.abs(samples - one_stack).max() <= 1e-12 * np.abs(one_stack).max()
+        # two-level grid sampling: the 64 powers by recurrence from one
+        # exponential, the 63 anchors from six binary powers (8,004 pointwise);
+        # the Gramian and e^(A t_f) come from the Van Loan kernel
+        assert shapes == [(8, 8)] * 7
 
 
 class TestSimulate:
