@@ -4,9 +4,11 @@ place drivers, verify placements, and run benchmark grids.
 Exit codes: 0 success; 1 usage or input error, a count, degree, seed,
 fraction or horizon out of range and a malformed placement file (also one
 naming a node twice) included; 2 refused request: sizes the graph cannot
-host, no EDCP cover, or no output-controllable placement; 3 numeric failure
-(numpy LinAlgError).  A `bench` cell without an exact cost reports the
-chain estimate and says so on stderr.
+host, no EDCP cover, or no output-controllable placement (a cost past the
+float range included); 3 numeric failure (numpy LinAlgError).  A `bench`
+cell without an exact cost reports the chain estimate and says so on
+stderr.  `verify --format json` writes a condition number past the float
+range as null.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .edcp import CoverInfeasibleError, EdcpResult, _Request, edcp
-from .elpgm import ElpgmConfig, elpgm_optimize
+from .elpgm import ElpgmConfig, _descend
 from .graph import (
     DirectedGraph,
     GraphFormatError,
@@ -111,11 +113,6 @@ def _size_refusal(m: int, r_size: int, n: int) -> str | None:
     return None
 
 
-def _elpgm(g: DirectedGraph, r_size: int, args) -> tuple[ControlPlacement, float]:
-    """ELPGM with the command's M, seed and horizon on g's realized adjacency."""
-    return elpgm_optimize(g.realized_adjacency(), args.m, r_size, ElpgmConfig(seed=args.seed, t_f=args.tf))
-
-
 def cmd_place(args) -> int:
     g = _load_graph(args.graph)
     r_size = args.r if args.fraction is None else _r_from_fraction(args.fraction, g.n)
@@ -123,9 +120,9 @@ def cmd_place(args) -> int:
     if reason is not None:
         raise ValueError(reason)
     if args.algo == "edcp":
-        result = edcp(g, args.m, r_size, args.tf)
+        result = edcp(g, args.m, r_size, args.tf)  # _Request(g, M, t_f).place(R); perfbench patches this name
     else:
-        placement, e_best = _elpgm(g, r_size, args)
+        placement, e_best = _descend(_Request(g, args.m, args.tf), r_size, ElpgmConfig(seed=args.seed))
         result = EdcpResult(placement, segments=None, e_estimate=None, e_exact=e_best)
     _write_out(result.to_json(g), args.out)
     return EXIT_OK
@@ -147,19 +144,17 @@ def cmd_verify(args) -> int:
                                      controlled=_node_ids(g, payload, "controlled"), t_f=args.tf)
     except (KeyError, TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         raise GraphFormatError(f"bad placement file: {exc}") from exc
-    a = g.realized_adjacency()
     report = {"controllable": True, "cost": None, "residual": None}
     try:
-        # one evaluation serves both the cost and the drive
-        s = _Steering(a, placement.b_matrix(g.n), placement.c_matrix(g.n), placement.t_f)
-        report["cost"] = s.cost()
+        s = _Steering.placed(g.realized_adjacency(), placement)  # serves both the cost and the drive
+        report["cost"] = s.cost
         x0 = np.random.default_rng(args.seed).normal(size=g.n)
         _, residual, _ = _drive(s, x0)
         report["residual"] = residual
     except UncontrollableError as exc:
         report["controllable"] = False
-        if exc.condition is not None:  # None: the rank test failed
-            report["condition"] = exc.condition
+        if exc.condition is not None:  # None: the rank test failed or the terms overflowed
+            report["condition"] = exc.condition if math.isfinite(exc.condition) else None
     if args.format == "json":
         _write_out(json.dumps(report, indent=2), args.out)
     else:
@@ -179,7 +174,7 @@ def cmd_bench(args) -> int:
         g = generate_ba(args.n, args.m_attach, args.seed)
         label = f"ba-n{args.n}-m{args.m_attach}"
     rows = ["network,n,edges,fraction,M,algorithm,E,wall_time_s"]
-    req = _Request(g, args.m, args.tf)  # one flow solve for every EDCP and naive cell
+    req = _Request(g, args.m, args.tf)  # one flow solve and one A for every cell
     for fraction in args.fractions:
         r_size = _r_from_fraction(fraction, g.n)
         for algo in args.algos:
@@ -206,7 +201,7 @@ def cmd_bench(args) -> int:
 def _bench_cost(req: _Request, algo: str, r_size: int, args, cell: str) -> float:
     """The cost bench cell `cell` reports for `algo` at R = r_size."""
     if algo == "elpgm":
-        return _elpgm(req.g, r_size, args)[1]
+        return _descend(req, r_size, ElpgmConfig(seed=args.seed))[1]
     res = req.place(r_size, naive=algo == "naive")
     if res.e_exact is None:
         print(f"netcontrol: {cell}: E is the chain estimate, no exact cost", file=sys.stderr)
@@ -324,12 +319,12 @@ def main(argv=None) -> int:
     except (GraphFormatError, FileNotFoundError, OSError) as exc:
         print(f"netcontrol: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except np.linalg.LinAlgError as exc:  # a ValueError, so caught before the refusals
+        print(f"netcontrol: numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (CoverInfeasibleError, UncontrollableError, ValueError) as exc:
         print(f"netcontrol: infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except np.linalg.LinAlgError as exc:
-        print(f"netcontrol: numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

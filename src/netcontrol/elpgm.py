@@ -18,11 +18,11 @@ accepts nothing, and only the rows that pass the reach test are looked up,
 in row order, up to the first accepted one.  Supports are keyed by node
 index, and B and C are built only for a support not evaluated before.
 
-Each `elpgm_optimize` call holds its (A, t_f) problem in one context,
-`_Problem`: EDCP's request (`edcp._Request`) on the graph of A's nonzeros,
-whose one flow solve's m-path cover seeds the starts and whose `place`
-gives the EDCP start, the reach closure, the support cache and the best
-placement, which the cache records as it evaluates each new support.
+The descent runs on an EDCP request (`edcp._Request`), built by
+`elpgm_optimize` on `DirectedGraph.from_adjacency(A)` or shared by the CLI
+among its algorithms: its flow solve's m-path cover seeds the starts and
+its `place` gives the EDCP start.  `_Problem` adds the reach closure, the
+support cache and the best placement, recorded as each new support is evaluated.
 """
 
 from __future__ import annotations
@@ -192,15 +192,14 @@ def _grad_c(s: _Steering) -> np.ndarray:
 
 
 class _Problem:
-    """One `elpgm_optimize` call's (A, t_f) problem, and what the call learns of it.
+    """One descent's problem, the request req at r_size, and what the descent learns of it.
 
-    req is EDCP's request on the graph of A's nonzeros (edges j -> i of
-    weight A[i, j]), evaluated on A; its graph, successor lists, m, t_f and
-    the one flow solve's rmax(m) and m-path cover are read from it.  Starts
-    are seeded from that cover: the canonical start puts drivers on the path
-    heads and controls path nodes first (head to tail), then cycle nodes;
-    randomized starts redraw the controlled set over the covered nodes and
-    eventually anything, so independent restarts explore genuinely different supports.
+    Its graph, successor lists, m, t_f, A and the one flow solve's rmax(m)
+    and m-path cover are read from req.  Starts are seeded from that cover:
+    the canonical start puts drivers on the path heads and controls path
+    nodes first (head to tail), then cycle nodes; randomized starts redraw
+    the controlled set over the covered nodes and eventually anything, so
+    independent restarts explore genuinely different supports.
     Controlled nodes are always drawn from the nodes the drafted drivers
     reach (a node no driver reaches cannot be steered), and candidates
     whose support does not evaluate are skipped.  What reaches what is read
@@ -211,20 +210,17 @@ class _Problem:
     driver and controlled nodes, is evaluated once, to (E, B's pool, C's
     pool): the projection's candidates and weights (`_pool`) on
     B - eta_b dE/dB and C^T - eta_c dE/dC^T, None for a frozen variable.
-    A support that is not output controllable or fails the conditioning
-    test evaluates to None.  One with a controlled node that no driver
+    A support that `_Steering` refuses (not output controllable, terms past
+    the float range, or failing the conditioning test) evaluates to None.  One with a controlled node that no driver
     reaches is never looked up, and has no entry: the starts draw only
     reached nodes, EDCP's start is checked, and the descent drops such rows
     of its draws unlooked-up.  best is the first cheapest support
     evaluated, as first drawn.
     """
 
-    def __init__(self, a: np.ndarray, m: int, r_size: int, cfg: ElpgmConfig, update_b: bool, update_c: bool):
-        n = a.shape[0]
-        rows, cols = np.nonzero(a)
-        edges = tuple(zip(cols.tolist(), rows.tolist(), a[rows, cols].tolist()))
-        self.req = _Request(DirectedGraph(n=n, edges=edges), m, cfg.t_f, a)
-        self.r_size, self.eta_b, self.eta_c = r_size, cfg.eta_b, cfg.eta_c
+    def __init__(self, req: _Request, r_size: int, cfg: ElpgmConfig, update_b: bool, update_c: bool):
+        n, m = req.g.n, req.m
+        self.req, self.r_size, self.eta_b, self.eta_c = req, r_size, cfg.eta_b, cfg.eta_c
         self.m1_b = cfg.margin_for(m, n) if update_b else None  # None: the variable is frozen
         self.m1_c = cfg.margin_for(r_size, n) if update_c else None
         self.closure = self._reach_closure()
@@ -284,16 +280,13 @@ class _Problem:
         return self.entries[key]
 
     def _evaluate(self, drivers: list[int], controlled: list[int]):
-        req = self.req
-        placement = ControlPlacement(drivers=tuple(drivers), controlled=tuple(controlled), t_f=req.t_f)
         try:
-            s = _Steering(req.a, placement.b_matrix(req.g.n), placement.c_matrix(req.g.n), req.t_f)
+            s = _Steering.placed(self.req.a, ControlPlacement(drivers, controlled, self.req.t_f))
         except UncontrollableError:
             return None
-        m = self.req.m
-        pool_b = None if self.m1_b is None else _pool(s.b - self.eta_b * _grad_b(s), m, self.m1_b)
+        pool_b = None if self.m1_b is None else _pool(s.b - self.eta_b * _grad_b(s), self.req.m, self.m1_b)
         pool_c = None if self.m1_c is None else _pool(s.c.T - self.eta_c * _grad_c(s), self.r_size, self.m1_c)
-        return s.cost(), pool_b, pool_c
+        return s.cost, pool_b, pool_c
 
     def _fresh_drivers(self, rng: np.random.Generator) -> list[int]:
         if self.driver_combos is not None:
@@ -361,13 +354,18 @@ def elpgm_optimize(
     """
     cfg = cfg or ElpgmConfig()
     a = _as_matrix(a, "A")
-    n = a.shape[0]
-    if a.shape[1] != n:
+    if a.shape[1] != a.shape[0]:
         raise ValueError("A must be square")
+    return _descend(_Request(DirectedGraph.from_adjacency(a), m, cfg.t_f, a), r_size, cfg, update_b, update_c)
+
+
+def _descend(req: _Request, r_size: int, cfg: ElpgmConfig, update_b: bool = True, update_c: bool = True):
+    """`elpgm_optimize` on a request: its graph, m, t_f and A (cfg.t_f is not read)."""
+    n, m = req.g.n, req.m
     if not (1 <= m <= r_size <= n):
         raise ValueError(f"need 1 <= m <= r_size <= n, got m = {m}, r_size = {r_size}, n = {n}")
     seed_seq = np.random.SeedSequence(cfg.seed)
-    problem = _Problem(a, m, r_size, cfg, update_b, update_c)
+    problem = _Problem(req, r_size, cfg, update_b, update_c)
     try:
         problem.draw(np.random.default_rng(seed_seq.spawn(1)[0]), 0)
     except UncontrollableError:
@@ -423,5 +421,4 @@ def elpgm_optimize(
     if problem.best is None:
         raise UncontrollableError("no controllable initialization found")
     drivers, controlled = problem.best
-    placement = ControlPlacement(drivers=tuple(drivers), controlled=tuple(controlled), t_f=cfg.t_f)
-    return placement, float(problem.best_e)
+    return ControlPlacement(tuple(drivers), tuple(controlled), req.t_f), float(problem.best_e)

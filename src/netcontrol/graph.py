@@ -105,6 +105,12 @@ class DirectedGraph:
             a[d, s] = w if weights is None else weights[k]
         return a
 
+    @classmethod
+    def from_adjacency(cls, a: np.ndarray) -> "DirectedGraph":
+        """Inverse of `adjacency`: an edge j -> i of weight A[i, j] per nonzero (-0.0 is none)."""
+        rows, cols = np.nonzero(a)
+        return cls(n=a.shape[0], edges=tuple(zip(cols.tolist(), rows.tolist(), a[rows, cols].tolist())))
+
     def randomized_adjacency(self, seed: int = DEFAULT_WEIGHT_SEED) -> np.ndarray:
         """Adjacency with weights redrawn uniformly from [0.5, 1.5].
 

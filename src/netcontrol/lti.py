@@ -327,11 +327,13 @@ class _Steering:
     """The shared terms of one steering problem (A, B, C, t_f).
 
     Computed once each, in this order: the output-controllability test, the
-    Gramian W and e^(A t_f) from one `_van_loan` call, G = C W C^T with its
-    conditioning guard, and X_f = e^(A t_f) e^(A^T t_f) on first use.  The
-    cost, its gradients and the minimum-energy input all derive from them.
-    Raises UncontrollableError where the cost is undefined; its condition
-    is None for a rank failure.
+    Gramian W and e^(A t_f) from one `_van_loan` call, G = C W C^T, its
+    conditioning guard, the cost E, and X_f = e^(A t_f) e^(A^T t_f) on
+    first use.  The cost, its gradients and the minimum-energy input all
+    derive from them.  Raises UncontrollableError where the cost is
+    undefined: e^(A t_f), W, G or E past the float range, or a guard that
+    fails; its condition is None where none was computed (a rank failure,
+    terms past the float range).
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray, t_f: float):
@@ -339,24 +341,33 @@ class _Steering:
         a, b, c = _as_matrix(a, "A"), _as_matrix(b, "B"), _as_matrix(c, "C")
         if not output_controllable(a, b, c):
             raise UncontrollableError("(A, B, C) is not output controllable")
-        w, e_tf = _gramian(a, b, t_f)
-        g = c @ w @ c.T
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite terms are refused below
+            w, e_tf = _gramian(a, b, t_f)
+            g = c @ w @ c.T
+        if not (np.isfinite(e_tf).all() and np.isfinite(w).all() and np.isfinite(g).all()):
+            raise UncontrollableError("e^(A t_f), W or C W C^T is past the float range")
         condition = float(np.linalg.cond(g))
         if not np.isfinite(condition) or condition >= CONDITION_LIMIT:
             raise UncontrollableError(
                 f"C W C^T condition {condition:.3e} exceeds {CONDITION_LIMIT:.0e}",
                 condition=condition,
             )
+        with np.errstate(over="ignore", invalid="ignore"):  # E = tr(G^-1 C e^(A t_f) e^(A^T t_f) C^T)
+            y = c @ e_tf
+            self.cost = float(np.trace(np.linalg.solve(g, y @ y.T)))
+        if not np.isfinite(self.cost):
+            raise UncontrollableError(f"the cost E = {self.cost} is past the float range")
         self.a, self.b, self.c, self.t_f, self.w, self.g, self.e_tf = a, b, c, t_f, w, g, e_tf
+
+    @classmethod
+    def placed(cls, a: np.ndarray, placement: ControlPlacement) -> "_Steering":
+        """The steering problem of a single-wire placement on A."""
+        a = _as_matrix(a, "A")
+        return cls(a, placement.b_matrix(a.shape[0]), placement.c_matrix(a.shape[0]), placement.t_f)
 
     @cached_property
     def x_f(self) -> np.ndarray:
         return self.e_tf @ self.e_tf.T
-
-    def cost(self) -> float:
-        """E = tr((C W C^T)^-1 C e^(A t_f) e^(A^T t_f) C^T)."""
-        y = self.c @ self.e_tf
-        return float(np.trace(np.linalg.solve(self.g, y @ y.T)))
 
     def costate(self, x0: np.ndarray) -> np.ndarray:
         """v = C^T (C W C^T)^-1 C e^(A t_f) x0; the input is -B^T e^(A^T (t_f - t)) v."""
@@ -365,7 +376,7 @@ class _Steering:
 
 def control_cost_matrices(a: np.ndarray, b: np.ndarray, c: np.ndarray, t_f: float) -> float:
     """Expected minimum steering energy for dense (not necessarily 0/1) B, C."""
-    return _Steering(a, b, c, t_f).cost()
+    return _Steering(a, b, c, t_f).cost
 
 
 def control_cost(a: np.ndarray, placement: ControlPlacement) -> float:
@@ -380,16 +391,12 @@ def optimal_input_function(
 ) -> Callable[[float], np.ndarray]:
     """The minimum-energy input u(t) steering y(t_f) to the origin."""
     a = _as_matrix(a, "A")
-    n = a.shape[0]
-    b = placement.b_matrix(n)
-    c = placement.c_matrix(n)
-    t_f = placement.t_f
-    x0 = _as_state(x0, n)
-    v = _Steering(a, b, c, t_f).costate(x0)
-    at = a.T
+    x0 = _as_state(x0, a.shape[0])
+    s = _Steering.placed(a, placement)
+    v = s.costate(x0)
 
     def u(t: float) -> np.ndarray:
-        return -b.T @ (expm(at * (t_f - t)) @ v)
+        return -s.b.T @ (expm(s.a.T * (s.t_f - t)) @ v)
 
     return u
 
@@ -523,9 +530,7 @@ def drive_to_origin(
     1e-6 therefore needs cond <~ 4e9, while CONDITION_LIMIT accepts
     placements up to 1e12; more integration steps do not help.
     """
-    a = _as_matrix(a, "A")
-    n = a.shape[0]
-    return _drive(_Steering(a, placement.b_matrix(n), placement.c_matrix(n), placement.t_f), x0, steps)
+    return _drive(_Steering.placed(a, placement), x0, steps)
 
 
 def _drive(s: _Steering, x0: np.ndarray, steps: int = 2000) -> tuple[np.ndarray, float, float]:

@@ -4,9 +4,18 @@ import math
 import pytest
 
 from netcontrol.cli import main
-from netcontrol.graph import parse_edge_list
+from netcontrol.elpgm import ElpgmConfig, elpgm_optimize
+from netcontrol.graph import generate_er, parse_edge_list, serialize_edge_list
 
 FIG8 = "1 2\n2 3\n3 4\n4 5\n6 7\n7 8\n8 9\n9 10\n11 12\n12 13\n13 11\n1 3\n14\n"
+# A = [[-1000, 0], [1000, 1000]]: driving node 0 to steer node 1 takes
+# e^(1000 t_f) terms, past the float range from t_f = 0.355 on
+OVERFLOW = "0 0 -1000\n0 1 1000\n1 1 1000\n"
+
+
+def _strict_json(text):
+    """text parsed as JSON without Infinity, -Infinity or NaN."""
+    return json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in JSON"))
 
 
 @pytest.fixture
@@ -138,6 +147,25 @@ class TestPlace:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, m, r, seed, t_f", [
+        (serialize_edge_list(generate_er(20, 3.0, 11)), 3, 10, 3, 2.0),
+        ("0 1 180\n1 0 180\n1 2 1\n", 1, 2, 0, 0.01),
+    ], ids=["unweighted", "weighted"])
+    def test_elpgm_places_on_the_realized_adjacency(self, tmp_path, text, m, r, seed, t_f):
+        # the command's one request carries g.realized_adjacency(), so place
+        # writes what elpgm_optimize returns on that matrix
+        graph, out = tmp_path / "g.txt", tmp_path / "p.json"
+        graph.write_text(text)
+        assert main(["place", str(graph), "--algo", "elpgm", "-M", str(m), "-R", str(r), "--seed", str(seed),
+                     "--tf", str(t_f), "--out", str(out)]) == 0
+        g = parse_edge_list(text)
+        placement, cost = elpgm_optimize(g.realized_adjacency(), m, r, ElpgmConfig(seed=seed, t_f=t_f))
+        ext = g.internal_to_external()
+        payload = _strict_json(out.read_text())
+        assert payload["drivers"] == [ext[v] for v in placement.drivers]
+        assert payload["controlled"] == [ext[v] for v in placement.controlled]
+        assert payload["E_exact"] == cost
+
     @pytest.mark.parametrize("algo", ["edcp", "elpgm"])
     def test_structural_refusal_is_infeasible(self, tmp_path, capsys, algo):
         # rmax(1) = 1 < 3 on three isolated nodes: both algorithms refuse alike
@@ -214,6 +242,36 @@ class TestVerify:
         assert report["controllable"] is False
         assert report["cost"] is None and report["residual"] is None
         assert report["condition"] >= 1e12
+
+    @pytest.mark.parametrize("graph_text, controlled, tf", [
+        (OVERFLOW, [1], "0.355"),  # E = inf: it verified, with residual 5.9e148
+        (OVERFLOW, [1], "0.358"),  # W holds inf: it wrote "condition": Infinity
+        (OVERFLOW, [1], "0.36"),  # W holds NaN: it failed with "SVD did not converge"
+        ("0 1\n1 2\n2 3\n3 4\n", [0, 1, 2, 3, 4], "1e-60"),  # finite, but cond(C W C^T) = inf
+    ], ids=["cost-inf", "gramian-inf", "gramian-nan", "condition-inf"])
+    def test_past_float_range_refused_in_strict_json(self, tmp_path, capsys, graph_text, controlled, tf):
+        graph, placement = tmp_path / "g.txt", tmp_path / "p.json"
+        graph.write_text(graph_text)
+        placement.write_text(json.dumps({"drivers": [0], "controlled": controlled}))
+        assert main(["verify", str(graph), str(placement), "--tf", tf, "--format", "json"]) == 2
+        report = _strict_json(capsys.readouterr().out)
+        assert report["controllable"] is False
+        assert report["cost"] is None and report["residual"] is None
+        assert report.get("condition") is None
+
+    def test_numeric_failure_exits_3(self, fig8_file, tmp_path, monkeypatch, capsys):
+        # numpy's LinAlgError is a ValueError, and was reported as a refusal (exit 2)
+        import numpy as np
+
+        placement = tmp_path / "p.json"
+        main(["place", fig8_file, "-M", "4", "-R", "12", "--out", str(placement)])
+
+        def solve(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        assert main(["verify", fig8_file, str(placement)]) == 3
+        assert "netcontrol: numeric failure: Singular matrix" in capsys.readouterr().err
 
     def test_placement_evaluated_once(self, fig8_file, tmp_path, monkeypatch, capsys):
         import netcontrol.lti as lti
@@ -431,19 +489,46 @@ class TestBench:
         assert f"fraction {bad!r} is not a number in (0, 1]" in capsys.readouterr().err
 
     def test_one_solver_per_grid(self, tmp_path, monkeypatch):
-        # every EDCP and naive cell of a grid places on one request; a
-        # request per cell built 14 solvers for these 7 fractions
+        # every cell of a grid, ELPGM's too, places on one request: one
+        # graph, one realized adjacency and one solver; a request per cell
+        # built 14 solvers for the EDCP and naive cells of these 7 fractions,
+        # and ELPGM's own requests 8 of each
         import netcontrol.flow
+        import netcontrol.graph
 
-        solvers = []
-        real = netcontrol.flow.SufficiencySolver.__init__
-        monkeypatch.setattr(netcontrol.flow.SufficiencySolver, "__init__",
-                            lambda self, g: solvers.append(g) or real(self, g))
+        built = {"solver": 0, "graph": 0, "adjacency": 0}
+
+        def counted(cls, name, key):
+            real = getattr(cls, name)
+
+            def wrapper(*args):
+                built[key] += 1
+                return real(*args)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counted(netcontrol.flow.SufficiencySolver, "__init__", "solver")
+        counted(netcontrol.graph.DirectedGraph, "__post_init__", "graph")
+        counted(netcontrol.graph.DirectedGraph, "realized_adjacency", "adjacency")
         out = tmp_path / "bench.csv"
-        assert main(["bench", "--network", "er", "--n", "40", "-M", "8", "--algos", "edcp,naive",
+        assert main(["bench", "--network", "er", "--n", "40", "-M", "8", "--algos", "edcp,naive,elpgm",
                      "--fractions", "0.4,0.5,0.6,0.7,0.8,0.9,1.0", "--out", str(out)]) == 0
-        assert len(out.read_text().strip().splitlines()) == 15
-        assert len(solvers) == 1
+        assert len(out.read_text().strip().splitlines()) == 22
+        assert built == {"solver": 1, "graph": 1, "adjacency": 1}
+
+    def test_cells_past_float_range_are_written(self, tmp_path, capsys):
+        # at t_f = 400 every exact cost is past the float range: the cells
+        # report the chain estimate, where the whole run exited 2 with
+        # "SVD did not converge"
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--network", "er", "--n", "20", "--mu", "3", "-M", "3", "--tf", "400",
+                     "--fractions", "0.5,1.0", "--out", str(out)]) == 0
+        rows = [row.split(",") for row in out.read_text().strip().splitlines()[1:]]
+        assert [row[3:7:2] for row in rows] == [["0.5", "edcp"], ["0.5", "naive"], ["1", "edcp"], ["1", "naive"]]
+        assert all(math.isfinite(float(row[6].replace("E", "e"))) for row in rows[:2])
+        err = capsys.readouterr().err
+        for algo in ("edcp", "naive"):
+            assert f"er-n20-mu3 fraction 0.5 {algo}: E is the chain estimate" in err
 
     def test_edcp_beats_naive_in_rows(self, tmp_path):
         out = tmp_path / "bench.csv"

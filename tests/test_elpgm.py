@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -194,25 +195,15 @@ class TestOptimize:
     def test_best_no_worse_than_initialization(self):
         g = generate_er(8, 2.5, seed=4)
         a = g.randomized_adjacency(4)
+        from netcontrol.edcp import _Request
         from netcontrol.elpgm import _Problem
 
-        drivers, controlled = _Problem(a, 2, 5, ElpgmConfig(), False, False).draw(np.random.default_rng(0), 0)
+        req = _Request(DirectedGraph.from_adjacency(a), 2, 2.0, a)
+        drivers, controlled = _Problem(req, 5, ElpgmConfig(), False, False).draw(np.random.default_rng(0), 0)
         start = ControlPlacement(drivers=tuple(drivers), controlled=tuple(controlled))
         e0 = control_cost_matrices(a, start.b_matrix(8), start.c_matrix(8), 2.0)
         _, e = elpgm_optimize(a, 2, 5, ElpgmConfig(k_f=15, restarts=3, seed=0))
         assert e <= e0 + 1e-12
-
-    def test_graph_holds_the_nonzeros_of_a(self):
-        # edge j -> i of weight A[i, j]; -0.0 is no edge, and node 2 has none in
-        a = np.array([[0.0, 1.0, 0.0, -0.0],
-                      [-2.5, 0.0, 0.0, 1.0],
-                      [0.0, 0.0, 0.0, 0.0],
-                      [1.0, -0.0, 3.0, 0.0]])
-        from netcontrol.elpgm import _Problem
-
-        graph = _Problem(a, 1, 1, ElpgmConfig(), False, False).req.g
-        assert graph.n == 4
-        assert graph.edges == ((0, 1, -2.5), (0, 3, 1.0), (1, 0, 1.0), (2, 3, 3.0), (3, 1, 1.0))
 
     def test_output_controllable_result(self):
         g = generate_er(8, 2.5, seed=4)
@@ -245,6 +236,25 @@ class TestOptimize:
         p_c, e_c = elpgm_optimize(a, 1, 4, cfg, update_b=False)
         assert len(p_b.drivers) == len(p_c.drivers) == 1
         assert e_b > 0 and e_c > 0
+
+    def test_support_past_float_range_skipped(self, monkeypatch):
+        # A = [[-1000, 0], [1000, 1000]] at t_f = 0.355: steering node 1 costs
+        # E = inf from either driver, so such a support evaluates to None
+        # (driver 0's was kept with cost inf) and node 0 steering itself is the best
+        problems = []
+        real_init = netcontrol.elpgm._Problem.__init__
+
+        def init(self, *args):
+            real_init(self, *args)
+            problems.append(self)
+
+        monkeypatch.setattr(netcontrol.elpgm._Problem, "__init__", init)
+        a = np.array([[-1000.0, 0.0], [1000.0, 1000.0]])
+        p, e = elpgm_optimize(a, 1, 1, ElpgmConfig(k_f=5, restarts=2, t_f=0.355))
+        assert (p.drivers, p.controlled) == ((0,), (0,)) and 0 < e < math.inf
+        [problem] = problems
+        assert problem.entries[((0,), (1,))] is None
+        assert problem.entries.get(((1,), (1,))) is None
 
     def test_infeasible_request(self):
         a = np.zeros((3, 3))  # no edges: one driver cannot cover 3 nodes
@@ -370,13 +380,12 @@ class TestOptimize:
             monkeypatch.setattr(netcontrol.lti, name, counted)
         evaluations = []
 
-        def steering(a, b, c, t_f, real=netcontrol.elpgm._Steering):
+        def placed(cls, a, placement, real=netcontrol.lti._Steering.placed.__func__):
             before = dict(calls)
             try:
-                return real(a, b, c, t_f)
+                return real(cls, a, placement)
             finally:
-                evaluations.append(((tuple(sorted(np.argmax(b, axis=0).tolist())),
-                                     tuple(sorted(np.argmax(c, axis=1).tolist()))),
+                evaluations.append(((tuple(sorted(placement.drivers)), tuple(sorted(placement.controlled))),
                                     calls["output_controllable"] - before["output_controllable"],
                                     calls["gramian"] - before["gramian"]))
 
@@ -390,7 +399,7 @@ class TestOptimize:
             finally:
                 calls["edcp_gramian"] += calls["gramian"] - before
 
-        monkeypatch.setattr(netcontrol.elpgm, "_Steering", steering)
+        monkeypatch.setattr(netcontrol.lti._Steering, "placed", classmethod(placed))
         monkeypatch.setattr(request, "place", place)
         for seed in (1, 4, 6):
             a = generate_er(12, 3.0, seed).realized_adjacency()

@@ -149,6 +149,19 @@ class TestInvariants:
         a = g.adjacency()
         assert a[1, 0] == 3.0 and a[0, 1] == 0.0
 
+    def test_from_adjacency_holds_the_nonzeros_of_a(self):
+        # edge j -> i of weight A[i, j]; -0.0 is no edge, and node 2 has none in
+        a = np.array([[0.0, 1.0, 0.0, -0.0],
+                      [-2.5, 0.0, 0.0, 1.0],
+                      [0.0, 0.0, 0.0, 0.0],
+                      [1.0, -0.0, 3.0, 0.0]])
+        graph = DirectedGraph.from_adjacency(a)
+        assert graph.n == 4
+        assert graph.edges == ((0, 1, -2.5), (0, 3, 1.0), (1, 0, 1.0), (2, 3, 3.0), (3, 1, 1.0))
+        assert np.array_equal(graph.adjacency(), a)
+        g = generate_er(20, 3.0, seed=1)
+        assert DirectedGraph.from_adjacency(g.adjacency()) == g
+
     def test_randomized_adjacency_range_and_determinism(self):
         g = generate_er(20, 3.0, seed=1)
         a1, a2 = g.randomized_adjacency(5), g.randomized_adjacency(5)
