@@ -23,8 +23,9 @@ merge) wins; failing that, the first that placed with one.
 Each (graph, m, t_f, A) is one context, `_Request`: the graph's successor
 and predecessor lists, the exact evaluations' matrix, one maximum matching
 for M* and the matching paths, and one flow solve for rmax(m), the flow
-cover at M* and the m-path cover.  r_size is an argument of
-`place`, so one request serves every EDCP and naive cell of a `bench` grid.
+cover at M* and the m-path cover.  r_size is an argument of `place`, so one
+request serves every EDCP and naive cell of a `bench` grid and keeps each
+placement and each exact cost, keyed by segment order (it moves E's last bits).
 
 The reduction is one loop, `reduce_drivers`, over one state, `_Reduction`:
 every stem's release records and merge price, and every simulated release.
@@ -695,15 +696,18 @@ class _Request:
     The exact evaluations run on ELPGM's A, whose nonzeros g holds, when
     given, else on g.realized_adjacency(), drawn on first use.  The
     adjacency lists, A, the matching and the covers are computed once and
-    kept for the request's life, since g, m, t_f and A never change; each
-    `pipeline` run keeps its reduction loop's facts in a `_Reduction` of
-    its own, which lives as long as the run.
+    kept for the request's life, since g, m, t_f and A never change, as are
+    each `place` result and exact cost (a float or None, never an n x n
+    `_Steering`; a refused `place` is not kept).  Each `pipeline` run keeps
+    its reduction loop's facts in a `_Reduction` of its own, for the run.
     """
 
     def __init__(self, g: DirectedGraph, m: int, t_f: float, a: np.ndarray | None = None):
         self.g, self.m, self.t_f = g, m, t_f
         self.succ, self.pred = g.successors(), g.predecessors()
         self._a = a
+        self.placed: dict[tuple[int, bool], EdcpResult] = {}  # (r_size, naive) -> its result
+        self.costs: dict[tuple[tuple[int, ...], ...], float | None] = {}  # ordered segments -> exact cost
 
     @cached_property
     def a(self) -> np.ndarray:
@@ -736,6 +740,8 @@ class _Request:
         cover that placed with one does.  naive gives the no-division baseline:
         the [r_size] * m plan, the shortest-first trim and no refine search.
         """
+        if (r_size, naive) in self.placed:
+            return self.placed[r_size, naive]
         g, m = self.g, self.m
         if not (1 <= r_size <= g.n):
             raise ValueError(f"r_size must be in [1, {g.n}], got {r_size}")
@@ -760,7 +766,7 @@ class _Request:
                 if exact is not None:
                     yield exact, "exact-paths"
 
-        stuck: tuple[list[tuple[int, ...]], str | None] | None = None
+        chosen: tuple[list[tuple[int, ...]], str | None] | None = None
         last_error: Exception | None = None
         for cand, fallback in candidates():
             if cand.size < r_size:
@@ -770,16 +776,16 @@ class _Request:
             except CoverInfeasibleError as exc:
                 last_error = exc
                 continue
-            segments = [tuple(seg) for stem in stems for seg in stem.segments if seg]
+            if chosen is None or not released_when_stuck:
+                chosen = ([tuple(seg) for stem in stems for seg in stem.segments if seg], fallback)
             if not released_when_stuck:
-                return self.result(segments, fallback, not naive)
-            if stuck is None:
-                stuck = (segments, fallback)
-        if stuck is not None:
-            return self.result(*stuck, not naive)
-        raise CoverInfeasibleError(
-            f"no ({m}-driver, {r_size}-node) placement found" + (f": {last_error}" if last_error else "")
-        )
+                break
+        if chosen is None:
+            raise CoverInfeasibleError(
+                f"no ({m}-driver, {r_size}-node) placement found" + (f": {last_error}" if last_error else "")
+            )
+        self.placed[r_size, naive] = self.result(*chosen, not naive)
+        return self.placed[r_size, naive]
 
     def pipeline(self, cover: PathCover, r_size: int, naive: bool) -> tuple[list[Stem], bool]:
         """Assign, reduce, split and trim one cover into m segments.
@@ -803,7 +809,7 @@ class _Request:
     def result(self, segments: list[tuple[int, ...]], fallback: str | None, refine: bool) -> EdcpResult:
         e_exact = None
         if self.g.n <= EXACT_EVAL_THRESHOLD:
-            e_exact = _exact_cost(self.a, segments, self.t_f)
+            e_exact = self.exact_cost(segments)
             if refine and self.g.n <= _REFINE_LIMIT:
                 segments, e_exact = self.refine(segments, e_exact)
         return EdcpResult(
@@ -813,6 +819,11 @@ class _Request:
             e_exact=e_exact,
             fallback=fallback,
         )
+
+    def exact_cost(self, segments: list[tuple[int, ...]]) -> float | None:
+        if (key := tuple(segments)) not in self.costs:
+            self.costs[key] = _exact_cost(self.a, segments, self.t_f)
+        return self.costs[key]
 
     def refine(
         self, segments: list[tuple[int, ...]], cost: float | None
@@ -835,7 +846,7 @@ class _Request:
                 best = None
                 for move in self.segment_moves(segments, k):
                     trial = [*segments[:k], move, *segments[k + 1:]]
-                    trial_cost = _exact_cost(self.a, trial, self.t_f)
+                    trial_cost = self.exact_cost(trial)
                     if trial_cost is not None and (best is None or trial_cost < best[0]):
                         best = (trial_cost, trial)
                 if best is not None and (cost is None or best[0] <= _REFINE_GAIN * cost):

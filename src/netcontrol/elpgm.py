@@ -20,9 +20,10 @@ index, and B and C are built only for a support not evaluated before.
 
 The descent runs on an EDCP request (`edcp._Request`), built by
 `elpgm_optimize` on `DirectedGraph.from_adjacency(A)` or shared by the CLI
-among its algorithms: its flow solve's m-path cover seeds the starts and
-its `place` gives the EDCP start.  `_Problem` adds the reach closure, the
-support cache and the best placement, recorded as each new support is evaluated.
+among its algorithms: its flow solve's m-path cover seeds the starts, and
+the EDCP start is the placement it keeps (on a `bench` grid, the EDCP
+cell's).  `_Problem` adds the reach closure, the support cache and the best
+placement, recorded as each new support is evaluated.
 """
 
 from __future__ import annotations
@@ -138,13 +139,14 @@ def grad_b(a: np.ndarray, b: np.ndarray, c: np.ndarray, t_f: float) -> np.ndarra
 
     The integral -2 int_0^tf e^(A^T t) P X_f P e^(A t) B dt (P = C^T G^-1 C,
     X_f = e^(A tf) e^(A^T tf), G = C W C^T) is evaluated exactly through the
-    block exponential of [[-A^T, Q], [0, A]].
+    block exponential of [[-A^T, Q], [0, A]].  Raises UncontrollableError
+    where `_Steering` refuses (A, B, C) or X_f is past the float range.
     """
     return _grad_b(_Steering(a, b, c, t_f))
 
 
 def _grad_b(s: _Steering) -> np.ndarray:
-    p = s.c.T @ np.linalg.solve(s.g, s.c)
+    p = s.c.T @ s.ginv_c
     q = p @ s.x_f @ p
     return -2.0 * _exp_weighted_integral(s.a, q, s.t_f) @ s.b
 
@@ -175,7 +177,8 @@ def grad_c(a: np.ndarray, b: np.ndarray, c: np.ndarray, t_f: float) -> np.ndarra
     N an orthonormal basis of null(C).  Expanding the product instead
     cancels two terms of the size of E; this form never forms them, and for
     square invertible C (where E = tr(W^-1 X_f) does not depend on C) it
-    returns exactly 0.
+    returns exactly 0.  Raises UncontrollableError where `_Steering` refuses
+    (A, B, C) or, unless C is square and invertible, X_f is past the float range.
     """
     return _grad_c(_Steering(a, b, c, t_f))
 
@@ -186,7 +189,7 @@ def _grad_c(s: _Steering) -> np.ndarray:
     null = vt[np.sum(sigma > sigma.max(initial=0.0) * max(c.shape) * np.finfo(float).eps):].T
     if null.shape[1] == 0:
         return np.zeros((c.shape[1], c.shape[0]))
-    ct_ginv = np.linalg.solve(s.g, c).T  # C^T G^-1, exploiting G symmetry
+    ct_ginv = s.ginv_c.T  # C^T G^-1, exploiting G symmetry
     projected = null.T - (null.T @ s.w @ ct_ginv) @ c  # N^T (I - W C^T G^-1 C)
     return 2.0 * null @ (projected @ s.x_f @ ct_ginv)
 
@@ -211,11 +214,14 @@ class _Problem:
     pool): the projection's candidates and weights (`_pool`) on
     B - eta_b dE/dB and C^T - eta_c dE/dC^T, None for a frozen variable.
     A support that `_Steering` refuses (not output controllable, terms past
-    the float range, or failing the conditioning test) evaluates to None.  One with a controlled node that no driver
-    reaches is never looked up, and has no entry: the starts draw only
-    reached nodes, EDCP's start is checked, and the descent drops such rows
-    of its draws unlooked-up.  best is the first cheapest support
-    evaluated, as first drawn.
+    the float range, or failing the conditioning test) evaluates to None.
+    One whose E is finite but whose X_f is past the float range keeps E
+    with no pools, so the descent does not step from it.  One with a
+    controlled node that no driver reaches is never looked up, and has no
+    entry: the starts draw only reached nodes, EDCP's start lies on paths
+    from its drivers, and the descent drops such rows of its draws
+    unlooked-up.  best is the first cheapest support evaluated, as first
+    drawn.
     """
 
     def __init__(self, req: _Request, r_size: int, cfg: ElpgmConfig, update_b: bool, update_c: bool):
@@ -284,8 +290,11 @@ class _Problem:
             s = _Steering.placed(self.req.a, ControlPlacement(drivers, controlled, self.req.t_f))
         except UncontrollableError:
             return None
-        pool_b = None if self.m1_b is None else _pool(s.b - self.eta_b * _grad_b(s), self.req.m, self.m1_b)
-        pool_c = None if self.m1_c is None else _pool(s.c.T - self.eta_c * _grad_c(s), self.r_size, self.m1_c)
+        try:
+            pool_b = None if self.m1_b is None else _pool(s.b - self.eta_b * _grad_b(s), self.req.m, self.m1_b)
+            pool_c = None if self.m1_c is None else _pool(s.c.T - self.eta_c * _grad_c(s), self.r_size, self.m1_c)
+        except UncontrollableError:  # X_f is past the float range: E stands, the gradients do not
+            return s.cost, None, None
         return s.cost, pool_b, pool_c
 
     def _fresh_drivers(self, rng: np.random.Generator) -> list[int]:
@@ -325,14 +334,12 @@ class _Problem:
         raise UncontrollableError("no controllable initialization found")
 
     def edcp_start(self) -> tuple[list[int], list[int]] | None:
-        """EDCP's placement on the same request, when it has one."""
+        """EDCP's placement kept by the request, when it has one; its paths start at their drivers."""
         try:
             placement = self.req.place(self.r_size).placement
         except CoverInfeasibleError:
             return None
         drivers, controlled = list(placement.drivers), list(placement.controlled)
-        if not self.reaches(np.array([drivers]), np.array([controlled]))[0]:
-            return None  # a zero row of the output controllability matrix
         return (drivers, controlled) if self.support(drivers, controlled) is not None else None
 
 

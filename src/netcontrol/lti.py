@@ -328,12 +328,13 @@ class _Steering:
 
     Computed once each, in this order: the output-controllability test, the
     Gramian W and e^(A t_f) from one `_van_loan` call, G = C W C^T, its
-    conditioning guard, the cost E, and X_f = e^(A t_f) e^(A^T t_f) on
-    first use.  The cost, its gradients and the minimum-energy input all
-    derive from them.  Raises UncontrollableError where the cost is
+    conditioning guard, the cost E, and, on first use, X_f = e^(A t_f)
+    e^(A^T t_f) and G^-1 C.  The cost, its gradients and the minimum-energy
+    input all derive from them.  Raises UncontrollableError where the cost is
     undefined: e^(A t_f), W, G or E past the float range, or a guard that
     fails; its condition is None where none was computed (a rank failure,
-    terms past the float range).
+    terms past the float range).  Reading x_f raises it too when X_f is past
+    the float range, although E may be finite: the gradients are undefined.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray, t_f: float):
@@ -367,7 +368,16 @@ class _Steering:
 
     @cached_property
     def x_f(self) -> np.ndarray:
-        return self.e_tf @ self.e_tf.T
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite X_f is refused below
+            x_f = self.e_tf @ self.e_tf.T
+        if not np.isfinite(x_f).all():
+            raise UncontrollableError("X_f = e^(A t_f) e^(A^T t_f) is past the float range")
+        return x_f
+
+    @cached_property
+    def ginv_c(self) -> np.ndarray:
+        """G^-1 C, read by both gradients."""
+        return np.linalg.solve(self.g, self.c)
 
     def costate(self, x0: np.ndarray) -> np.ndarray:
         """v = C^T (C W C^T)^-1 C e^(A t_f) x0; the input is -B^T e^(A^T (t_f - t)) v."""

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 
@@ -492,11 +493,13 @@ class TestBench:
         # every cell of a grid, ELPGM's too, places on one request: one
         # graph, one realized adjacency and one solver; a request per cell
         # built 14 solvers for the EDCP and naive cells of these 7 fractions,
-        # and ELPGM's own requests 8 of each
+        # and ELPGM's own requests 8 of each.  ELPGM's EDCP start is the EDCP
+        # cell's kept result: 14 results, where each ELPGM cell placed again (21)
         import netcontrol.flow
         import netcontrol.graph
 
-        built = {"solver": 0, "graph": 0, "adjacency": 0}
+        edcp_module = importlib.import_module("netcontrol.edcp")  # `netcontrol.edcp` is the function
+        built = {"solver": 0, "graph": 0, "adjacency": 0, "result": 0}
 
         def counted(cls, name, key):
             real = getattr(cls, name)
@@ -510,11 +513,12 @@ class TestBench:
         counted(netcontrol.flow.SufficiencySolver, "__init__", "solver")
         counted(netcontrol.graph.DirectedGraph, "__post_init__", "graph")
         counted(netcontrol.graph.DirectedGraph, "realized_adjacency", "adjacency")
+        counted(edcp_module._Request, "result", "result")
         out = tmp_path / "bench.csv"
         assert main(["bench", "--network", "er", "--n", "40", "-M", "8", "--algos", "edcp,naive,elpgm",
                      "--fractions", "0.4,0.5,0.6,0.7,0.8,0.9,1.0", "--out", str(out)]) == 0
         assert len(out.read_text().strip().splitlines()) == 22
-        assert built == {"solver": 1, "graph": 1, "adjacency": 1}
+        assert built == {"solver": 1, "graph": 1, "adjacency": 1, "result": 14}
 
     def test_cells_past_float_range_are_written(self, tmp_path, capsys):
         # at t_f = 400 every exact cost is past the float range: the cells

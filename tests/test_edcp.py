@@ -436,6 +436,20 @@ class TestEdcpEndToEnd:
             for naive, place in ((False, edcp), (True, naive_placement)):
                 assert req.place(r, naive=naive) == place(g, 6, r)
 
+    def test_each_ordered_placement_evaluated_once(self, monkeypatch):
+        # refine met 3 of its 19 exact evaluations on this request (ER n=20
+        # seed 11, M=3, R=10) again; costs are kept by ordered segments, and
+        # the result is the one every evaluation made, bit for bit
+        module = importlib.import_module("netcontrol.edcp")
+        seen = []
+        real = module.control_cost
+        monkeypatch.setattr(module, "control_cost",
+                            lambda a, p: seen.append((p.drivers, p.controlled)) or real(a, p))
+        res = edcp(generate_er(20, 3.0, 11), 3, 10)
+        assert len(seen) == len(set(seen)) == 16
+        assert res.segments == ((4, 5, 0), (3, 16, 19, 17), (12, 10, 13))
+        assert res.e_exact.hex() == "0x1.3c119b4b468f5p+10"
+
     @pytest.mark.parametrize("n, mu, seed, m, r, fallback", [
         (13, 2.4535888044089837, 20, 1, 6, "matching-paths"),
         (25, 2.5, 4, 4, 18, None),

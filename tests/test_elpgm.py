@@ -77,6 +77,17 @@ class TestGradients:
         with pytest.raises(UncontrollableError):
             grad_c(a, b, c, 2.0)
 
+    def test_x_f_past_float_range_raises(self):
+        # E = 9.0e-306 is finite, but X_f = e^(A t_f) e^(A^T t_f) is past the
+        # float range: both gradients were NaN
+        a = np.array([[-1000.0, 0.0], [1000.0, 1000.0]])
+        b = np.array([[1.0], [0.0]])
+        c = np.array([[1.0, 0.0]])
+        with pytest.raises(UncontrollableError, match="X_f"):
+            grad_b(a, b, c, 0.355)
+        with pytest.raises(UncontrollableError, match="X_f"):
+            grad_c(a, b, c, 0.355)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_finite_difference_agreement(self, seed):
         inst = controllable_relaxation(seed)
@@ -237,10 +248,13 @@ class TestOptimize:
         assert len(p_b.drivers) == len(p_c.drivers) == 1
         assert e_b > 0 and e_c > 0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_support_past_float_range_skipped(self, monkeypatch):
         # A = [[-1000, 0], [1000, 1000]] at t_f = 0.355: steering node 1 costs
         # E = inf from either driver, so such a support evaluates to None
-        # (driver 0's was kept with cost inf) and node 0 steering itself is the best
+        # (driver 0's was kept with cost inf) and node 0 steering itself is the
+        # best; its X_f is past the float range, so it keeps its cost with no
+        # pools (they were NaN, with overflow warnings) and is not stepped from
         problems = []
         real_init = netcontrol.elpgm._Problem.__init__
 
@@ -255,6 +269,7 @@ class TestOptimize:
         [problem] = problems
         assert problem.entries[((0,), (1,))] is None
         assert problem.entries.get(((1,), (1,))) is None
+        assert problem.entries[((0,), (0,))] == (e, None, None)
 
     def test_infeasible_request(self):
         a = np.zeros((3, 3))  # no edges: one driver cannot cover 3 nodes
