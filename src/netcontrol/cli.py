@@ -33,7 +33,7 @@ from .graph import (
     parse_edge_list,
     serialize_edge_list,
 )
-from .lti import ControlPlacement, UncontrollableError, _drive, _Steering
+from .lti import ControlPlacement, UncontrollableError, _Context, _drive
 from .pathcover import controllability_curve, curve_to_csv
 
 EXIT_OK = 0
@@ -146,7 +146,7 @@ def cmd_verify(args) -> int:
         raise GraphFormatError(f"bad placement file: {exc}") from exc
     report = {"controllable": True, "cost": None, "residual": None}
     try:
-        s = _Steering.placed(g.realized_adjacency(), placement)  # serves both the cost and the drive
+        s = _Context(g.realized_adjacency(), args.tf).placed(placement)  # serves both the cost and the drive
         report["cost"] = s.cost
         x0 = np.random.default_rng(args.seed).normal(size=g.n)
         _, residual, _ = _drive(s, x0)

@@ -21,11 +21,12 @@ that sheds its surplus drivers without a stuck release (where no stem can
 merge) wins; failing that, the first that placed with one.
 
 Each (graph, m, t_f, A) is one context, `_Request`: the graph's successor
-and predecessor lists, the exact evaluations' matrix, one maximum matching
-for M* and the matching paths, and one flow solve for rmax(m), the flow
-cover at M* and the m-path cover.  r_size is an argument of `place`, so one
-request serves every EDCP and naive cell of a `bench` grid and keeps each
-placement and each exact cost, keyed by segment order (it moves E's last bits).
+and predecessor lists, the exact evaluations' matrix and LTI context
+(`lti._Context`), one maximum matching for M* and the matching paths, and
+one flow solve for rmax(m), the flow cover at M* and the m-path cover.
+r_size is an argument of `place`, so one request serves every EDCP and
+naive cell of a `bench` grid and keeps each placement and each exact
+cost, keyed by segment order (it moves E's last bits).
 
 The reduction is one loop, `reduce_drivers`, over one state, `_Reduction`:
 every stem's release records and merge price, and every simulated release.
@@ -49,7 +50,7 @@ import numpy as np
 
 from .flow import SufficiencySolver
 from .graph import DirectedGraph, _hopcroft_karp, _matching_paths
-from .lti import ControlPlacement, UncontrollableError, _check_horizon, chain_control_cost, control_cost
+from .lti import ControlPlacement, UncontrollableError, _check_horizon, _Context, chain_control_cost
 from .pathcover import PathCover, extract_paths_cycles
 
 EXACT_EVAL_THRESHOLD = 400  # dense cost evaluation above this is left out
@@ -627,9 +628,9 @@ def _placement(segments: list[tuple[int, ...]], t_f: float) -> ControlPlacement:
     )
 
 
-def _exact_cost(a: np.ndarray, segments: list[tuple[int, ...]], t_f: float) -> float | None:
+def _exact_cost(context: _Context, segments: list[tuple[int, ...]]) -> float | None:
     try:
-        return control_cost(a, _placement(segments, t_f))
+        return context.placed(_placement(segments, context.t_f)).cost
     except UncontrollableError:
         return None
 
@@ -695,11 +696,17 @@ class _Request:
 
     The exact evaluations run on ELPGM's A, whose nonzeros g holds, when
     given, else on g.realized_adjacency(), drawn on first use.  The
-    adjacency lists, A, the matching and the covers are computed once and
-    kept for the request's life, since g, m, t_f and A never change, as are
-    each `place` result and exact cost (a float or None, never an n x n
-    `_Steering`; a refused `place` is not kept).  Each `pipeline` run keeps
-    its reduction loop's facts in a `_Reduction` of its own, for the run.
+    adjacency lists, A, the LTI evaluation context of (A, t_f), the
+    matching and the covers are computed once and kept for the request's
+    life, since g, m, t_f and A never change, as are each `place` result
+    and exact cost (a float or None, never an n x n `_Steering`; a refused
+    `place` is not kept).  The context (`lti._Context`) serves every exact
+    cost, `refine` and the naive cells, and ELPGM's supports: it keeps the
+    Van Loan kernel's driver-free factors, n^2 (s + 2) floats for each
+    (Pade degree, squarings s) key that a driver set picks, a few keys per
+    request, but no W or e^(A t_f) per driver set.  Each `pipeline` run
+    keeps its reduction loop's facts in a `_Reduction` of its own, for the
+    run.
     """
 
     def __init__(self, g: DirectedGraph, m: int, t_f: float, a: np.ndarray | None = None):
@@ -712,6 +719,11 @@ class _Request:
     @cached_property
     def a(self) -> np.ndarray:
         return self.g.realized_adjacency() if self._a is None else self._a
+
+    @cached_property
+    def context(self) -> _Context:
+        """The LTI evaluation context of (A, t_f) that every exact cost on the request shares."""
+        return _Context(self.a, self.t_f)
 
     @cached_property
     def matching(self) -> tuple[int, list[int]]:
@@ -822,7 +834,7 @@ class _Request:
 
     def exact_cost(self, segments: list[tuple[int, ...]]) -> float | None:
         if (key := tuple(segments)) not in self.costs:
-            self.costs[key] = _exact_cost(self.a, segments, self.t_f)
+            self.costs[key] = _exact_cost(self.context, segments)
         return self.costs[key]
 
     def refine(

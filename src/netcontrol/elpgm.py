@@ -36,7 +36,8 @@ import numpy as np
 
 from .edcp import CoverInfeasibleError, _Request
 from .graph import DirectedGraph
-from .lti import ControlPlacement, UncontrollableError, _as_matrix, _Steering, _check_horizon, _van_loan
+from .lti import (ControlPlacement, UncontrollableError, _as_matrix, _check_horizon, _Context, _Steering,
+                  _van_loan)
 
 _PROJECTION_RETRIES = 20
 _INIT_ATTEMPTS = 20
@@ -142,7 +143,7 @@ def grad_b(a: np.ndarray, b: np.ndarray, c: np.ndarray, t_f: float) -> np.ndarra
     block exponential of [[-A^T, Q], [0, A]].  Raises UncontrollableError
     where `_Steering` refuses (A, B, C) or X_f is past the float range.
     """
-    return _grad_b(_Steering(a, b, c, t_f))
+    return _grad_b(_Steering(_Context(a, t_f), b, c))
 
 
 def _grad_b(s: _Steering) -> np.ndarray:
@@ -180,7 +181,7 @@ def grad_c(a: np.ndarray, b: np.ndarray, c: np.ndarray, t_f: float) -> np.ndarra
     returns exactly 0.  Raises UncontrollableError where `_Steering` refuses
     (A, B, C) or, unless C is square and invertible, X_f is past the float range.
     """
-    return _grad_c(_Steering(a, b, c, t_f))
+    return _grad_c(_Steering(_Context(a, t_f), b, c))
 
 
 def _grad_c(s: _Steering) -> np.ndarray:
@@ -198,11 +199,13 @@ class _Problem:
     """One descent's problem, the request req at r_size, and what the descent learns of it.
 
     Its graph, successor lists, m, t_f, A and the one flow solve's rmax(m)
-    and m-path cover are read from req.  Starts are seeded from that cover:
-    the canonical start puts drivers on the path heads and controls path
-    nodes first (head to tail), then cycle nodes; randomized starts redraw
-    the controlled set over the covered nodes and eventually anything, so
-    independent restarts explore genuinely different supports.
+    and m-path cover are read from req, and each support is evaluated on
+    req's LTI context (`req.context`), whose Van Loan factors EDCP's exact
+    costs share.  Starts are seeded from that cover: the canonical start
+    puts drivers on the path heads and controls path nodes first (head to
+    tail), then cycle nodes; randomized starts redraw the controlled set
+    over the covered nodes and eventually anything, so independent
+    restarts explore genuinely different supports.
     Controlled nodes are always drawn from the nodes the drafted drivers
     reach (a node no driver reaches cannot be steered), and candidates
     whose support does not evaluate are skipped.  What reaches what is read
@@ -287,7 +290,7 @@ class _Problem:
 
     def _evaluate(self, drivers: list[int], controlled: list[int]):
         try:
-            s = _Steering.placed(self.req.a, ControlPlacement(drivers, controlled, self.req.t_f))
+            s = self.req.context.placed(ControlPlacement(drivers, controlled, self.req.t_f))
         except UncontrollableError:
             return None
         try:

@@ -14,7 +14,15 @@ W and e^{A t_f} come from one Van Loan block exponential (Van Loan, IEEE
 TAC 23(3), 1978): Z = exp(t_f [[A, B B^T], [0, -A^T]]) gives W = Z12 Z11^T
 and e^{A t_f} = Z11.  `_van_loan` computes Z by Pade scaling and squaring
 on the block-triangular structure with n x n numpy products only, never
-the 2n x 2n block; ELPGM's gradient integral calls it too.  `expm` runs
+the 2n x 2n block; ELPGM's gradient integral calls it too.
+
+Every steering problem on one (A, t_f) runs on one `_Context`: EDCP's
+exact costs, its `refine` and naive cells and ELPGM's supports share the
+request's, and `verify` and the public functions build one for their
+evaluation.  It keeps A's nonzero pattern and the Van Loan kernel's
+driver-free factors, so a support pays for the reach test, the fused
+products that read its B and the cost, and no rank test unless it is
+refused (`_Steering`); the bits are those of a fresh evaluation.  `expm` runs
 the same Pade table on one n x n matrix: `mat_exp`, the pointwise input
 and the input samples of `drive_to_origin` use it, the last seven times
 per drive.  The module needs numpy alone; scipy would cost
@@ -81,7 +89,9 @@ class ControlPlacement:
             raise ValueError("duplicate driver node")
         if len(set(self.controlled)) != len(self.controlled):
             raise ValueError("duplicate controlled node")
-        if (lowest := min((*self.drivers, *self.controlled), default=0)) < 0:
+        if not (self.drivers and self.controlled):
+            raise ValueError("a placement needs at least one driver and one controlled node")
+        if (lowest := min(*self.drivers, *self.controlled)) < 0:
             raise ValueError(f"node {lowest} is negative")
         _check_horizon(self.t_f)
 
@@ -193,7 +203,8 @@ def expm(a: np.ndarray) -> np.ndarray:
     return z
 
 
-def _van_loan(x: np.ndarray, q: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _van_loan(x: np.ndarray, q: np.ndarray, t: float,
+              factors: dict | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(Z11, Z12, Z22) of Z = exp(t [[X, Q], [0, -X^T]]), never forming the 2n x 2n block.
 
     Pade scaling and squaring (Higham 2005) on the block-triangular
@@ -209,6 +220,17 @@ def _van_loan(x: np.ndarray, q: np.ndarray, t: float) -> tuple[np.ndarray, np.nd
     N11^-1)^T, then [Z11 | Z12] = D11^-1 [N11 | N12 - D12 Z22].  (numpy's
     solve with 2n right-hand sides took twice as long as inv and a
     product.)  Each squaring is Z11 [Z11 | Z12] + [0 | Z12 Z22] and Z22^2.
+
+    factors, when given, is a dict kept for one (X, t): it holds D11^-1 and
+    Z22 with its s squares, n^2 (s + 2) floats, under the key (degree, s),
+    and a call whose Q picks a kept key reads them instead of computing
+    them.  They are the same bits: D11 and N11 are the left blocks of the
+    fused n x 2n products, a column of a product reads only the same
+    column of its right factor, and at a fixed shape each column is summed
+    in the same order whatever the others hold; Q enters the right blocks
+    and the key alone.  The products stay fused on purpose: `a @ top[:,
+    :n]` is another shape, and its bits differ from `(a @ top)[:, :n]` on
+    OpenBLAS at n = 20-129.
     """
     n = x.shape[0]
     top = np.hstack([x, q])  # [A | B] of M = [[A, B], [0, -A^T]], scaled below
@@ -241,19 +263,28 @@ def _van_loan(x: np.ndarray, q: np.ndarray, t: float) -> tuple[np.ndarray, np.nd
     u = a @ w
     u[:, n:] += b @ w[:, :n].T
     num, den = v + u, v - u
-    z22 = (den[:, :n] @ np.linalg.inv(num[:, :n])).T
-    num[:, n:] -= den[:, n:] @ z22
-    top = np.linalg.inv(den[:, :n]) @ num
-    for _ in range(squarings):
+    kept = None if factors is None else factors.get((degree, squarings))
+    if kept is None:
+        squares = [(den[:, :n] @ np.linalg.inv(num[:, :n])).T]  # Z22, Z22^2, ..., Z22^(2^s)
+        for _ in range(squarings):
+            squares.append(squares[-1] @ squares[-1])
+        kept = np.linalg.inv(den[:, :n]), squares
+        if factors is not None:
+            factors[degree, squarings] = kept
+    den11_inv, squares = kept
+    num[:, n:] -= den[:, n:] @ squares[0]
+    top = den11_inv @ num
+    for z22 in squares[:-1]:
         squared = top[:, :n] @ top
         squared[:, n:] += top[:, n:] @ z22
-        top, z22 = squared, z22 @ z22
-    return top[:, :n], top[:, n:], z22
+        top = squared
+    return top[:, :n], top[:, n:], squares[-1]
 
 
-def _gramian(a: np.ndarray, b: np.ndarray, t_f: float) -> tuple[np.ndarray, np.ndarray]:
-    """(W, e^(A t_f)) from one `_van_loan` call on checked A, B."""
-    z11, z12, _ = _van_loan(a, b @ b.T, t_f)
+def _gramian(a: np.ndarray, b: np.ndarray, t_f: float,
+             factors: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(W, e^(A t_f)) from one `_van_loan` call on checked A, B; factors as `_van_loan` keeps them."""
+    z11, z12, _ = _van_loan(a, b @ b.T, t_f, factors)
     w = z12 @ z11.T
     return (w + w.T) / 2.0, z11
 
@@ -323,48 +354,111 @@ def output_controllable(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> bool:
     return rank == c.shape[0]
 
 
-class _Steering:
-    """The shared terms of one steering problem (A, B, C, t_f).
+_NOT_OUTPUT_CONTROLLABLE = "(A, B, C) is not output controllable"
 
-    Computed once each, in this order: the output-controllability test, the
-    Gramian W and e^(A t_f) from one `_van_loan` call, G = C W C^T, its
-    conditioning guard, the cost E, and, on first use, X_f = e^(A t_f)
-    e^(A^T t_f) and G^-1 C.  The cost, its gradients and the minimum-energy
-    input all derive from them.  Raises UncontrollableError where the cost is
-    undefined: e^(A t_f), W, G or E past the float range, or a guard that
-    fails; its condition is None where none was computed (a rank failure,
-    terms past the float range).  Reading x_f raises it too when X_f is past
-    the float range, although E may be finite: the gradients are undefined.
+
+class _Context:
+    """One (A, t_f): the evaluation context that every steering problem on it shares.
+
+    It keeps A's nonzero pattern for the reach test and the Gramian's Van
+    Loan factors that no driver set changes, n^2 (s + 2) floats per
+    (degree, squarings) key that a driver set's Q picks (`_van_loan`).
+    Each support's W and e^(A t_f) are computed afresh, with the same bits
+    as without the context; they are not kept.
     """
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray, t_f: float):
+    def __init__(self, a: np.ndarray, t_f: float):
         _check_horizon(t_f)
-        a, b, c = _as_matrix(a, "A"), _as_matrix(b, "B"), _as_matrix(c, "C")
-        if not output_controllable(a, b, c):
-            raise UncontrollableError("(A, B, C) is not output controllable")
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite terms are refused below
-            w, e_tf = _gramian(a, b, t_f)
-            g = c @ w @ c.T
-        if not (np.isfinite(e_tf).all() and np.isfinite(w).all() and np.isfinite(g).all()):
-            raise UncontrollableError("e^(A t_f), W or C W C^T is past the float range")
-        condition = float(np.linalg.cond(g))
-        if not np.isfinite(condition) or condition >= CONDITION_LIMIT:
-            raise UncontrollableError(
-                f"C W C^T condition {condition:.3e} exceeds {CONDITION_LIMIT:.0e}",
-                condition=condition,
-            )
-        with np.errstate(over="ignore", invalid="ignore"):  # E = tr(G^-1 C e^(A t_f) e^(A^T t_f) C^T)
-            y = c @ e_tf
-            self.cost = float(np.trace(np.linalg.solve(g, y @ y.T)))
-        if not np.isfinite(self.cost):
-            raise UncontrollableError(f"the cost E = {self.cost} is past the float range")
-        self.a, self.b, self.c, self.t_f, self.w, self.g, self.e_tf = a, b, c, t_f, w, g, e_tf
+        self.a, self.t_f = _as_matrix(a, "A"), t_f
+        if self.a.shape[0] != self.a.shape[1]:
+            raise ValueError("incompatible dimensions")
+        self.factors: dict = {}  # `_van_loan`'s on (A, t_f)
 
-    @classmethod
-    def placed(cls, a: np.ndarray, placement: ControlPlacement) -> "_Steering":
-        """The steering problem of a single-wire placement on A."""
-        a = _as_matrix(a, "A")
-        return cls(a, placement.b_matrix(a.shape[0]), placement.c_matrix(a.shape[0]), placement.t_f)
+    @cached_property
+    def successors(self) -> list[list[int]]:
+        """successors[j] lists the i with A[i, j] != 0: the edges j -> i."""
+        return [np.flatnonzero(column).tolist() for column in self.a.T]
+
+    def reaches(self, b: np.ndarray, c: np.ndarray) -> bool:
+        """Whether every row of C has a nonzero on a node that B's nonzero rows
+        reach over A's nonzero pattern: a breadth-first search, O(n + nnz)."""
+        reached = b.any(axis=1).tolist()
+        frontier = [v for v, hit in enumerate(reached) if hit]
+        while frontier:
+            ahead = []
+            for v in frontier:
+                for w in self.successors[v]:
+                    if not reached[w]:
+                        reached[w] = True
+                        ahead.append(w)
+            frontier = ahead
+        return bool(c[:, np.array(reached)].any(axis=1).all())
+
+    def placed(self, placement: ControlPlacement) -> "_Steering":
+        """The steering problem of a single-wire placement whose t_f is the context's."""
+        n = self.a.shape[0]
+        return _Steering(self, placement.b_matrix(n), placement.c_matrix(n))
+
+
+class _Steering:
+    """The shared terms of one steering problem (A, B, C, t_f), on the context of (A, t_f).
+
+    Computed once each, in this order: the reach test, the Gramian W and
+    e^(A t_f) from one `_van_loan` call on the context's factors, G = C W
+    C^T, its conditioning guard, the cost E, and, on first use, X_f = e^(A
+    t_f) e^(A^T t_f) and G^-1 C.  The cost, its gradients and the
+    minimum-energy input all derive from them.  Raises UncontrollableError
+    where the cost is undefined: e^(A t_f), W, G or E past the float range,
+    or a guard that fails; its condition is None where none was computed
+    (terms past the float range) or where the Krylov test labels the
+    refusal.  Reading x_f raises it too when X_f is past the float range,
+    although E may be finite: the gradients are undefined.
+
+    The Krylov rank test (`output_controllable`) is off the accept path.
+    On a support that passes the reach test it runs only after a refusal,
+    to label it: where it fails, the refusal is "not output controllable"
+    with no condition, as when it ran first.  This accepts what running it
+    first accepted: of 21,427 reached supports in a measured family of
+    31,068, every one it refused also failed the guard.  A support that
+    fails the reach test takes the Krylov test before the Gramian, and goes
+    on only if it passes, as before: W's structurally zero entries come out
+    near 1e-32, not 0, so G can pass the guard (cond <= 41 for 119 such
+    supports of the family).
+    """
+
+    def __init__(self, context: _Context, b: np.ndarray, c: np.ndarray):
+        a, t_f = context.a, context.t_f
+        b, c = _as_matrix(b, "B"), _as_matrix(c, "C")
+        if b.shape[0] != a.shape[0] or c.shape[1] != a.shape[0]:
+            raise ValueError("incompatible dimensions")
+        if not (b.shape[1] and c.shape[0]):
+            raise ValueError("a steering problem needs a column of B and a row of C")
+        reached = context.reaches(b, c)
+        if not reached and not output_controllable(a, b, c):
+            raise UncontrollableError(_NOT_OUTPUT_CONTROLLABLE)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # non-finite terms are refused below
+                w, e_tf = _gramian(a, b, t_f, context.factors)
+                g = c @ w @ c.T
+            if not (np.isfinite(e_tf).all() and np.isfinite(w).all() and np.isfinite(g).all()):
+                raise UncontrollableError("e^(A t_f), W or C W C^T is past the float range")
+            condition = float(np.linalg.cond(g))
+            if not np.isfinite(condition) or condition >= CONDITION_LIMIT:
+                raise UncontrollableError(
+                    f"C W C^T condition {condition:.3e} exceeds {CONDITION_LIMIT:.0e}",
+                    condition=condition,
+                )
+            with np.errstate(over="ignore", invalid="ignore"):  # E = tr(G^-1 C e^(A t_f) e^(A^T t_f) C^T)
+                y = c @ e_tf
+                self.cost = float(np.trace(np.linalg.solve(g, y @ y.T)))
+            if not np.isfinite(self.cost):
+                raise UncontrollableError(f"the cost E = {self.cost} is past the float range")
+        except (UncontrollableError, np.linalg.LinAlgError):
+            # where the Krylov test refuses, it refused first, before either
+            if reached and not output_controllable(a, b, c):
+                raise UncontrollableError(_NOT_OUTPUT_CONTROLLABLE) from None
+            raise
+        self.a, self.b, self.c, self.t_f, self.w, self.g, self.e_tf = a, b, c, t_f, w, g, e_tf
 
     @cached_property
     def x_f(self) -> np.ndarray:
@@ -386,14 +480,12 @@ class _Steering:
 
 def control_cost_matrices(a: np.ndarray, b: np.ndarray, c: np.ndarray, t_f: float) -> float:
     """Expected minimum steering energy for dense (not necessarily 0/1) B, C."""
-    return _Steering(a, b, c, t_f).cost
+    return _Steering(_Context(a, t_f), b, c).cost
 
 
 def control_cost(a: np.ndarray, placement: ControlPlacement) -> float:
     """Expected minimum energy to steer the selected outputs to the origin."""
-    a = _as_matrix(a, "A")
-    n = a.shape[0]
-    return control_cost_matrices(a, placement.b_matrix(n), placement.c_matrix(n), placement.t_f)
+    return _Context(a, placement.t_f).placed(placement).cost
 
 
 def optimal_input_function(
@@ -402,7 +494,7 @@ def optimal_input_function(
     """The minimum-energy input u(t) steering y(t_f) to the origin."""
     a = _as_matrix(a, "A")
     x0 = _as_state(x0, a.shape[0])
-    s = _Steering.placed(a, placement)
+    s = _Context(a, placement.t_f).placed(placement)
     v = s.costate(x0)
 
     def u(t: float) -> np.ndarray:
@@ -540,7 +632,7 @@ def drive_to_origin(
     1e-6 therefore needs cond <~ 4e9, while CONDITION_LIMIT accepts
     placements up to 1e12; more integration steps do not help.
     """
-    return _drive(_Steering.placed(a, placement), x0, steps)
+    return _drive(_Context(a, placement.t_f).placed(placement), x0, steps)
 
 
 def _drive(s: _Steering, x0: np.ndarray, steps: int = 2000) -> tuple[np.ndarray, float, float]:

@@ -287,13 +287,63 @@ class TestVerify:
 
             monkeypatch.setattr(lti, name, counted)
         assert main(["verify", fig8_file, str(placement)]) == 0
-        # one rank test and one Van Loan kernel call (the Gramian and
-        # e^(A t_f)) serve both the cost and the drive, whose input samples
-        # take 7 exponentials
-        assert calls["output_controllable"] == 1
+        # one Van Loan kernel call (the Gramian and e^(A t_f)) serves both
+        # the cost and the drive, whose input samples take 7 exponentials;
+        # an accepted placement makes no rank test, which only labels refusals
+        assert calls["output_controllable"] == 0
         assert calls["_van_loan"] == 1
         assert calls["expm"] == 7
         assert "controllable: true" in capsys.readouterr().out
+        # a refused one makes one: all ten outputs of a chain fail the guard
+        chain, refused = tmp_path / "chain.txt", tmp_path / "refused.json"
+        chain.write_text("".join(f"{i} {i + 1}\n" for i in range(9)))
+        refused.write_text(json.dumps({"drivers": [0], "controlled": list(range(10))}))
+        calls.update(output_controllable=0, _van_loan=0, expm=0)
+        assert main(["verify", str(chain), str(refused)]) == 2
+        assert calls == {"output_controllable": 1, "_van_loan": 1, "expm": 0}
+        assert "controllable: false" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("graph_text, controlled, tf, message, condition, checks, gramians", [
+        ("0 1\n", [0], "2", "(A, B, C) is not output controllable", None, 1, 0),
+        ("0 1\n0 2\n", [1, 2], "2", "(A, B, C) is not output controllable", None, 1, 1),
+        ("".join(f"{i} {i + 1}\n" for i in range(9)), list(range(10)), "2",
+         "C W C^T condition 3.765e+17 exceeds 1e+12", "0x1.4e70764a68ffdp+58", 1, 1),
+        (OVERFLOW, [1], "0.358", "e^(A t_f), W or C W C^T is past the float range", None, 1, 1),
+        (OVERFLOW, [1], "0.355", "the cost E = inf is past the float range", None, 1, 1),
+    ], ids=["reach", "dilation", "guard", "overflow-w", "overflow-e"])
+    def test_refusal_labels_kept(self, tmp_path, capsys, monkeypatch, graph_text, controlled, tf, message,
+                                 condition, checks, gramians):
+        # the messages and conditions recorded before the rank test left the
+        # accept path: a driver that cannot reach its output (node 1 drives
+        # node 0 of a 2-chain) is refused before the Gramian; a dilation (0
+        # drives 1 and 2 alike) passes the reach test and fails the guard,
+        # and the rank test labels it; the guard and the float range label
+        # their own refusals
+        import netcontrol.lti as lti
+
+        graph, placement = tmp_path / "g.txt", tmp_path / "p.json"
+        graph.write_text(graph_text)
+        drivers = [1] if graph_text == "0 1\n" else [0]
+        placement.write_text(json.dumps({"drivers": drivers, "controlled": controlled}))
+        g = parse_edge_list(graph_text)
+        calls = {"output_controllable": 0, "_van_loan": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(lti, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(lti, name, counted)
+        with pytest.raises(lti.UncontrollableError) as exc:
+            lti.control_cost(g.realized_adjacency(), lti.ControlPlacement(
+                [g.id_map[v] for v in drivers], [g.id_map[v] for v in controlled], float(tf)))
+        assert str(exc.value) == message
+        assert (None if exc.value.condition is None else exc.value.condition.hex()) == condition
+        assert calls == {"output_controllable": checks, "_van_loan": gramians}
+        assert main(["verify", str(graph), str(placement), "--tf", tf, "--format", "json"]) == 2
+        report = {"controllable": False, "cost": None, "residual": None}
+        if condition is not None:
+            report["condition"] = float.fromhex(condition)
+        assert _strict_json(capsys.readouterr().out) == report
 
     @pytest.mark.parametrize("tf", ["nan", "inf"])
     def test_nonfinite_horizon(self, fig8_file, tmp_path, capsys, tf):

@@ -439,14 +439,34 @@ class TestEdcpEndToEnd:
     def test_each_ordered_placement_evaluated_once(self, monkeypatch):
         # refine met 3 of its 19 exact evaluations on this request (ER n=20
         # seed 11, M=3, R=10) again; costs are kept by ordered segments, and
-        # the result is the one every evaluation made, bit for bit
+        # the result is the one every evaluation made, bit for bit.  Each
+        # evaluation makes one Van Loan kernel call when it is accepted and
+        # no rank test, and one rank test when it is refused
         module = importlib.import_module("netcontrol.edcp")
-        seen = []
-        real = module.control_cost
-        monkeypatch.setattr(module, "control_cost",
-                            lambda a, p: seen.append((p.drivers, p.controlled)) or real(a, p))
+        lti = importlib.import_module("netcontrol.lti")
+        calls = {"output_controllable": 0, "_van_loan": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(lti, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(lti, name, counted)
+        seen, counts = [], []
+
+        def exact_cost(context, segments, real=module._exact_cost):
+            before = dict(calls)
+            cost = real(context, segments)
+            seen.append(tuple(segments))
+            counts.append((cost is not None, calls["output_controllable"] - before["output_controllable"],
+                           calls["_van_loan"] - before["_van_loan"]))
+            return cost
+
+        monkeypatch.setattr(module, "_exact_cost", exact_cost)
         res = edcp(generate_er(20, 3.0, 11), 3, 10)
         assert len(seen) == len(set(seen)) == 16
+        assert all((checks, gramians) == (0, 1) if accepted else checks == 1
+                   for accepted, checks, gramians in counts)
+        assert any(accepted for accepted, _, _ in counts)
         assert res.segments == ((4, 5, 0), (3, 16, 19, 17), (12, 10, 13))
         assert res.e_exact.hex() == "0x1.3c119b4b468f5p+10"
 

@@ -283,7 +283,7 @@ class TestOptimize:
 
         edcp_module = importlib.import_module("netcontrol.edcp")  # `netcontrol.edcp` is the function
         monkeypatch.setattr(edcp_module, "SufficiencySolver", unreachable)
-        monkeypatch.setattr(netcontrol.elpgm, "_Steering", unreachable)
+        monkeypatch.setattr(netcontrol.lti, "_Steering", unreachable)
         with pytest.raises(ValueError, match="m <= r_size"):
             elpgm_optimize(generate_er(12, 3.0, 1).realized_adjacency(), 4, 3)
 
@@ -340,7 +340,8 @@ class TestOptimize:
         module = importlib.import_module("netcontrol.edcp")  # `netcontrol.edcp` is the function
         matrices = []
         real = module._exact_cost
-        monkeypatch.setattr(module, "_exact_cost", lambda a, *rest: matrices.append(a) or real(a, *rest))
+        monkeypatch.setattr(module, "_exact_cost",
+                            lambda context, *rest: matrices.append(context.a) or real(context, *rest))
         a = generate_er(12, 3.0, 1).adjacency()
         assert set(np.unique(a)) == {0.0, 1.0}
         elpgm_optimize(a, 2, 6, ElpgmConfig(k_f=5, restarts=2))
@@ -382,10 +383,11 @@ class TestOptimize:
 
     def test_one_controllability_check_per_support(self, monkeypatch):
         # the support cache is what lets the descent redraw 20 projections per
-        # iterate cheaply: every support, start or draw, is evaluated once, and
-        # an evaluation makes one rank test and at most one Gramian, counted as
-        # lti's calls of the Van Loan kernel (the gradient integral calls it
-        # through elpgm's own binding, after the evaluation)
+        # iterate cheaply: every support, start or draw, is evaluated once.
+        # An accepted evaluation makes no rank test and one Gramian, counted
+        # as lti's calls of the Van Loan kernel (the gradient integral calls
+        # it through elpgm's own binding, after the evaluation); a refused one
+        # makes one rank test, which labels it, and at most one Gramian
         calls = {"output_controllable": 0, "gramian": 0, "edcp_gramian": 0}
         for name, key in (("output_controllable", "output_controllable"), ("_van_loan", "gramian")):
             def counted(*args, real=getattr(netcontrol.lti, name), key=key):
@@ -395,14 +397,13 @@ class TestOptimize:
             monkeypatch.setattr(netcontrol.lti, name, counted)
         evaluations = []
 
-        def placed(cls, a, placement, real=netcontrol.lti._Steering.placed.__func__):
+        def evaluate(self, drivers, controlled, real=netcontrol.elpgm._Problem._evaluate):
             before = dict(calls)
-            try:
-                return real(cls, a, placement)
-            finally:
-                evaluations.append(((tuple(sorted(placement.drivers)), tuple(sorted(placement.controlled))),
-                                    calls["output_controllable"] - before["output_controllable"],
-                                    calls["gramian"] - before["gramian"]))
+            entry = real(self, drivers, controlled)
+            evaluations.append(((tuple(sorted(drivers)), tuple(sorted(controlled))), entry is not None,
+                                calls["output_controllable"] - before["output_controllable"],
+                                calls["gramian"] - before["gramian"]))
+            return entry
 
         request = importlib.import_module("netcontrol.edcp")._Request
 
@@ -414,8 +415,9 @@ class TestOptimize:
             finally:
                 calls["edcp_gramian"] += calls["gramian"] - before
 
-        monkeypatch.setattr(netcontrol.lti._Steering, "placed", classmethod(placed))
+        monkeypatch.setattr(netcontrol.elpgm._Problem, "_evaluate", evaluate)
         monkeypatch.setattr(request, "place", place)
+        refused = 0
         for seed in (1, 4, 6):
             a = generate_er(12, 3.0, seed).realized_adjacency()
             cfg = ElpgmConfig(k_f=20, restarts=4, seed=seed)
@@ -423,12 +425,15 @@ class TestOptimize:
                 evaluations.clear()
                 calls.update(gramian=0, edcp_gramian=0)
                 elpgm_optimize(a, 2, 6, cfg, update_b=update_b, update_c=update_c)
-                supports = [support for support, _, _ in evaluations]
+                supports = [support for support, _, _, _ in evaluations]
                 assert supports
                 assert len(supports) == len(set(supports))
-                assert all(checks == 1 and gramians <= 1 for _, checks, gramians in evaluations)
-                assert any(gramians == 1 for _, _, gramians in evaluations)
-                assert calls["gramian"] == sum(g for _, _, g in evaluations) + calls["edcp_gramian"]
+                assert all((checks, gramians) == (0, 1) if accepted else (checks == 1 and gramians <= 1)
+                           for _, accepted, checks, gramians in evaluations)
+                assert any(accepted for _, accepted, _, _ in evaluations)
+                refused += sum(not accepted for _, accepted, _, _ in evaluations)
+                assert calls["gramian"] == sum(g for _, _, _, g in evaluations) + calls["edcp_gramian"]
+        assert refused
 
 
 def _pinned_runs():

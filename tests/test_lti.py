@@ -326,6 +326,60 @@ class TestControlCost:
         with pytest.raises(ValueError, match="t_f"):
             ControlPlacement((0,), (1,), t_f)
 
+    @pytest.mark.parametrize("drivers, controlled", [((0,), ()), ((), (0,)), ((), ())])
+    def test_empty_placement_rejected(self, drivers, controlled):
+        # ControlPlacement((0,), ()) reached numpy's "cond is not defined on
+        # empty arrays", and an empty driver tuple was "not output controllable"
+        with pytest.raises(ValueError, match="at least one driver and one controlled node"):
+            ControlPlacement(drivers, controlled, 2.0)
+
+    @pytest.mark.parametrize("b, c", [
+        (np.zeros((2, 0)), np.eye(2)), (np.array([[1.0], [0.0]]), np.zeros((0, 2))),
+    ], ids=["no-drivers", "no-outputs"])
+    def test_steering_without_drivers_or_outputs_rejected(self, monkeypatch, b, c):
+        # refused before any work: no reach test, rank test or Gramian
+        import netcontrol.lti as lti
+
+        def unreachable(*args):
+            raise AssertionError("ran before the refusal")
+
+        for name in ("output_controllable", "_van_loan"):
+            monkeypatch.setattr(lti, name, unreachable)
+        monkeypatch.setattr(lti._Context, "reaches", unreachable)
+        with pytest.raises(ValueError, match="needs a column of B and a row of C"):
+            control_cost_matrices(CHAIN2, b, c, 2.0)
+
+
+class TestEvaluationContext:
+    # at t_f = 2.6 a driver on node 64 of ER n=100 mu=6 seed 0, the node of
+    # the largest in-weight, lifts the Van Loan block's 1-norm past
+    # 4 theta_13, so these driver sets pick two (degree, squarings) keys
+    REQUESTS = (
+        ((100, 6.0, 0), 2.6, [(64,), (64, 21), (21, 19, 5), (3, 64, 40), (7,), (19, 21)]),
+        ((20, 3.0, 11), 2.0, [(4,), (3, 12), (4, 3, 12), (2, 14, 19), (0, 8), (12, 4)]),
+    )
+
+    @pytest.mark.parametrize("graph, t_f, driver_sets", REQUESTS, ids=["er100", "er20"])
+    def test_shared_factors_pinned_bit_for_bit(self, graph, t_f, driver_sets):
+        # the supports evaluated on one shared context, whose driver-free Van
+        # Loan factors each later driver set of a key reads, have the bytes
+        # of W, e^(A t_f) and E that a fresh context per support gives, and W
+        # that of the public Gramian
+        import netcontrol.lti as lti
+
+        a = generate_er(*graph).realized_adjacency()
+        shared = lti._Context(a, t_f)
+        for drivers in driver_sets:
+            # the drivers and what they drive in one step, head first
+            controlled = list(drivers) + [v for d in drivers for v in np.flatnonzero(a[:, d]).tolist()
+                                          if v not in drivers][:len(drivers)]
+            placement = ControlPlacement(drivers, tuple(dict.fromkeys(controlled)), t_f)
+            kept, fresh = shared.placed(placement), lti._Context(a, t_f).placed(placement)
+            assert kept.w.tobytes() == fresh.w.tobytes() == gramian(a, kept.b, t_f).tobytes()
+            assert kept.e_tf.tobytes() == fresh.e_tf.tobytes()
+            assert kept.cost.hex() == fresh.cost.hex() == control_cost(a, placement).hex()
+        assert len(shared.factors) == (2 if graph[0] == 100 else 1)
+
 
 def _path_placement(n, seed, drivers=2):
     """A well-conditioned placement: drivers on path heads, four path nodes controlled.
@@ -498,7 +552,7 @@ def _rk4_system(system, steps):
         return a, b, lambda t: np.array([np.sin(t), np.cos(2 * t)]), np.ones(4), 2.0
     drivers, seed = system
     a, p = _path_placement(8, seed, drivers)
-    s = lti._Steering(a, p.b_matrix(8), p.c_matrix(8), p.t_f)
+    s = lti._Context(a, p.t_f).placed(p)
     x0 = np.random.default_rng(seed).normal(size=8)
     samples, delta = lti._input_samples(s, s.costate(x0), 2 * steps), p.t_f / (2 * steps)
     return a, s.b, lambda t: samples[round(t / delta)], x0, p.t_f
