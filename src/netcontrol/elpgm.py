@@ -22,8 +22,9 @@ The descent runs on an EDCP request (`edcp._Request`), built by
 `elpgm_optimize` on `DirectedGraph.from_adjacency(A)` or shared by the CLI
 among its algorithms: its flow solve's m-path cover seeds the starts, and
 the EDCP start is the placement it keeps (on a `bench` grid, the EDCP
-cell's).  `_Problem` adds the reach closure, the support cache and the best
-placement, recorded as each new support is evaluated.
+cell's), and what reaches what is its LTI context's.  `_Problem` adds the
+support cache and the best placement, recorded as each new support is
+evaluated.
 """
 
 from __future__ import annotations
@@ -198,18 +199,18 @@ def _grad_c(s: _Steering) -> np.ndarray:
 class _Problem:
     """One descent's problem, the request req at r_size, and what the descent learns of it.
 
-    Its graph, successor lists, m, t_f, A and the one flow solve's rmax(m)
-    and m-path cover are read from req, and each support is evaluated on
-    req's LTI context (`req.context`), whose Van Loan factors EDCP's exact
-    costs share.  Starts are seeded from that cover: the canonical start
-    puts drivers on the path heads and controls path nodes first (head to
-    tail), then cycle nodes; randomized starts redraw the controlled set
-    over the covered nodes and eventually anything, so independent
-    restarts explore genuinely different supports.
-    Controlled nodes are always drawn from the nodes the drafted drivers
-    reach (a node no driver reaches cannot be steered), and candidates
-    whose support does not evaluate are skipped.  What reaches what is read
-    from closure, the graph's boolean n x n reach closure, computed once.
+    Its graph, m, t_f, A and the one flow solve's rmax(m) and m-path cover
+    are read from req, and each support is evaluated on req's LTI context
+    (`req.context`), whose Van Loan factors EDCP's exact costs share.
+    Starts are seeded from that cover: the canonical start puts drivers on
+    the path heads and controls path nodes first (head to tail), then cycle
+    nodes; randomized starts redraw the controlled set over the covered
+    nodes and eventually anything, so independent restarts explore
+    genuinely different supports.  Controlled nodes are always drawn from
+    the nodes the drafted drivers reach (a node no driver reaches cannot be
+    steered), and candidates whose support does not evaluate are skipped.
+    What reaches what is the context's: its search (`reached`) and its
+    boolean n x n reach closure (`closure`), built once per request.
 
     A placement's cost and raw gradient steps depend only on its support
     (column order permutes away), so each support, keyed by its sorted
@@ -232,7 +233,7 @@ class _Problem:
         self.req, self.r_size, self.eta_b, self.eta_c = req, r_size, cfg.eta_b, cfg.eta_c
         self.m1_b = cfg.margin_for(m, n) if update_b else None  # None: the variable is frozen
         self.m1_c = cfg.margin_for(r_size, n) if update_c else None
-        self.closure = self._reach_closure()
+        self.closure = req.context.closure
         self.entries: dict[tuple, tuple[float, tuple | None, tuple | None] | None] = {}
         self.best, self.best_e = None, math.inf  # (drivers, controlled) and its cost
         rmax, _, cover = self.req.covers
@@ -242,7 +243,7 @@ class _Problem:
             )
         self.head_drivers = [p[0] for p in cover.paths]
         ordered = [v for p in cover.paths for v in p] + [v for c in cover.cycles for v in c]
-        reached = self.reached(self.head_drivers)
+        reached = self.req.context.reached(self.head_drivers)
         self.ordered = [v for v in ordered if reached[v]]
         # On small instances sweep the driver supports round-robin instead of
         # hoping random draws cover them.
@@ -252,27 +253,7 @@ class _Problem:
         self._combo_cursor = 0
         # the supports that can have an entry: per driver set, the r-sets of what it reaches
         self.supports = math.inf if self.driver_combos is None else sum(
-            math.comb(int(self.reached(combo).sum()), r_size) for combo in self.driver_combos)
-
-    def _reach_closure(self) -> np.ndarray:
-        """Boolean n x n matrix whose row v marks the nodes v reaches, v included.
-
-        Squares the 0/1 matrix of I + adjacency until it is stable; a product
-        entry counts at most n terms, which float64 holds exactly.
-        """
-        n = self.req.g.n
-        closure = np.eye(n, dtype=bool)
-        for v, ws in enumerate(self.req.succ):
-            closure[v, ws] = True
-        while True:
-            wider = (closure.astype(float) @ closure) > 0
-            if np.array_equal(wider, closure):
-                return closure
-            closure = wider
-
-    def reached(self, drivers) -> np.ndarray:
-        """Boolean mask of the nodes the drivers reach."""
-        return self.closure[np.asarray(drivers, dtype=int)].any(axis=0)
+            math.comb(int(self.req.context.reached(combo).sum()), r_size) for combo in self.driver_combos)
 
     def reaches(self, drivers: np.ndarray, controlled: np.ndarray) -> np.ndarray:
         """Whether the drivers reach every controlled node, per row of (k, m) and (k, r) arrays."""
@@ -317,7 +298,7 @@ class _Problem:
                 return self.head_drivers, self.ordered[:r_size]
             return self.head_drivers, list(rng.choice(self.ordered, size=r_size, replace=False))
         drivers = self._fresh_drivers(rng)
-        reached = np.flatnonzero(self.reached(drivers))
+        reached = np.flatnonzero(self.req.context.reached(drivers))
         if len(reached) < r_size:
             return None
         return drivers, list(rng.choice(reached, size=r_size, replace=False))

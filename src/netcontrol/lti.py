@@ -19,15 +19,16 @@ the 2n x 2n block; ELPGM's gradient integral calls it too.
 Every steering problem on one (A, t_f) runs on one `_Context`: EDCP's
 exact costs, its `refine` and naive cells and ELPGM's supports share the
 request's, and `verify` and the public functions build one for their
-evaluation.  It keeps A's nonzero pattern and the Van Loan kernel's
-driver-free factors, so a support pays for the reach test, the fused
-products that read its B and the cost, and no rank test unless it is
-refused (`_Steering`); the bits are those of a fresh evaluation.  `expm` runs
-the same Pade table on one n x n matrix: `mat_exp`, the pointwise input
-and the input samples of `drive_to_origin` use it, the last seven times
-per drive.  The module needs numpy alone; scipy would cost
-a CLI call more to import than its requests take, and its own OpenBLAS
-contended with numpy's on a small host.
+evaluation.  It holds the one search of what reaches what over A's
+nonzero pattern and the Van Loan kernel's driver-free factors, so a
+support pays for the reach test, the fused products that read its B and
+the cost, and no rank test unless it is reached and refused (`_Steering`);
+the bits are those of a fresh evaluation.  `expm` runs the same Pade
+table on one n x n matrix: `mat_exp`, the pointwise input and the input
+samples of `drive_to_origin` use it, the last seven times per drive.  The
+module needs numpy alone; scipy would cost a CLI call more to import than
+its requests take, and its own OpenBLAS contended with numpy's on a small
+host.
 """
 
 from __future__ import annotations
@@ -83,6 +84,9 @@ class ControlPlacement:
     t_f: float = 2.0
 
     def __post_init__(self):
+        for v in (*self.drivers, *self.controlled):  # int() would truncate 0.7 and read True as 1
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"node id {v!r} is not an integer")
         object.__setattr__(self, "drivers", tuple(int(v) for v in self.drivers))
         object.__setattr__(self, "controlled", tuple(int(v) for v in self.controlled))
         if len(set(self.drivers)) != len(self.drivers):
@@ -334,8 +338,9 @@ def reachable_basis(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> np.ndar
 def output_controllable(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> bool:
     """True iff rank [CB, CAB, ..., CA^(N-1)B] equals the output count.
 
-    The rank is evaluated on C restricted to the reachable subspace, with
-    tolerance 1e-9 times the largest column norm.
+    False where B reaches no node of a row of C (`_Context.reaches`, as
+    `_Steering` refuses); else the rank is evaluated on C restricted to the
+    reachable subspace, with tolerance 1e-9 times the largest column norm.
     """
     a = _as_matrix(a, "A")
     b = _as_matrix(b, "B")
@@ -344,10 +349,10 @@ def output_controllable(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> bool:
         raise ValueError("incompatible dimensions")
     if c.shape[0] == 0:
         return True
-    k = c @ reachable_basis(a, b)
-    if k.size == 0:
+    if not _Context(a, 1.0).reaches(b, c):  # the reach search does not read t_f
         return False
-    scale = float(np.linalg.norm(k, axis=0).max())
+    k = c @ reachable_basis(a, b)
+    scale = float(np.linalg.norm(k, axis=0).max(initial=0.0))
     if scale == 0.0:
         return False
     rank = int(np.sum(np.linalg.svd(k, compute_uv=False) > RANK_TOLERANCE * scale))
@@ -360,11 +365,12 @@ _NOT_OUTPUT_CONTROLLABLE = "(A, B, C) is not output controllable"
 class _Context:
     """One (A, t_f): the evaluation context that every steering problem on it shares.
 
-    It keeps A's nonzero pattern for the reach test and the Gramian's Van
-    Loan factors that no driver set changes, n^2 (s + 2) floats per
-    (degree, squarings) key that a driver set's Q picks (`_van_loan`).
-    Each support's W and e^(A t_f) are computed afresh, with the same bits
-    as without the context; they are not kept.
+    It holds the only search over A's nonzero pattern, `reached`: the reach
+    test and ELPGM's closure run it.  It keeps the Gramian's Van Loan
+    factors that no driver set changes, n^2 (s + 2) floats per (degree,
+    squarings) key that a driver set's Q picks (`_van_loan`).  Each
+    support's W and e^(A t_f) are computed afresh, with the same bits as
+    without the context; they are not kept.
     """
 
     def __init__(self, a: np.ndarray, t_f: float):
@@ -379,11 +385,12 @@ class _Context:
         """successors[j] lists the i with A[i, j] != 0: the edges j -> i."""
         return [np.flatnonzero(column).tolist() for column in self.a.T]
 
-    def reaches(self, b: np.ndarray, c: np.ndarray) -> bool:
-        """Whether every row of C has a nonzero on a node that B's nonzero rows
-        reach over A's nonzero pattern: a breadth-first search, O(n + nnz)."""
-        reached = b.any(axis=1).tolist()
-        frontier = [v for v, hit in enumerate(reached) if hit]
+    def reached(self, sources) -> np.ndarray:
+        """Boolean mask of the nodes that sources reach over A's nonzero
+        pattern, sources included: a breadth-first search, O(n + nnz)."""
+        frontier, reached = list(sources), [False] * len(self.successors)
+        for v in frontier:
+            reached[v] = True
         while frontier:
             ahead = []
             for v in frontier:
@@ -392,7 +399,16 @@ class _Context:
                         reached[w] = True
                         ahead.append(w)
             frontier = ahead
-        return bool(c[:, np.array(reached)].any(axis=1).all())
+        return np.array(reached)
+
+    @cached_property
+    def closure(self) -> np.ndarray:
+        """Boolean n x n matrix whose row v marks the nodes v reaches, v included."""
+        return np.array([self.reached([v]) for v in range(len(self.a))])
+
+    def reaches(self, b: np.ndarray, c: np.ndarray) -> bool:
+        """Whether every row of C has a nonzero on a node that B's nonzero rows reach."""
+        return bool(c[:, self.reached(np.flatnonzero(b.any(axis=1)).tolist())].any(axis=1).all())
 
     def placed(self, placement: ControlPlacement) -> "_Steering":
         """The steering problem of a single-wire placement whose t_f is the context's."""
@@ -410,20 +426,22 @@ class _Steering:
     minimum-energy input all derive from them.  Raises UncontrollableError
     where the cost is undefined: e^(A t_f), W, G or E past the float range,
     or a guard that fails; its condition is None where none was computed
-    (terms past the float range) or where the Krylov test labels the
-    refusal.  Reading x_f raises it too when X_f is past the float range,
+    (terms past the float range) or where the reach or Krylov test labels
+    the refusal.  Reading x_f raises it too when X_f is past the float range,
     although E may be finite: the gradients are undefined.
 
-    The Krylov rank test (`output_controllable`) is off the accept path.
-    On a support that passes the reach test it runs only after a refusal,
-    to label it: where it fails, the refusal is "not output controllable"
-    with no condition, as when it ran first.  This accepts what running it
-    first accepted: of 21,427 reached supports in a measured family of
-    31,068, every one it refused also failed the guard.  A support that
-    fails the reach test takes the Krylov test before the Gramian, and goes
-    on only if it passes, as before: W's structurally zero entries come out
-    near 1e-32, not 0, so G can pass the guard (cond <= 41 for 119 such
-    supports of the family).
+    A support with a row of C on nodes that no input reaches is refused by
+    the reach test alone (`_Context.reaches`), before any rank test or
+    Gramian: such a row is zero on the reachable subspace (structural
+    controllability, Lin, IEEE TAC 19(3), 1974), while the Krylov test,
+    whose tolerance is relative to C times the reachable basis, can pass
+    it on rounding noise.  It passed 8,029 of 27,852 unreached dense
+    supports (12 then accepted with E of 3e33-4e36) and 9 of 5,805
+    single-wire ones (refused by the guard at cond = inf).  On a reached
+    support the Krylov test (`output_controllable`) runs only after a
+    refusal, to label it "not output controllable" where it fails: of
+    21,427 reached supports in a measured family of 31,068, every one it
+    refused also failed the guard.
     """
 
     def __init__(self, context: _Context, b: np.ndarray, c: np.ndarray):
@@ -433,8 +451,7 @@ class _Steering:
             raise ValueError("incompatible dimensions")
         if not (b.shape[1] and c.shape[0]):
             raise ValueError("a steering problem needs a column of B and a row of C")
-        reached = context.reaches(b, c)
-        if not reached and not output_controllable(a, b, c):
+        if not context.reaches(b, c):
             raise UncontrollableError(_NOT_OUTPUT_CONTROLLABLE)
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # non-finite terms are refused below
@@ -454,8 +471,7 @@ class _Steering:
             if not np.isfinite(self.cost):
                 raise UncontrollableError(f"the cost E = {self.cost} is past the float range")
         except (UncontrollableError, np.linalg.LinAlgError):
-            # where the Krylov test refuses, it refused first, before either
-            if reached and not output_controllable(a, b, c):
+            if not output_controllable(a, b, c):
                 raise UncontrollableError(_NOT_OUTPUT_CONTROLLABLE) from None
             raise
         self.a, self.b, self.c, self.t_f, self.w, self.g, self.e_tf = a, b, c, t_f, w, g, e_tf

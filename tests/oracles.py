@@ -403,6 +403,20 @@ def random_digraph(n: int, p: float, rng) -> set[tuple[int, int]]:
     return {(i, j) for i in range(n) for j in range(n) if rng.random() < p}
 
 
+def warshall_closure(a: np.ndarray) -> np.ndarray:
+    """Boolean reach closure of A's nonzero pattern (A[i, j] != 0 is an edge
+    j -> i) by Warshall's algorithm: row v marks the nodes v reaches, v
+    included."""
+    n = len(a)
+    reach = [[v == w or a[w][v] != 0 for w in range(n)] for v in range(n)]
+    for k in range(n):
+        for v in range(n):
+            if reach[v][k]:
+                for w in range(n):
+                    reach[v][w] = reach[v][w] or reach[k][w]
+    return np.array(reach, dtype=bool).reshape(n, n)
+
+
 def residual_has_negative_cycle(fn, flow) -> bool:
     """Bellman-Ford check on the residual network of a solved flow."""
     arcs = []

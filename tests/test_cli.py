@@ -304,7 +304,7 @@ class TestVerify:
         assert "controllable: false" in capsys.readouterr().out
 
     @pytest.mark.parametrize("graph_text, controlled, tf, message, condition, checks, gramians", [
-        ("0 1\n", [0], "2", "(A, B, C) is not output controllable", None, 1, 0),
+        ("0 1\n", [0], "2", "(A, B, C) is not output controllable", None, 0, 0),
         ("0 1\n0 2\n", [1, 2], "2", "(A, B, C) is not output controllable", None, 1, 1),
         ("".join(f"{i} {i + 1}\n" for i in range(9)), list(range(10)), "2",
          "C W C^T condition 3.765e+17 exceeds 1e+12", "0x1.4e70764a68ffdp+58", 1, 1),
@@ -315,10 +315,10 @@ class TestVerify:
                                  condition, checks, gramians):
         # the messages and conditions recorded before the rank test left the
         # accept path: a driver that cannot reach its output (node 1 drives
-        # node 0 of a 2-chain) is refused before the Gramian; a dilation (0
-        # drives 1 and 2 alike) passes the reach test and fails the guard,
-        # and the rank test labels it; the guard and the float range label
-        # their own refusals
+        # node 0 of a 2-chain) is refused by the reach test alone, with no
+        # rank test or Gramian; a dilation (0 drives 1 and 2 alike) passes
+        # the reach test and fails the guard, and the rank test labels it;
+        # the guard and the float range label their own refusals
         import netcontrol.lti as lti
 
         graph, placement = tmp_path / "g.txt", tmp_path / "p.json"

@@ -22,6 +22,7 @@ from oracles import (
     central_difference_grad_b,
     central_difference_grad_ct,
     sequential_draw_probabilities,
+    warshall_closure,
 )
 
 
@@ -215,6 +216,30 @@ class TestOptimize:
         e0 = control_cost_matrices(a, start.b_matrix(8), start.c_matrix(8), 2.0)
         _, e = elpgm_optimize(a, 2, 5, ElpgmConfig(k_f=15, restarts=3, seed=0))
         assert e <= e0 + 1e-12
+
+    @pytest.mark.parametrize("case", ["er-0", "er-1", "er-2", "ba-0", "ba-1", "ba-2", "self-loop", "negative-zero"])
+    def test_closure_is_the_contexts(self, case):
+        # what reaches what comes from the request's LTI context, the one
+        # search over A's nonzero pattern, where -0.0 is no edge (here it
+        # would close the chain 0 -> 1 -> 2 -> 3 into a cycle)
+        from netcontrol.edcp import _Request
+        from netcontrol.elpgm import _Problem
+
+        kind, _, seed = case.partition("-")
+        if kind == "er":
+            a = generate_er(30, 2.0, int(seed)).realized_adjacency()
+        elif kind == "ba":
+            a = generate_ba(30, 1 + int(seed), int(seed)).realized_adjacency()
+        elif kind == "self":
+            a = chain_matrix(5)
+            a[2, 2], a[0, 3] = 0.5, -1.0
+        else:
+            a = chain_matrix(4)
+            a[0, 3], a[2, 1] = -0.0, -0.7
+        req = _Request(DirectedGraph.from_adjacency(a), 1, 2.0, a)  # as elpgm_optimize builds it
+        problem = _Problem(req, 1, ElpgmConfig(), True, True)
+        assert problem.closure is req.context.closure
+        assert np.array_equal(problem.closure, warshall_closure(a))
 
     def test_output_controllable_result(self):
         g = generate_er(8, 2.5, seed=4)

@@ -30,9 +30,17 @@ from oracles import (
     simpson_gramian,
     taylor_expm,
     van_loan_reference,
+    warshall_closure,
 )
 
 CHAIN2 = np.array([[0.0, 0.0], [1.0, 0.0]])
+# (A, B, C) with edges 2 -> 0, 0 -> 1, 2 -> 1 and 2 -> 3, dense inputs on the
+# sinks 1 and 3, and an output on node 0, which no input reaches
+UNREACHED_DENSE = (
+    np.array([[0.0, 0.0, 0.67, 0.0], [-0.53, 0.0, -0.79, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.08, 0.0]]),
+    np.array([[0.0, 0.0], [0.3, 0.7], [0.0, 0.0], [0.9, -0.2]]),
+    np.array([[1.0, 0.0, 0.0, 0.0]]),
+)
 
 
 def chain_matrix(length):
@@ -273,6 +281,49 @@ class TestOutputControllable:
         explicit = np.linalg.matrix_rank(k_matrix, tol=1e-9 * max(1e-300, np.linalg.norm(k_matrix, axis=0).max()))
         assert output_controllable(a, b, c) == (explicit == r)
 
+    @pytest.mark.parametrize("case", ["dense", "single-wire"])
+    def test_unreached_output_refused(self, case):
+        # an output that no input reaches, where C times the reachable basis
+        # is rounding noise that passed the rank test: the dense case was
+        # accepted with E = 3.3e32, the single-wire one refused as "C W C^T
+        # condition inf"
+        if case == "dense":
+            a, b, c = UNREACHED_DENSE
+        else:
+            a, p = generate_er(31, 2.0, 27).realized_adjacency(), ControlPlacement((27, 1, 8), (0,))
+            b, c = p.b_matrix(31), p.c_matrix(31)
+        assert not output_controllable(a, b, c)
+        with pytest.raises(UncontrollableError, match="not output controllable") as exc:
+            control_cost_matrices(a, b, c, 2.0)
+        assert exc.value.condition is None
+
+    def test_unreached_single_wire_supports_refused(self):
+        # single-wire supports with an output that no driver reaches: each is
+        # refused as not output controllable, by output_controllable and by
+        # the cost, with no condition
+        rng = np.random.default_rng(30)
+        cases = 0
+        for graph_seed in range(30):
+            n = int(rng.integers(4, 41))
+            g = generate_er(n, 2.0, graph_seed) if graph_seed % 2 else generate_ba(n, 1, graph_seed)
+            a = g.realized_adjacency()
+            closure = warshall_closure(a)
+            for t_f in (0.5, 2.0, 8.0):
+                for _ in range(25):
+                    drivers = rng.choice(n, size=int(rng.integers(1, 4)), replace=False).tolist()
+                    reached = closure[drivers].any(axis=0)
+                    if reached.all():
+                        continue
+                    unreached = rng.choice(np.flatnonzero(~reached), size=1).tolist()
+                    others = rng.permutation(np.flatnonzero(reached))[:int(rng.integers(0, 4))].tolist()
+                    p = ControlPlacement(drivers, unreached + others, t_f)
+                    assert not output_controllable(a, p.b_matrix(n), p.c_matrix(n))
+                    with pytest.raises(UncontrollableError, match="not output controllable") as exc:
+                        control_cost(a, p)
+                    assert exc.value.condition is None
+                    cases += 1
+        assert cases >= 2000
+
 
 class TestControlCost:
     def test_single_node_string(self):
@@ -310,6 +361,40 @@ class TestControlCost:
         # numpy would wrap -3 to node 0 of a 3-node chain and cost it alike
         with pytest.raises(ValueError, match=f"node {node} is negative"):
             ControlPlacement(drivers, controlled, 2.0)
+
+    @pytest.mark.parametrize("node", [0.7, True, np.float64(1.5), np.bool_(True), "1"],
+                             ids=["float", "bool", "numpy-float", "numpy-bool", "string"])
+    @pytest.mark.parametrize("side", ["drivers", "controlled"])
+    def test_non_integer_node_rejected(self, side, node):
+        # int() truncated 0.7 to driver 0, read True as 1 and 1.5 as node 1
+        ids = {"drivers": (2,), "controlled": (3,), side: (node,)}
+        with pytest.raises(ValueError, match="is not an integer"):
+            ControlPlacement(ids["drivers"], ids["controlled"], 2.0)
+
+    def test_numpy_integer_node_accepted(self):
+        p = ControlPlacement((np.int64(3), np.int32(1)), (np.uint8(2),), 2.0)
+        assert p.drivers == (3, 1) and p.controlled == (2,)
+        assert all(type(v) is int for v in p.drivers + p.controlled)
+
+    @pytest.mark.parametrize("name", ["control_cost_matrices", "grad_b", "grad_c"])
+    def test_unreached_dense_output_refused_before_any_work(self, monkeypatch, name):
+        # the rank test passed this support and E came out 3.3e32; the reach
+        # test now refuses it, with no rank test and no Gramian
+        import netcontrol.elpgm as elpgm
+        import netcontrol.lti as lti
+
+        evaluate = getattr(lti, name, None) or getattr(elpgm, name)
+        calls = {"output_controllable": 0, "_van_loan": 0}
+        for kernel in calls:
+            def counted(*args, _name=kernel, _real=getattr(lti, kernel)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(lti, kernel, counted)
+        with pytest.raises(UncontrollableError, match="not output controllable") as exc:
+            evaluate(*UNREACHED_DENSE, 2.0)
+        assert exc.value.condition is None
+        assert calls == {"output_controllable": 0, "_van_loan": 0}
 
     def test_node_outside_network_rejected(self):
         placement = ControlPlacement((0,), (1, 3), 2.0)
