@@ -5,10 +5,12 @@ Exit codes: 0 success; 1 usage or input error, a count, degree, seed,
 fraction or horizon out of range and a malformed placement file (also one
 naming a node twice) included; 2 refused request: sizes the graph cannot
 host, no EDCP cover, or no output-controllable placement (a cost past the
-float range included); 3 numeric failure (numpy LinAlgError).  A `bench`
-cell without an exact cost reports the chain estimate and says so on
-stderr.  `verify --format json` writes a condition number past the float
-range as null.
+float range included); 3 numeric failure (numpy LinAlgError).  The sizes
+are the request's to refuse (`edcp._Request.check`, R > n or M > R), so
+both algorithms and a `bench` cell refuse them in the same words.  A
+`bench` cell without an exact cost reports the chain estimate and says
+so on stderr.  `verify --format json` writes a condition number past the
+float range as null.
 """
 
 from __future__ import annotations
@@ -104,21 +106,9 @@ def _r_from_fraction(fraction: Fraction, n: int) -> int:
     return max(1, math.ceil(fraction * n))
 
 
-def _size_refusal(m: int, r_size: int, n: int) -> str | None:
-    """Why M drivers for R controlled nodes do not fit an n-node graph, or None."""
-    if r_size > n:
-        return f"R = {r_size} exceeds the {n}-node graph"
-    if m > r_size:
-        return f"M = {m} exceeds R = {r_size}"
-    return None
-
-
 def cmd_place(args) -> int:
     g = _load_graph(args.graph)
     r_size = args.r if args.fraction is None else _r_from_fraction(args.fraction, g.n)
-    reason = _size_refusal(args.m, r_size, g.n)
-    if reason is not None:
-        raise ValueError(reason)
     if args.algo == "edcp":
         result = edcp(g, args.m, r_size, args.tf)  # _Request(g, M, t_f).place(R); perfbench patches this name
     else:
@@ -180,14 +170,10 @@ def cmd_bench(args) -> int:
         for algo in args.algos:
             start = time.perf_counter()
             cell = f"{label} fraction {float(fraction):g} {algo}"
-            reason = _size_refusal(args.m, r_size, g.n)
-            if reason is None:
-                try:
-                    cost = _bench_cost(req, algo, r_size, args, cell)
-                except (CoverInfeasibleError, UncontrollableError) as exc:
-                    reason = str(exc)
-            if reason is not None:
-                print(f"netcontrol: {cell}: {reason}", file=sys.stderr)
+            try:
+                cost = _bench_cost(req, algo, r_size, args, cell)
+            except (CoverInfeasibleError, UncontrollableError) as exc:  # sizes too: `_Request.check`
+                print(f"netcontrol: {cell}: {exc}", file=sys.stderr)
                 cost = float("nan")
             elapsed = time.perf_counter() - start
             rows.append(

@@ -152,14 +152,14 @@ def merge_cycles(cover: PathCover) -> list[Stem]:
     return stems
 
 
-def even_division(r_size: int, m: int) -> list[int]:
-    """Split r_size into m near-equal positive integers, larger parts first."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m > r_size:
-        raise ValueError(f"cannot divide {r_size} nodes among {m} parts")
-    base, extra = divmod(r_size, m)
-    return [base + 1] * extra + [base] * (m - extra)
+def even_division(total: int, parts: int) -> list[int]:
+    """Split total into `parts` near-equal positive integers, larger parts first."""
+    if parts < 1:
+        raise ValueError("parts must be >= 1")
+    if parts > total:
+        raise ValueError(f"cannot divide {total} nodes among {parts} parts")
+    base, extra = divmod(total, parts)
+    return [base + 1] * extra + [base] * (parts - extra)
 
 
 def string_cost(q: int, d: int, t_f: float = 2.0) -> float:
@@ -694,27 +694,38 @@ def _exact_path_cover(req: _Request) -> PathCover | None:
 class _Request:
     """One (g, m, t_f, A) context; each `place(r_size)` checks and places one request.
 
-    The exact evaluations run on ELPGM's A, whose nonzeros g holds, when
-    given, else on g.realized_adjacency(), drawn on first use.  The
-    adjacency lists, A, the LTI evaluation context of (A, t_f), the
-    matching and the covers are computed once and kept for the request's
-    life, since g, m, t_f and A never change, as are each `place` result
-    and exact cost (a float or None, never an n x n `_Steering`; a refused
-    `place` is not kept).  The context (`lti._Context`) serves every exact
-    cost, `refine` and the naive cells, and ELPGM's supports: it keeps the
-    Van Loan kernel's driver-free factors, n^2 (s + 2) floats for each
+    The horizon is checked when the request is built, and the sizes by
+    `check` before any flow.  The exact evaluations run on ELPGM's A, whose
+    nonzeros g holds, when given, else on g.realized_adjacency(), drawn on
+    first use.  The adjacency lists, A, the LTI evaluation context of (A,
+    t_f), the matching and the covers are computed once and kept for the
+    request's life, since g, m, t_f and A never change, as are each `place`
+    result and exact cost (a float or None, never an n x n `_Steering`; a
+    refused `place` is not kept).  The context (`lti._Context`) serves every
+    exact cost, `refine` and the naive cells, and ELPGM's supports: it keeps
+    the Van Loan kernel's driver-free factors, n^2 (s + 2) floats for each
     (Pade degree, squarings s) key that a driver set picks, a few keys per
-    request, but no W or e^(A t_f) per driver set.  Each `pipeline` run
-    keeps its reduction loop's facts in a `_Reduction` of its own, for the
-    run.
+    request, but no W or e^(A t_f) per driver set.  Each `pipeline` run keeps
+    its reduction loop's facts in a `_Reduction` of its own, for the run.
     """
 
     def __init__(self, g: DirectedGraph, m: int, t_f: float, a: np.ndarray | None = None):
+        _check_horizon(t_f)
         self.g, self.m, self.t_f = g, m, t_f
         self.succ, self.pred = g.successors(), g.predecessors()
         self._a = a
         self.placed: dict[tuple[int, bool], EdcpResult] = {}  # (r_size, naive) -> its result
         self.costs: dict[tuple[tuple[int, ...], ...], float | None] = {}  # ordered segments -> exact cost
+
+    def check(self, r_size: int) -> None:
+        """The size rule's one owner: ValueError for M or R below 1, CoverInfeasibleError for R > n or M > R."""
+        m, n = self.m, self.g.n
+        if min(m, r_size) < 1:
+            raise ValueError(f"M and R must be >= 1, got M = {m}, R = {r_size}")
+        if r_size > n:
+            raise CoverInfeasibleError(f"R = {r_size} exceeds the {n}-node graph")
+        if m > r_size:
+            raise CoverInfeasibleError(f"M = {m} exceeds R = {r_size}")
 
     @cached_property
     def a(self) -> np.ndarray:
@@ -752,14 +763,10 @@ class _Request:
         cover that placed with one does.  naive gives the no-division baseline:
         the [r_size] * m plan, the shortest-first trim and no refine search.
         """
+        self.check(r_size)
         if (r_size, naive) in self.placed:
             return self.placed[r_size, naive]
         g, m = self.g, self.m
-        if not (1 <= r_size <= g.n):
-            raise ValueError(f"r_size must be in [1, {g.n}], got {r_size}")
-        if not (1 <= m <= r_size):
-            raise ValueError(f"m must be in [1, r_size], got {m}")
-        _check_horizon(self.t_f)
         rmax, cover, path_cover = self.covers
         if rmax < r_size:
             raise CoverInfeasibleError(f"{m} controllers can cover at most {rmax} nodes, {r_size} requested")
@@ -897,11 +904,12 @@ def edcp(g: DirectedGraph, m: int, r_size: int, t_f: float = 2.0) -> EdcpResult:
     nodes the exact cost also chooses among placements the chain estimate
     cannot tell apart (see _Request.refine).
 
-    Raises CoverInfeasibleError only when no m vertex-disjoint paths cover
-    r_size nodes: free cycles are not reachable through single-wire
-    drivers, so the flow's rmax(m) is an upper bound, not a promise.  The
-    contract is exact up to _EXACT_COVER_LIMIT nodes (see
-    CoverInfeasibleError).
+    Raises ValueError for m or r_size below 1 or a bad t_f, and
+    CoverInfeasibleError for r_size > g.n or m > r_size (`_Request.check`)
+    or when no m vertex-disjoint paths cover r_size nodes: free cycles are
+    not reachable through single-wire drivers, so the flow's rmax(m) is an
+    upper bound, not a promise.  The contract is exact up to
+    _EXACT_COVER_LIMIT nodes (see CoverInfeasibleError).
     """
     return _Request(g, m, t_f).place(r_size)
 
@@ -912,6 +920,6 @@ def naive_placement(g: DirectedGraph, m: int, r_size: int, t_f: float = 2.0) -> 
     Every driver greedily grabs the longest remaining undivided run whole,
     so the cost is dominated by long control paths, which is exactly what
     even division avoids.  Surplus drivers and nodes are handled by the same
-    reduce/trim steps as the main pipeline.
+    reduce/trim steps as the main pipeline; it refuses as `edcp` does.
     """
     return _Request(g, m, t_f).place(r_size, naive=True)

@@ -342,6 +342,11 @@ def elpgm_optimize(
     worse than EDCP's), the others from cover-seeded starts, and returns
     the cheapest output-controllable placement seen anywhere.
     Freezing update_b or update_c recovers the single-variable variants.
+
+    Raises ValueError for a bad A or m or r_size below 1,
+    CoverInfeasibleError for r_size > n or m > r_size (`edcp._Request.check`,
+    before any flow), and UncontrollableError where rmax(m) < r_size or no
+    start is output controllable.
     """
     cfg = cfg or ElpgmConfig()
     a = _as_matrix(a, "A")
@@ -352,9 +357,8 @@ def elpgm_optimize(
 
 def _descend(req: _Request, r_size: int, cfg: ElpgmConfig, update_b: bool = True, update_c: bool = True):
     """`elpgm_optimize` on a request: its graph, m, t_f and A (cfg.t_f is not read)."""
-    n, m = req.g.n, req.m
-    if not (1 <= m <= r_size <= n):
-        raise ValueError(f"need 1 <= m <= r_size <= n, got m = {m}, r_size = {r_size}, n = {n}")
+    req.check(r_size)
+    m = req.m
     seed_seq = np.random.SeedSequence(cfg.seed)
     problem = _Problem(req, r_size, cfg, update_b, update_c)
     try:

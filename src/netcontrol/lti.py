@@ -22,13 +22,13 @@ request's, and `verify` and the public functions build one for their
 evaluation.  It holds the one search of what reaches what over A's
 nonzero pattern and the Van Loan kernel's driver-free factors, so a
 support pays for the reach test, the fused products that read its B and
-the cost, and no rank test unless it is reached and refused (`_Steering`);
-the bits are those of a fresh evaluation.  `expm` runs the same Pade
-table on one n x n matrix: `mat_exp`, the pointwise input and the input
-samples of `drive_to_origin` use it, the last seven times per drive.  The
-module needs numpy alone; scipy would cost a CLI call more to import than
-its requests take, and its own OpenBLAS contended with numpy's on a small
-host.
+the cost, and no rank test unless it is reached and refused (`_Steering`,
+which labels it on the checked A, B and C); the bits are those of a
+fresh evaluation.  `expm` runs the same Pade table on one n x n matrix:
+`mat_exp`, the pointwise input and the input samples of `drive_to_origin`
+use it, the last seven times per drive.  The module needs numpy alone;
+scipy would cost a CLI call more to import than its requests take, and
+its own OpenBLAS contended with numpy's on a small host.
 """
 
 from __future__ import annotations
@@ -309,38 +309,42 @@ def gramian(a: np.ndarray, b: np.ndarray, t_f: float) -> np.ndarray:
     return _gramian(a, b, t_f)[0]
 
 
-def reachable_basis(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis of span{B, AB, A^2 B, ...}.
+def _krylov_test(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> bool:
+    """Whether C has full row rank on span{B, AB, A^2 B, ...}, for checked A, B and C.
 
-    Grown one Krylov step at a time with re-orthonormalization, which keeps
-    long chains well-scaled where the raw block matrix would underflow.
-    Each step's new directions are the left singular vectors of its
-    projected block whose singular values exceed tol * max(1, s_0), so a
-    zeroed-out or repeated column adds nothing.
+    The span's basis grows one Krylov step at a time, re-orthonormalized so
+    long chains stay well-scaled: a step adds the left singular vectors of
+    its projected block above 1e-10 * max(1, s_0).  The rank of C times the
+    basis counts singular values above RANK_TOLERANCE * its largest column norm.
     """
     n = a.shape[0]
     basis = np.zeros((n, 0))
-    new = b.copy()
+    new = b
     while basis.shape[1] < n:
         if basis.shape[1]:
             new = new - basis @ (basis.T @ new)
             new = new - basis @ (basis.T @ new)  # second pass for stability
         u, s, _ = np.linalg.svd(new, full_matrices=False)
-        rank = int(np.sum(s > tol * max(1.0, s[0]))) if s.size else 0
+        rank = int(np.sum(s > 1e-10 * max(1.0, s[0]))) if s.size else 0
         if rank == 0:
             break
         q = u[:, :rank]
         basis = np.hstack([basis, q])
         new = a @ q
-    return basis
+    k = c @ basis
+    scale = float(np.linalg.norm(k, axis=0).max(initial=0.0))
+    if scale == 0.0:
+        return False
+    return int(np.sum(np.linalg.svd(k, compute_uv=False) > RANK_TOLERANCE * scale)) == c.shape[0]
 
 
 def output_controllable(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> bool:
     """True iff rank [CB, CAB, ..., CA^(N-1)B] equals the output count.
 
     False where B reaches no node of a row of C (`_Context.reaches`, as
-    `_Steering` refuses); else the rank is evaluated on C restricted to the
-    reachable subspace, with tolerance 1e-9 times the largest column norm.
+    `_Steering` refuses); else the Krylov test (`_krylov_test`): the rank
+    of C restricted to the reachable subspace, with tolerance 1e-9 times
+    the largest column norm.
     """
     a = _as_matrix(a, "A")
     b = _as_matrix(b, "B")
@@ -349,14 +353,7 @@ def output_controllable(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> bool:
         raise ValueError("incompatible dimensions")
     if c.shape[0] == 0:
         return True
-    if not _Context(a, 1.0).reaches(b, c):  # the reach search does not read t_f
-        return False
-    k = c @ reachable_basis(a, b)
-    scale = float(np.linalg.norm(k, axis=0).max(initial=0.0))
-    if scale == 0.0:
-        return False
-    rank = int(np.sum(np.linalg.svd(k, compute_uv=False) > RANK_TOLERANCE * scale))
-    return rank == c.shape[0]
+    return _Context(a, 1.0).reaches(b, c) and _krylov_test(a, b, c)  # the reach search does not read t_f
 
 
 _NOT_OUTPUT_CONTROLLABLE = "(A, B, C) is not output controllable"
@@ -366,11 +363,11 @@ class _Context:
     """One (A, t_f): the evaluation context that every steering problem on it shares.
 
     It holds the only search over A's nonzero pattern, `reached`: the reach
-    test and ELPGM's closure run it.  It keeps the Gramian's Van Loan
-    factors that no driver set changes, n^2 (s + 2) floats per (degree,
-    squarings) key that a driver set's Q picks (`_van_loan`).  Each
-    support's W and e^(A t_f) are computed afresh, with the same bits as
-    without the context; they are not kept.
+    test and ELPGM's closure run it; refusal labels need no other context.
+    It keeps the Gramian's Van Loan factors that no driver set changes, n^2
+    (s + 2) floats per (degree, squarings) key that a driver set's Q picks
+    (`_van_loan`).  Each support's W and e^(A t_f) are computed afresh,
+    with the same bits as without the context; they are not kept.
     """
 
     def __init__(self, a: np.ndarray, t_f: float):
@@ -438,10 +435,11 @@ class _Steering:
     it on rounding noise.  It passed 8,029 of 27,852 unreached dense
     supports (12 then accepted with E of 3e33-4e36) and 9 of 5,805
     single-wire ones (refused by the guard at cond = inf).  On a reached
-    support the Krylov test (`output_controllable`) runs only after a
-    refusal, to label it "not output controllable" where it fails: of
-    21,427 reached supports in a measured family of 31,068, every one it
-    refused also failed the guard.
+    support the Krylov test (`_krylov_test`) runs only after a refusal, to
+    label it "not output controllable" where it fails: of 21,427 reached
+    supports in a measured family of 31,068, every one it refused also
+    failed the guard.  It runs on the A, B and C checked here: a label
+    needs no second context or reach search.
     """
 
     def __init__(self, context: _Context, b: np.ndarray, c: np.ndarray):
@@ -471,7 +469,7 @@ class _Steering:
             if not np.isfinite(self.cost):
                 raise UncontrollableError(f"the cost E = {self.cost} is past the float range")
         except (UncontrollableError, np.linalg.LinAlgError):
-            if not output_controllable(a, b, c):
+            if not _krylov_test(a, b, c):
                 raise UncontrollableError(_NOT_OUTPUT_CONTROLLABLE) from None
             raise
         self.a, self.b, self.c, self.t_f, self.w, self.g, self.e_tf = a, b, c, t_f, w, g, e_tf

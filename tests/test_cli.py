@@ -175,6 +175,32 @@ class TestPlace:
         assert main(["place", str(graph), "--algo", algo, "-M", "1", "-R", "3"]) == 2
         assert "netcontrol: infeasible: " in capsys.readouterr().err
 
+    def test_refusal_labels_share_the_context(self, tmp_path, monkeypatch):
+        # ELPGM's supports, its EDCP start and the Krylov labels of refused
+        # supports all run on the request's one context; when a label went
+        # through the public output_controllable, this command built 34
+        import netcontrol.lti as lti
+
+        calls = {"__init__": 0, "reached": 0, "_krylov_test": 0}
+        for owner, name in ((lti._Context, "__init__"), (lti._Context, "reached"), (lti, "_krylov_test")):
+            def counted(*args, _name=name, _real=getattr(owner, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        graph = tmp_path / "g.txt"
+        assert main(["gen", "er", "--n", "20", "--mu", "3", "--seed", "11", "--out", str(graph)]) == 0
+        assert main(["place", str(graph), "--algo", "elpgm", "-M", "3", "-R", "10",
+                     "--out", str(tmp_path / "p.json")]) == 0
+        assert calls["__init__"] == 1 and calls["_krylov_test"] > 0
+        # the dilation (0 drives 1 and 2 alike) passes the reach test and
+        # fails the guard; its label repeats no reach search
+        calls.update({name: 0 for name in calls})
+        dilation = parse_edge_list("0 1\n0 2\n")
+        with pytest.raises(lti.UncontrollableError, match="not output controllable"):
+            lti.control_cost(dilation.realized_adjacency(), lti.ControlPlacement((0,), (1, 2)))
+        assert calls == {"__init__": 1, "reached": 1, "_krylov_test": 1}
+
 
 class TestVerify:
     def test_edcp_output_verifies(self, fig8_file, tmp_path, capsys):
@@ -279,7 +305,7 @@ class TestVerify:
 
         placement = tmp_path / "p.json"
         main(["place", fig8_file, "-M", "4", "-R", "12", "--out", str(placement)])
-        calls = {"output_controllable": 0, "_van_loan": 0, "expm": 0}
+        calls = {"_krylov_test": 0, "_van_loan": 0, "expm": 0}
         for name in calls:
             def counted(*args, _name=name, _orig=getattr(lti, name), **kwargs):
                 calls[_name] += 1
@@ -290,7 +316,7 @@ class TestVerify:
         # one Van Loan kernel call (the Gramian and e^(A t_f)) serves both
         # the cost and the drive, whose input samples take 7 exponentials;
         # an accepted placement makes no rank test, which only labels refusals
-        assert calls["output_controllable"] == 0
+        assert calls["_krylov_test"] == 0
         assert calls["_van_loan"] == 1
         assert calls["expm"] == 7
         assert "controllable: true" in capsys.readouterr().out
@@ -298,9 +324,9 @@ class TestVerify:
         chain, refused = tmp_path / "chain.txt", tmp_path / "refused.json"
         chain.write_text("".join(f"{i} {i + 1}\n" for i in range(9)))
         refused.write_text(json.dumps({"drivers": [0], "controlled": list(range(10))}))
-        calls.update(output_controllable=0, _van_loan=0, expm=0)
+        calls.update(_krylov_test=0, _van_loan=0, expm=0)
         assert main(["verify", str(chain), str(refused)]) == 2
-        assert calls == {"output_controllable": 1, "_van_loan": 1, "expm": 0}
+        assert calls == {"_krylov_test": 1, "_van_loan": 1, "expm": 0}
         assert "controllable: false" in capsys.readouterr().out
 
     @pytest.mark.parametrize("graph_text, controlled, tf, message, condition, checks, gramians", [
@@ -326,7 +352,7 @@ class TestVerify:
         drivers = [1] if graph_text == "0 1\n" else [0]
         placement.write_text(json.dumps({"drivers": drivers, "controlled": controlled}))
         g = parse_edge_list(graph_text)
-        calls = {"output_controllable": 0, "_van_loan": 0}
+        calls = {"_krylov_test": 0, "_van_loan": 0}
         for name in calls:
             def counted(*args, _name=name, _real=getattr(lti, name)):
                 calls[_name] += 1
@@ -338,7 +364,7 @@ class TestVerify:
                 [g.id_map[v] for v in drivers], [g.id_map[v] for v in controlled], float(tf)))
         assert str(exc.value) == message
         assert (None if exc.value.condition is None else exc.value.condition.hex()) == condition
-        assert calls == {"output_controllable": checks, "_van_loan": gramians}
+        assert calls == {"_krylov_test": checks, "_van_loan": gramians}
         assert main(["verify", str(graph), str(placement), "--tf", tf, "--format", "json"]) == 2
         report = {"controllable": False, "cost": None, "residual": None}
         if condition is not None:

@@ -24,6 +24,7 @@ from netcontrol.edcp import (
 from netcontrol.graph import DirectedGraph, generate_ba, generate_er, parse_edge_list
 from netcontrol.lti import chain_control_cost, output_controllable
 from netcontrol.pathcover import PathCover, max_controllable_subset
+from oracles import best_path_only_cover_size
 
 FIG8 = "1 2\n2 3\n3 4\n4 5\n6 7\n7 8\n8 9\n9 10\n11 12\n12 13\n13 11\n1 3\n14\n"
 # external id v <-> internal v-1 for the worked example
@@ -259,9 +260,9 @@ class TestEdcpEndToEnd:
         g = fig8_graph()
         with pytest.raises(ValueError):
             edcp(g, 0, 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(CoverInfeasibleError, match="R = 20 exceeds the 14-node graph"):
             edcp(g, 3, 20)
-        with pytest.raises(ValueError, match="m must be"):
+        with pytest.raises(CoverInfeasibleError, match="M = 5 exceeds R = 4"):
             edcp(g, 5, 4)
 
     @pytest.mark.parametrize("t_f", [0.0, float("nan"), float("inf")])
@@ -378,6 +379,89 @@ class TestEdcpEndToEnd:
         assert steps and (checked or case == "er-29")  # there every step drops what it kept
         if case == "er-600":
             assert len(checked) > 1000
+
+    def test_early_stop_skips_no_cheaper_release(self, monkeypatch):
+        # a step stops at the first release whose lower bound reaches the
+        # best price so far; simulating every release instead finds none
+        # cheaper, and none below the merge bound where the step finds none
+        module = importlib.import_module("netcontrol.edcp")
+        real_step, real_release = module._release_step, module._Reduction.release
+        simulated, steps, stopped = [], [], []
+
+        def release(red, seg):
+            simulated.append(seg)
+            return real_release(red, seg)
+
+        def release_step(red, bound):
+            options = [seg for seg in red.heads.values() if red.outcomes.get(id(seg), (None, True))[1] is not None]
+            every = [module._simulate_release(red, seg, red.need(seg)) for seg in red.heads.values()]
+            below = [r.delta for r in every if r is not None and r.delta < bound]
+            simulated.clear()
+            step = real_step(red, bound)
+            assert (None if step is None else step.delta) == min(below, default=None)
+            steps.append(step)
+            stopped.append(len(simulated) < len(options))
+            return step
+
+        monkeypatch.setattr(module, "_release_step", release_step)
+        monkeypatch.setattr(module._Reduction, "release", release)
+        for case in range(60):
+            rnd = random.Random(5000 + case)
+            n = rnd.randint(10, 40)
+            g = generate_er(n, rnd.uniform(1.5, 4.0), case) if case % 2 else generate_ba(n, rnd.randint(1, 2), case)
+            mstar = max(n - _Request(g, 1, 2.0).matching[0], 1)
+            for m, r in ((mstar, n), (max(mstar // 2, 1), 2 * n // 3), (max(mstar // 3, 1), n // 2)):
+                req = _Request(g, m, 2.0)
+                for naive in (False, True):
+                    try:
+                        req.place(r, naive)
+                    except CoverInfeasibleError:
+                        pass
+        assert any(step is not None for step in steps) and any(stopped)
+
+    def test_exact_rung_places_exactly_when_m_paths_cover_r(self):
+        # up to _EXACT_COVER_LIMIT nodes a refusal proves that no m
+        # vertex-disjoint paths cover r nodes (CoverInfeasibleError), for
+        # m >= 2 as for m = 1: EDCP places exactly where the path-only oracle
+        # reaches r, and the exhaustive rung places some of those requests
+        rng = np.random.default_rng(34)
+        outcomes = Counter()
+        for _ in range(40):
+            n, seed = int(rng.integers(4, 13)), int(rng.integers(1 << 20))
+            if rng.random() < 0.5:
+                g = generate_er(n, float(rng.choice([1.5, 2.0, 2.5, 3.0])), seed)
+            else:
+                g = generate_ba(n, int(rng.integers(1, 3)), seed)
+            edges = g.edge_set()
+            for m in range(2, min(4, n) + 1):
+                req = _Request(g, m, 2.0)
+                paths = best_path_only_cover_size(n, edges, m)
+                for r in range(m, req.covers[0] + 1):
+                    try:
+                        res = req.place(r)
+                    except CoverInfeasibleError:
+                        assert paths < r, (n, seed, m, r)
+                        outcomes["refused"] += 1
+                        continue
+                    assert paths >= r, (n, seed, m, r)
+                    nodes = [v for seg in res.segments for v in seg]
+                    assert len(res.segments) == m and len(nodes) == len(set(nodes)) == r
+                    assert all(step in edges for seg in res.segments for step in zip(seg, seg[1:]))
+                    outcomes[res.fallback, m > 2] += 1
+        assert outcomes["exact-paths", False] and outcomes["exact-paths", True] and outcomes["refused"]
+
+    def test_rooting_gives_up_after_its_budget(self, monkeypatch):
+        # on the complete digraph on 0..7, node 8 hangs off node 1 alone:
+        # every path through all nine nodes from 0 ends 1, 8, and the search
+        # meets the first only past its 256 steps; two sinks off node 7 leave
+        # no such path at all
+        module = importlib.import_module("netcontrol.edcp")
+        succ = [[w for w in range(8) if w != v] + ([8] if v == 1 else []) for v in range(8)] + [[]]
+        assert module._rooted_path(0, tuple(range(9)), succ) is None
+        two_sinks = [[w for w in range(8) if w != v] + ([8, 9] if v == 7 else []) for v in range(8)] + [[], []]
+        assert module._rooted_path(0, tuple(range(10)), two_sinks) is None
+        monkeypatch.setattr(module, "_ROOTING_STEPS", 10 ** 4)
+        assert module._rooted_path(0, tuple(range(9)), succ) == (0, 2, 3, 4, 5, 6, 7, 1, 8)
 
     @pytest.mark.parametrize("place", [edcp, naive_placement])
     def test_adjacency_lists_built_once_per_request(self, monkeypatch, place):

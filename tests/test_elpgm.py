@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import netcontrol.elpgm
+from netcontrol.edcp import CoverInfeasibleError
 from netcontrol.elpgm import ElpgmConfig, elpgm_optimize, grad_b, grad_c, importance, project
 from netcontrol.graph import DirectedGraph, generate_ba, generate_er
 from netcontrol.lti import (
@@ -309,7 +310,7 @@ class TestOptimize:
         edcp_module = importlib.import_module("netcontrol.edcp")  # `netcontrol.edcp` is the function
         monkeypatch.setattr(edcp_module, "SufficiencySolver", unreachable)
         monkeypatch.setattr(netcontrol.lti, "_Steering", unreachable)
-        with pytest.raises(ValueError, match="m <= r_size"):
+        with pytest.raises(CoverInfeasibleError, match="M = 4 exceeds R = 3"):
             elpgm_optimize(generate_er(12, 3.0, 1).realized_adjacency(), 4, 3)
 
     def test_one_flow_and_successor_build_per_call(self, monkeypatch):
@@ -413,8 +414,8 @@ class TestOptimize:
         # as lti's calls of the Van Loan kernel (the gradient integral calls
         # it through elpgm's own binding, after the evaluation); a refused one
         # makes one rank test, which labels it, and at most one Gramian
-        calls = {"output_controllable": 0, "gramian": 0, "edcp_gramian": 0}
-        for name, key in (("output_controllable", "output_controllable"), ("_van_loan", "gramian")):
+        calls = {"rank": 0, "gramian": 0, "edcp_gramian": 0}
+        for name, key in (("_krylov_test", "rank"), ("_van_loan", "gramian")):
             def counted(*args, real=getattr(netcontrol.lti, name), key=key):
                 calls[key] += 1
                 return real(*args)
@@ -426,7 +427,7 @@ class TestOptimize:
             before = dict(calls)
             entry = real(self, drivers, controlled)
             evaluations.append(((tuple(sorted(drivers)), tuple(sorted(controlled))), entry is not None,
-                                calls["output_controllable"] - before["output_controllable"],
+                                calls["rank"] - before["rank"],
                                 calls["gramian"] - before["gramian"]))
             return entry
 
