@@ -152,14 +152,14 @@ def merge_cycles(cover: PathCover) -> list[Stem]:
     return stems
 
 
-def even_division(total: int, parts: int) -> list[int]:
-    """Split total into `parts` near-equal positive integers, larger parts first."""
-    if parts < 1:
-        raise ValueError("parts must be >= 1")
-    if parts > total:
-        raise ValueError(f"cannot divide {total} nodes among {parts} parts")
-    base, extra = divmod(total, parts)
-    return [base + 1] * extra + [base] * (parts - extra)
+def even_division(r_size: int, m: int) -> list[int]:
+    """Split r_size into m near-equal positive integers, larger parts first."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if m > r_size:
+        raise ValueError(f"cannot divide {r_size} nodes among {m} parts")
+    base, extra = divmod(r_size, m)
+    return [base + 1] * extra + [base] * (m - extra)
 
 
 def string_cost(q: int, d: int, t_f: float = 2.0) -> float:

@@ -528,7 +528,7 @@ class TestEdcpEndToEnd:
         # no rank test, and one rank test when it is refused
         module = importlib.import_module("netcontrol.edcp")
         lti = importlib.import_module("netcontrol.lti")
-        calls = {"output_controllable": 0, "_van_loan": 0}
+        calls = {"_krylov_test": 0, "_van_loan": 0}
         for name in calls:
             def counted(*args, _name=name, _real=getattr(lti, name)):
                 calls[_name] += 1
@@ -541,7 +541,7 @@ class TestEdcpEndToEnd:
             before = dict(calls)
             cost = real(context, segments)
             seen.append(tuple(segments))
-            counts.append((cost is not None, calls["output_controllable"] - before["output_controllable"],
+            counts.append((cost is not None, calls["_krylov_test"] - before["_krylov_test"],
                            calls["_van_loan"] - before["_van_loan"]))
             return cost
 

@@ -384,7 +384,7 @@ class TestControlCost:
         import netcontrol.lti as lti
 
         evaluate = getattr(lti, name, None) or getattr(elpgm, name)
-        calls = {"output_controllable": 0, "_van_loan": 0}
+        calls = {"_krylov_test": 0, "_van_loan": 0}
         for kernel in calls:
             def counted(*args, _name=kernel, _real=getattr(lti, kernel)):
                 calls[_name] += 1
@@ -394,7 +394,7 @@ class TestControlCost:
         with pytest.raises(UncontrollableError, match="not output controllable") as exc:
             evaluate(*UNREACHED_DENSE, 2.0)
         assert exc.value.condition is None
-        assert calls == {"output_controllable": 0, "_van_loan": 0}
+        assert calls == {"_krylov_test": 0, "_van_loan": 0}
 
     def test_node_outside_network_rejected(self):
         placement = ControlPlacement((0,), (1, 3), 2.0)
@@ -428,7 +428,7 @@ class TestControlCost:
         def unreachable(*args):
             raise AssertionError("ran before the refusal")
 
-        for name in ("output_controllable", "_van_loan"):
+        for name in ("_krylov_test", "_van_loan"):
             monkeypatch.setattr(lti, name, unreachable)
         monkeypatch.setattr(lti._Context, "reaches", unreachable)
         with pytest.raises(ValueError, match="needs a column of B and a row of C"):
