@@ -8,12 +8,14 @@ minimum cost then maximizes the number of nodes covered by M vertex-disjoint
 paths plus any number of vertex-disjoint cycles: every saturated inner arc
 is a covered node and cycles of D show up as profitable circulations.
 
-The solver first saturates all negative (inner) arcs, which leaves a residual
-network with nonnegative costs, then routes the resulting excesses and the M
-supply units with successive-shortest-path batches (Dijkstra with vertex
-potentials + blocking flow per cost level).  This is exact and integral.
-No arc enters s, so no excess path can pass through it: s's arcs stay closed
-while the excesses move, which spares every search their scan.
+The solver works on D' alone.  It first ships every node as its own path
+s -> v_in -> v_out -> t, which saturates all negative (inner) arcs at cost -n
+and leaves a residual network with nonnegative costs.  Sending those n units
+back from t to s by cheapest paths then leaves the optimal free circulation
+(the cycle coverage), with s's and t's arcs empty again.  That return and the
+M supply units s -> t run as successive-shortest-path batches (Dijkstra with
+vertex potentials + blocking flow per cost level).  This is exact and
+integral.
 
 Each round runs Dijkstra on reduced costs with Dial's bucket queue, since
 they are nonnegative integers, until it reaches the sink.  Labels beyond it
@@ -178,11 +180,13 @@ class _Residual:
         and silently leave it unsettled; the potentials keep every residual
         reduced cost nonnegative (see `ship`), and the tests check that.
 
-        The search stops when it reaches dst in its bucket: labels of the
-        nodes it has not settled are tentative (never below dist[dst]) or
-        infinite.  That is enough, because `ship` caps every potential update
-        at dist[dst], and the capped labels min(dist, dist[dst]) are the same
-        whatever order a queue settles ties in.
+        The search stops as soon as dst's label is final: when it labels dst
+        with the bucket it is settling, or reaches the bucket of dst's label.
+        Labels of the nodes it has not settled are tentative (never below
+        dist[dst]) or infinite.  That is enough, because `ship` caps every
+        potential update at dist[dst], and the capped labels
+        min(dist, dist[dst]) are the same whatever order a queue settles
+        ties in.
         """
         pi, adj, cap, to, cost = self.pi, self.adj, self.cap, self.to, self.cost
         dist = [INF] * self.num_nodes
@@ -192,8 +196,6 @@ class _Residual:
             if dist[dst] <= d:
                 break
             for v in bucket:
-                if v == dst:
-                    break  # dist[dst] == d: every label below d is final
                 if dist[v] != d:
                     continue  # settled earlier from a lower bucket
                 pv = pi[v] + d
@@ -203,6 +205,8 @@ class _Residual:
                         nd = cost[aid] + pv - pi[w]
                         if nd < dist[w]:
                             dist[w] = nd
+                            if nd == d and w == dst:
+                                return dist  # every label below d is final
                             if nd >= len(buckets):
                                 buckets.extend([] for _ in range(nd + 1 - len(buckets)))
                             buckets[nd].append(w)
@@ -306,50 +310,39 @@ class _Residual:
 class SufficiencySolver:
     """Incremental min-cost-flow solver for one graph, reusable across M.
 
-    Construction saturates all inner arcs and routes the induced excesses,
-    which is exactly the optimal free circulation (cycle coverage).  Each
-    subsequent unit shipped s->t adds one control path; after k units the
-    flow is a minimum-cost flow for supply k, so a single instance serves
-    the whole M-sweep.
+    Construction ships n single-node paths s -> v_in -> v_out -> t and sends
+    the n units back from t to s, which leaves exactly the optimal free
+    circulation (cycle coverage).  Each subsequent unit shipped s->t adds
+    one control path; after k units the flow is a minimum-cost flow for
+    supply k, so a single instance serves the whole M-sweep.
+
+    The return trip makes the same flows as routing the inner arcs' excesses
+    from a super source to a super sink: t's arcs t -> v_out and the arcs
+    v_in -> s play theirs, in the same node order.  Only one arc leads from
+    v_in to the sink, so its place in v_in's list decides no DFS step; the
+    arcs that network has beyond D' (v_out -> t into a dead end, then the
+    super nodes' arcs) never step down a level; and the distance labels
+    and capped potentials do not depend on the order in which nodes are
+    settled.  t's potential differs, but a round's admissible paths are its
+    cheapest ones whatever the potentials.
     """
 
     def __init__(self, g: DirectedGraph):
         n = g.n
         self.n = n
-        num = 2 * n + 4  # D' plus a super source/sink for excess routing
-        self.aux_source = 2 * n + 2
-        self.aux_sink = 2 * n + 3
         # D' arc k is residual arc 2k; its flow is the capacity of arc 2k + 1.
-        # The excess-routing arcs follow: aux source -> v_out, v_in -> aux sink.
         arcs = build_sufficiency_flow_network(g, 1).arcs if n else ()
-        self._num_arcs = len(arcs)
-        aux = (arc for v in range(n)
-               for arc in ((self.aux_source, n + v, 1, 0), (v, self.aux_sink, 1, 0)))
-        self.res = _Residual(num, (arc for part in (arcs, aux) for arc in part))
-        self.unit_costs: list[int] = []
-        self.base_cost = 0
-        if n:
-            self._solve_circulation()
-        self._cost = self.base_cost  # base_cost + sum(unit_costs)
-
-    def _solve_circulation(self):
-        n = self.n
-        res = self.res
-        # Saturate every negative (inner) arc; v_out gains a unit of excess
-        # and v_in a deficit, wired to the auxiliary source/sink.
-        for v in range(n):
-            inner = 2 * (n + v)
-            res.cap[inner] -= 1
-            res.cap[inner + 1] += 1
-        # No arc enters s, so no excess path passes through it.  Its arcs
-        # s -> v_in (D' arcs 0..n-1) stay closed while the excesses move,
-        # which only keeps the searches from scanning them, and open after.
-        res.cap[0:2 * n:2] = [0] * n
-        routed = res.ship(self.aux_source, self.aux_sink, n)
+        res = self.res = _Residual(2 * n + 2, arcs)
+        # One unit on each path s -> v_in -> v_out -> t (D' arcs 0..3n-1),
+        # at cost -n, then the n units back from t to s by cheapest paths.
+        res.cap[0:6 * n:2] = [0] * (3 * n)
+        res.cap[1:6 * n:2] = [1] * (3 * n)
+        routed = res.ship(2 * n + 1, 2 * n, n)
         if len(routed) != n:
-            raise AssertionError("excess routing must always complete")
-        res.cap[0:2 * n:2] = [1] * n
+            raise AssertionError("each unit can always return along its own path")
+        self.unit_costs: list[int] = []
         self.base_cost = -n + sum(routed)
+        self._cost = self.base_cost  # base_cost + sum(unit_costs)
 
     @property
     def shipped(self) -> int:
@@ -377,8 +370,8 @@ class SufficiencySolver:
     def coverage_at(self, units: int) -> int:
         """Coverage of the optimal flow for `units` supply; requires that
         many units to have shipped already."""
-        if units > self.shipped:
-            raise ValueError("units not shipped yet")
+        if not (0 <= units <= self.shipped):
+            raise ValueError(f"units must be in [0, {self.shipped}] (shipped so far), got {units}")
         return -(self.base_cost + sum(self.unit_costs[:units]))
 
     def advance_until_coverage(self, target: int) -> int:
@@ -401,11 +394,11 @@ class SufficiencySolver:
 
     def arc_flows(self) -> tuple[int, ...]:
         """Flow values on the D' arcs (in FlowNetwork order) right now."""
-        return tuple(self.res.cap[1:2 * self._num_arcs:2])
+        return tuple(self.res.cap[1::2])
 
     def as_flow(self) -> Flow:
         values = self.arc_flows()
-        cost = sum(v * c for v, c in zip(values, self.res.cost[0:2 * self._num_arcs:2]))
+        cost = sum(v * c for v, c in zip(values, self.res.cost[0::2]))
         return Flow(values=values, cost=cost)
 
 

@@ -39,11 +39,16 @@ class PathCover:
         return sum(len(p) for p in self.paths) + sum(len(c) for c in self.cycles)
 
     def validate(self, g: DirectedGraph) -> None:
-        """Raise if the cover repeats a vertex or uses a non-edge."""
+        """Raise if the cover holds an empty path or cycle, names a node
+        outside g, repeats a vertex or uses a non-edge."""
         seen: set[int] = set()
         edge_set = g.edge_set()
         for seq in list(self.paths) + list(self.cycles):
+            if not seq:
+                raise ValueError("the cover holds an empty path or cycle")
             for v in seq:
+                if not 0 <= v < g.n:
+                    raise ValueError(f"node {v} is not in the graph")
                 if v in seen:
                     raise ValueError(f"node {v} appears twice in the cover")
                 seen.add(v)

@@ -186,6 +186,33 @@ class TestOptimality:
         assert covs[mstar - 1] == g.n
         assert mstar == 1 or covs[mstar - 2] < g.n
 
+    @pytest.mark.parametrize("units", [-1, -6, 6])
+    def test_coverage_at_outside_shipped_refused(self, units):
+        solver = SufficiencySolver(generate_er(30, 3, 1))
+        solver.advance_to(5)
+        with pytest.raises(ValueError, match="shipped so far"):
+            solver.coverage_at(units)
+
+    def test_coverage_at_matches_advance(self):
+        g = generate_er(30, 3, 1)
+        solver = SufficiencySolver(g)
+        covs = [solver.advance_to(m) for m in range(6)]
+        assert [solver.coverage_at(m) for m in range(6)] == covs
+
+    @pytest.mark.parametrize("n, mu, seed", [(1, 0.0, 0), (12, 0.0, 1), (40, 2.5, 3), (60, 4.0, 7)])
+    def test_solver_holds_d_prime_alone(self, n, mu, seed):
+        # The circulation runs on D' itself: no auxiliary vertex or arc, and
+        # the n units sent back from t to s leave s's and t's arcs empty.
+        g = generate_er(n, mu, seed)
+        solver = SufficiencySolver(g)
+        res = solver.res
+        assert res.num_nodes == 2 * n + 2
+        assert len(res.to) == 2 * (3 * n + len(g.edges))
+        flows = solver.arc_flows()
+        assert flows[:n] == (0,) * n
+        assert flows[2 * n:3 * n] == (0,) * n
+        assert solver.as_flow().cost == solver.base_cost
+
     def test_unit_costs_nonincreasing_gains(self):
         g = generate_er(50, 3, seed=2)
         solver = SufficiencySolver(g)
@@ -233,7 +260,7 @@ class TestKernel:
         n = rng.randint(1, 40)
         g = graph_of(n, random_digraph(n, rng.uniform(0.02, 0.25), rng))
         solver = SufficiencySolver(g)
-        _assert_reduced_costs_nonnegative(solver)  # aux arcs still present
+        _assert_reduced_costs_nonnegative(solver)  # after the circulation alone
         for m in range(1, n + 1):
             solver.advance_to(m)
             _assert_reduced_costs_nonnegative(solver)

@@ -71,6 +71,23 @@ class TestExtraction:
         assert len(nodes) == len(set(nodes))
 
 
+class TestValidate:
+    @pytest.mark.parametrize("node", [99, 5, -1])
+    @pytest.mark.parametrize("where", ["path", "cycle"])
+    def test_node_outside_graph_refused(self, node, where):
+        g = generate_er(5, 2, 0)
+        seq = ((node,),)
+        cover = PathCover(paths=seq, cycles=()) if where == "path" else PathCover(paths=(), cycles=seq)
+        with pytest.raises(ValueError, match="not in the graph"):
+            cover.validate(g)
+
+    @pytest.mark.parametrize("cover", [PathCover(paths=((),), cycles=()),
+                                       PathCover(paths=((0,),), cycles=((),))])
+    def test_empty_path_or_cycle_refused(self, cover):
+        with pytest.raises(ValueError, match="empty path or cycle"):
+            cover.validate(generate_er(5, 2, 0))
+
+
 class TestQueries:
     def test_edgeless_subset(self):
         g = DirectedGraph(5, ())
